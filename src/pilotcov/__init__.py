@@ -2,9 +2,6 @@
 contamination, with time-varying pilot schedules."""
 
 from .channel import (
-    ChannelRealization,
-    ObservationBlock,
-    SquaredObservations,
     draw_channels,
     observe,
     squared_rows,
@@ -14,13 +11,10 @@ from .errors import (
     IdentifiabilityError,
     InfeasibleConstraintError,
     InvalidProfileError,
-    PilotCovError,
     SingularSystemError,
 )
 from .estimators import (
     AdaptiveState,
-    CovEstimate,
-    MLFixedPointResult,
     ObsCovEstimate,
     adaptive_update,
     estimate_all_rows_ml,
@@ -44,14 +38,12 @@ from .experiment import (
 from .linklevel import (
     ls_channel_estimate,
     mmse_channel_estimate,
-    mmse_channel_estimate_full,
     rzf_filter,
     uplink_sum_rate,
 )
 from .scenario import (
     BandLimited,
     CovarianceSet,
-    ProfileKind,
     RandomSparse,
     ScenarioConfig,
     Uniform,

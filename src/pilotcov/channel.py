@@ -4,12 +4,16 @@ Pilot sequences are never materialized: correlating the received training
 signal with the orthonormal pilots leaves one observation column per
 pilot, equal to the sum of the channel vectors of the users assigned to
 that pilot plus white noise.
+
+Everything is a plain array: a channel draw H is (M, K) complex with one
+column per user, a training observation Phi is (M, Ttr) complex with one
+column per pilot, and the squared observations B of T intervals are
+(M, T * Ttr) real, column t * Ttr + p belonging to pilot p of interval t.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -17,64 +21,31 @@ from .scenario import CovarianceSet
 from .schedule import Allocation
 
 __all__ = [
-    "ChannelRealization",
-    "ObservationBlock",
-    "SquaredObservations",
     "draw_channels",
     "observe",
     "squared_rows",
-    "dump_squared_csv",
 ]
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Compound channel matrix for one coherence interval (column per user)."""
-
-    H: np.ndarray  # (M, K) complex
-
-
-@dataclass(frozen=True)
-class ObservationBlock:
-    """Post-correlation observations of one training phase (column per pilot)."""
-
-    Phi: np.ndarray  # (M, Ttr) complex
-    interval_index: int = 0
-
-
-@dataclass(frozen=True)
-class SquaredObservations:
-    """Element-wise squared magnitudes of stacked observation blocks.
-
-    Row m collects the squared observations seen by antenna m across all
-    intervals; column (t * Ttr + p) belongs to pilot p of interval t.
-    """
-
-    B: np.ndarray  # (M, total_slots) real, >= 0
-
-
-def draw_channels(cov: CovarianceSet, rng: np.random.Generator) -> ChannelRealization:
+def draw_channels(cov: CovarianceSet, rng: np.random.Generator) -> np.ndarray:
     """One circularly-symmetric complex Gaussian channel draw per user.
 
     Real and imaginary parts are independent N(0, C[m,k]/2), so the
     per-entry power is exactly C[m,k].
     """
     scale = np.sqrt(cov.C / 2.0)
-    H = scale * (
+    return scale * (
         rng.standard_normal(cov.C.shape) + 1j * rng.standard_normal(cov.C.shape)
     )
-    return ChannelRealization(H)
 
 
 def observe(
-    chan: ChannelRealization,
+    H: np.ndarray,
     alloc: Allocation,
     sigma_v2: float,
     rng: np.random.Generator,
-    interval_index: int = 0,
-) -> ObservationBlock:
+) -> np.ndarray:
     """Training observations Phi = H * allocation + noise for one interval."""
-    H = chan.H
     if H.shape[1] != alloc.K:
         raise ValueError(
             f"channel has {H.shape[1]} users but allocation has {alloc.K}"
@@ -85,21 +56,14 @@ def observe(
     noise = np.sqrt(sigma_v2 / 2.0) * (
         rng.standard_normal((M, Ttr)) + 1j * rng.standard_normal((M, Ttr))
     )
-    return ObservationBlock(H @ alloc.assignment + noise, interval_index)
+    return H @ alloc.assignment + noise
 
 
-def squared_rows(blocks: Sequence[ObservationBlock] | Iterable[ObservationBlock]) -> SquaredObservations:
+def squared_rows(blocks: Iterable[np.ndarray]) -> np.ndarray:
     """Stack |Phi|^2 of all blocks side by side, preserving block order."""
     blocks = list(blocks)
     if not blocks:
         raise ValueError("need at least one observation block")
-    if len({b.Phi.shape[0] for b in blocks}) != 1:
+    if len({Phi.shape[0] for Phi in blocks}) != 1:
         raise ValueError("all blocks must share the same antenna count")
-    return SquaredObservations(
-        np.hstack([np.abs(b.Phi) ** 2 for b in blocks])
-    )
-
-
-def dump_squared_csv(sq: SquaredObservations, path: str) -> None:
-    """Debug dump: one CSV row per antenna, one column per slot."""
-    np.savetxt(path, sq.B, delimiter=",")
+    return np.hstack([np.abs(Phi) ** 2 for Phi in blocks])

@@ -5,7 +5,8 @@ Subcommands:
   schedule  generate or inspect pilot schedules (text format)
   validate  check a config file without running anything
 
-Exit codes: 0 success, 1 config error, 2 runtime/numerical error.
+Exit codes: 0 success, 1 bad input (command line, config or schedule
+file), 2 runtime/numerical error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, PilotCovError
+from .errors import ConfigError, IdentifiabilityError, PilotCovError
 from .experiment import emit_csv, load_experiment_config, run_experiment
 from .scenario import UserGrouping
 from .schedule import (
@@ -27,8 +28,16 @@ from .schedule import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input: exit 1, not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pilotcov",
         description="Pilot-scheduled covariance estimation experiments",
     )
@@ -39,8 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default="results.csv", help="output CSV path")
     run_p.add_argument("--seed-base", type=int, default=None,
                        help="override the RNG seed base")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="parallel work units (sweep points x seeds)")
     run_p.add_argument("--timing", action="store_true",
                        help="record wall-clock estimator runtimes; note this "
                             "makes the CSV non-reproducible byte-for-byte")
@@ -73,8 +80,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from dataclasses import replace
 
         cfg = replace(cfg, seed_base=args.seed_base)
-    result = run_experiment(cfg, threads=max(1, args.threads),
-                            measure_runtime=args.timing)
+    result = run_experiment(cfg, measure_runtime=args.timing)
     emit_csv(result, args.out)
     n_bad = sum(r.status != "ok" for r in result.records)
     print(f"wrote {len(result.records)} records to {args.out}"
@@ -85,13 +91,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     if args.schedule_command == "generate":
         K, Ttr = args.users, args.pilots
-        if K % args.cells != 0:
-            raise ConfigError(f"K={K} not divisible by {args.cells} cells")
-        N = args.length if args.length is not None else min_schedule_length(K, Ttr) + 2
-        grouping = UserGrouping.contiguous(args.cells, K // args.cells)
-        schedule = make_random_schedule(
-            K, Ttr, N, grouping, np.random.default_rng(args.seed)
-        )
+        if args.cells < 1 or K % args.cells != 0:
+            raise ConfigError(f"K={K} not divisible into {args.cells} cells")
+        try:
+            N = args.length if args.length is not None else min_schedule_length(K, Ttr) + 2
+            grouping = UserGrouping.contiguous(args.cells, K // args.cells)
+            schedule = make_random_schedule(
+                K, Ttr, N, grouping, np.random.default_rng(args.seed)
+            )
+        except (ValueError, IdentifiabilityError) as exc:
+            raise ConfigError(str(exc)) from exc
         rank, cond = rank_and_condition(schedule)
         print(f"K={K} Ttr={Ttr} N={N} rank={rank} condition={cond:.6g}")
         if args.out:
@@ -99,7 +108,10 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             print(f"wrote {args.out}")
         return 0
 
-    schedule = load_schedule(args.file, Ttr=args.pilots)
+    try:
+        schedule = load_schedule(args.file, Ttr=args.pilots)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"schedule file {args.file}: {exc}") from exc
     rank, cond = rank_and_condition(schedule)
     full = "yes" if rank == schedule.K else "NO"
     print(f"K={schedule.K} Ttr={schedule.Ttr} N={schedule.N}")

@@ -13,7 +13,13 @@ Implemented estimators:
   * shared-scaling batch form: one weighted right inverse shared by all
     antenna rows;
   * adaptive estimator: exponentially-forgetting accumulation of the
-    weighted normal equations with a Cholesky factor updated in place.
+    weighted normal equations, re-solved after every interval.
+
+Each of them solves the weighted normal equations (Pi D Pi^T) c =
+Pi D (b - sigma_v2) with a different diagonal slot weighting D: two-step
+uses D = I, ML re-weights D at every iterate, shared scaling uses one D
+for all antennas and the adaptive estimator accumulates Pi D Pi^T over
+intervals.  All of them go through `_solve_normal`.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .channel import SquaredObservations
 from .errors import IdentifiabilityError, SingularSystemError
 from .schedule import Allocation, Schedule, rank_and_condition
 
@@ -43,7 +48,6 @@ __all__ = [
     "estimate_all_rows_ml",
     "shared_scaling_fixed_point",
     "adaptive_update",
-    "save_cov_estimate_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -79,7 +83,7 @@ class MLFixedPointResult(NamedTuple):
 
 
 def estimate_obs_covariances(
-    B: SquaredObservations, schedule: Schedule, repeats: int
+    B: np.ndarray, schedule: Schedule, repeats: int
 ) -> ObsCovEstimate:
     """Average the squared observations over `repeats` passes of the schedule.
 
@@ -87,7 +91,7 @@ def estimate_obs_covariances(
     observation variance.
     """
     block = schedule.N * schedule.Ttr
-    total = B.B.shape[1]
+    total = B.shape[1]
     if total % block != 0:
         raise ValueError(
             f"{total} observation slots do not divide into blocks of "
@@ -98,13 +102,27 @@ def estimate_obs_covariances(
             f"expected {repeats} repeats x {block} slots = {repeats * block} "
             f"columns, got {total}"
         )
-    M = B.B.shape[0]
-    means = B.B.reshape(M, repeats, block).mean(axis=1)
+    M = B.shape[0]
+    means = B.reshape(M, repeats, block).mean(axis=1)
     return ObsCovEstimate(means, repeats)
 
 
 def _clamped(C: np.ndarray, clamp: bool) -> np.ndarray:
     return np.maximum(C, 0.0) if clamp else C
+
+
+def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the normal equations G c = rhs for G = Pi D Pi^T.
+
+    G must be symmetric positive definite; rhs is one right-hand side
+    (length K) or one per column (K x M).
+    """
+    try:
+        return scipy.linalg.solve(G, rhs, assume_a="pos")
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(
+            f"weighted normal equations are singular: {exc}"
+        ) from exc
 
 
 def two_step_reconstruct(
@@ -114,7 +132,8 @@ def two_step_reconstruct(
     *,
     clamp: bool = True,
 ) -> CovEstimate:
-    """Right-invert the compound allocation: C =  (c_obs - sigma_v2) pinv(compound).
+    """Right-invert the compound allocation (D = I):
+    C = (c_obs - sigma_v2) Pi^T (Pi Pi^T)^{-1}.
 
     Requires the compound allocation matrix to have full row rank K;
     otherwise the channel variances are not uniquely reconstructible.
@@ -125,8 +144,8 @@ def two_step_reconstruct(
             f"compound allocation has rank {rank} < K={schedule.K}; channel "
             f"variances cannot be uniquely reconstructed"
         )
-    rhs = (obs.c_obs - sigma_v2).T  # (N*Ttr, M)
-    sol, *_ = np.linalg.lstsq(schedule.compound.T, rhs, rcond=None)
+    Pi = schedule.compound
+    sol = _solve_normal(Pi @ Pi.T, Pi @ (obs.c_obs - sigma_v2).T)
     return CovEstimate(_clamped(sol.T, clamp))
 
 
@@ -150,12 +169,8 @@ def shared_scaling_estimate(
         raise ValueError(f"D must be a length-{Pi.shape[1]} weight vector")
     if np.any(d <= 0) or not np.all(np.isfinite(d)):
         raise ValueError("D must be strictly positive and finite")
-    G = (Pi * d) @ Pi.T
     rhs = Pi @ (d[:, None] * (np.asarray(B_mean) - sigma_v2).T)  # (K, M)
-    try:
-        sol = scipy.linalg.solve(G, rhs, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"weighted Gram matrix is singular: {exc}") from exc
+    sol = _solve_normal((Pi * d) @ Pi.T, rhs)
     return CovEstimate(_clamped(sol.T, clamp))
 
 
@@ -194,18 +209,6 @@ def _safe_llf(c_m: np.ndarray, b_m: np.ndarray, Pi: np.ndarray, sigma_v2: float)
         return np.inf
 
 
-def _weighted_solve(
-    Pi: np.ndarray, d: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    G = (Pi * d) @ Pi.T
-    try:
-        return scipy.linalg.solve(G, Pi @ (d * rhs), assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"weighted normal equations are singular: {exc}"
-        ) from exc
-
-
 def ml_fixed_point(
     b_m: np.ndarray,
     Pi: np.ndarray,
@@ -232,8 +235,7 @@ def ml_fixed_point(
     K = Pi.shape[0]
     if init is None:
         # warm start from the unweighted (two-step) solution
-        sol, *_ = np.linalg.lstsq(Pi.T, b_m - sigma_v2, rcond=None)
-        c = np.maximum(sol, 0.0)
+        c = np.maximum(_solve_normal(Pi @ Pi.T, Pi @ (b_m - sigma_v2)), 0.0)
     else:
         c = np.asarray(init, dtype=float).copy()
         if c.shape != (K,) or np.any(c < 0):
@@ -249,7 +251,9 @@ def ml_fixed_point(
                 "slot powers vanished; weights 1/power^2 are undefined"
             )
         d = powers**-2
-        c_new = np.maximum(_weighted_solve(Pi, d, b_m - sigma_v2), 0.0)
+        c_new = np.maximum(
+            _solve_normal((Pi * d) @ Pi.T, Pi @ (d * (b_m - sigma_v2))), 0.0
+        )
         obj_new = _safe_llf(c_new, b_m, Pi, sigma_v2)
         if obj_new > obj:
             # backtrack toward the previous iterate while it helps; when no
@@ -279,16 +283,11 @@ def ml_fixed_point(
                 converged = True
                 break
 
-    grad_norm = float(np.max(np.abs(llf_gradient(c, b_m, Pi, sigma_v2))))
-    logger.debug(
-        "ml_fixed_point: iterations=%d grad_norm=%.3e converged=%s",
-        iterations, grad_norm, converged,
-    )
     return MLFixedPointResult(c, iterations, converged)
 
 
 def estimate_all_rows_ml(
-    B: SquaredObservations | np.ndarray,
+    B: np.ndarray,
     Pi: np.ndarray,
     sigma_v2: float,
     tol: float = 1e-8,
@@ -302,11 +301,10 @@ def estimate_all_rows_ml(
     in which they are solved.  Non-convergence of individual rows is
     reported via the aggregated flags (and a warning), not an error.
     """
-    Bm = B.B if isinstance(B, SquaredObservations) else np.asarray(B, float)
+    Bm = np.asarray(B, dtype=float)
     Pi = np.asarray(Pi, dtype=float)
     # shared warm start: unweighted right inverse for all rows at once
-    init_all, *_ = np.linalg.lstsq(Pi.T, (Bm - sigma_v2).T, rcond=None)
-    init_all = np.maximum(init_all.T, 0.0)
+    init_all = np.maximum(_solve_normal(Pi @ Pi.T, Pi @ (Bm - sigma_v2).T).T, 0.0)
 
     C_hat = np.empty((Bm.shape[0], Pi.shape[0]))
     flags = np.empty(Bm.shape[0], dtype=bool)
@@ -327,7 +325,7 @@ def estimate_all_rows_ml(
 
 
 def shared_scaling_fixed_point(
-    B: SquaredObservations | np.ndarray,
+    B: np.ndarray,
     Pi: np.ndarray,
     sigma_v2: float,
     tol: float = 1e-8,
@@ -338,7 +336,7 @@ def shared_scaling_fixed_point(
     The shared slot weights are rebuilt from the antenna-averaged variance
     estimate, trading some accuracy for a single K x K solve per sweep.
     """
-    Bm = B.B if isinstance(B, SquaredObservations) else np.asarray(B, float)
+    Bm = np.asarray(B, dtype=float)
     Pi = np.asarray(Pi, dtype=float)
     est = shared_scaling_estimate(Bm, Pi, None, sigma_v2)
     C = est.C_hat
@@ -354,36 +352,18 @@ def shared_scaling_fixed_point(
     return CovEstimate(C)
 
 
-def _chol_rank1_update(L: np.ndarray, x: np.ndarray) -> None:
-    """In-place lower-triangular Cholesky update: L L^T + x x^T."""
-    x = x.copy()
-    n = x.size
-    for k in range(n):
-        if x[k] == 0.0:
-            continue
-        r = np.hypot(L[k, k], x[k])
-        c = r / L[k, k]
-        s = x[k] / L[k, k]
-        L[k, k] = r
-        if k + 1 < n:
-            L[k + 1 :, k] = (L[k + 1 :, k] + s * x[k + 1 :]) / c
-            x[k + 1 :] = c * x[k + 1 :] - s * L[k + 1 :, k]
-
-
 @dataclass(frozen=True)
 class AdaptiveState:
     """State of the adaptive variance estimator for one antenna row.
 
     Xi accumulates the weighted Gram matrix of the allocations, psi the
-    weighted observations; chol is the lower Cholesky factor of Xi kept
-    up to date with rank-one updates instead of refactoring.
+    weighted observations; c_hat solves Xi c = psi, clamped to c >= 0.
     """
 
     Xi: np.ndarray      # (K, K)
     psi: np.ndarray     # (K,)
     c_hat: np.ndarray   # (K,)
     lam: float
-    chol: np.ndarray    # (K, K) lower triangular, Xi = chol @ chol.T
 
     @classmethod
     def initialize(cls, K: int, lam: float = 0.99) -> "AdaptiveState":
@@ -394,7 +374,6 @@ class AdaptiveState:
             psi=np.zeros(K),
             c_hat=np.ones(K),
             lam=lam,
-            chol=np.eye(K),
         )
 
     @property
@@ -415,8 +394,8 @@ def adaptive_update(
     Slot weights come from the current variance estimate,
     d_p = 1 / (pi_p^T c_hat + sigma_v2)^2; both accumulators are decayed
     by the forgetting factor before the new interval is added, and the
-    new estimate solves Xi c = psi through the maintained Cholesky
-    factor, clamped to the nonnegative orthant.
+    new estimate solves the accumulated normal equations Xi c = psi,
+    clamped to the nonnegative orthant.
 
     `unit_scaling=True` freezes the weights at one (plain recursive
     least squares), which is mainly useful for equivalence checks against
@@ -439,16 +418,5 @@ def adaptive_update(
 
     psi = state.lam * state.psi + A @ (d * (b_m_t - sigma_v2))
     Xi = state.lam * state.Xi + (A * d) @ A.T
-    chol = np.sqrt(state.lam) * state.chol
-    for p in range(alloc.Ttr):
-        _chol_rank1_update(chol, np.sqrt(d[p]) * A[:, p])
-    c_raw = scipy.linalg.cho_solve((chol, True), psi)
-    return AdaptiveState(
-        Xi=Xi, psi=psi, c_hat=np.maximum(c_raw, 0.0), lam=state.lam, chol=chol
-    )
-
-
-def save_cov_estimate_csv(est: CovEstimate, path: str) -> None:
-    """Write the M x K estimate with a header row of user indices."""
-    header = ",".join(str(k) for k in range(est.C_hat.shape[1]))
-    np.savetxt(path, est.C_hat, delimiter=",", header=header, comments="")
+    c_hat = np.maximum(_solve_normal(Xi, psi), 0.0)
+    return AdaptiveState(Xi=Xi, psi=psi, c_hat=c_hat, lam=state.lam)

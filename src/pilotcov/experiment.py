@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import configparser
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -244,7 +243,7 @@ def _estimate_covariances(
     name: str,
     cfg: ExperimentConfig,
     truth: CovarianceSet,
-    B,
+    B: np.ndarray,
     schedule: Schedule,
     sigma_v2: float,
     identifiable: bool,
@@ -255,10 +254,10 @@ def _estimate_covariances(
     if name == "genie":
         return CovEstimate(genie_covariances(truth).C)
     if name == "adaptive":
-        return _estimate_adaptive(B.B, schedule, sigma_v2, cfg.lam)
+        return _estimate_adaptive(B, schedule, sigma_v2, cfg.lam)
     if not identifiable:
         raise _Unidentifiable()
-    S = B.B.shape[1] // (schedule.N * schedule.Ttr)
+    S = B.shape[1] // (schedule.N * schedule.Ttr)
     if name == "two_step":
         obs = estimate_obs_covariances(B, schedule, S)
         return two_step_reconstruct(obs, schedule, sigma_v2)
@@ -328,18 +327,16 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
     blocks = []
     for t in range(T):
         alloc = schedule.allocations[t % schedule.N]
-        chan = draw_channels(truth, rng_train)
-        blocks.append(observe(chan, alloc, scn.sigma_v2, rng_train, t))
+        H = draw_channels(truth, rng_train)
+        blocks.append(observe(H, alloc, scn.sigma_v2, rng_train))
     B = squared_rows(blocks)
 
     # evaluation phases are shared by all estimators (common random numbers)
     eval_draws = []
     for e in range(cfg.eval_intervals):
         alloc = schedule.allocations[e % schedule.N]
-        chan = draw_channels(truth, rng_eval_chan)
-        eval_draws.append(
-            (alloc, chan, observe(chan, alloc, scn.sigma_v2, rng_eval_noise, e))
-        )
+        H = draw_channels(truth, rng_eval_chan)
+        eval_draws.append((alloc, H, observe(H, alloc, scn.sigma_v2, rng_eval_noise)))
 
     served = grouping.members(0)
     overhead = 1.0 - scn.Ttr / cfg.t_coh
@@ -366,14 +363,12 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
             cov_rmse = float(np.linalg.norm(est.C_hat - truth.C) / truth_norm)
 
         rates = np.empty(len(eval_draws))
-        for i, (alloc, chan, obs_block) in enumerate(eval_draws):
+        for i, (alloc, H, Phi) in enumerate(eval_draws):
             C_used = None if est is None else est.C_hat
-            H_hat = _serving_estimates(
-                obs_block.Phi, alloc, served, C_used, scn.sigma_v2
-            )
+            H_hat = _serving_estimates(Phi, alloc, served, C_used, scn.sigma_v2)
             W = rzf_filter(H_hat, scn.sigma_v2)
             rates[i] = uplink_sum_rate(
-                W, chan.H, scn.sigma_v2, served=served, overhead=overhead
+                W, H, scn.sigma_v2, served=served, overhead=overhead
             )
         records.append(Record(axis_value, name, trial, float(rates.mean()),
                               cov_rmse, runtime_ms))
@@ -383,22 +378,18 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
 def run_experiment(
     cfg: ExperimentConfig,
     *,
-    threads: int = 1,
     measure_runtime: bool = False,
 ) -> ExperimentResult:
     """Run the full sweep.  Output is deterministic given the config (with
     `measure_runtime=False`, the default, runtime_ms is reported as 0 so
     emitted CSV bytes are reproducible)."""
     validate_experiment_config(cfg)
-    units = [(v, s) for v in cfg.sweep_values for s in range(cfg.trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_unit = list(
-                pool.map(lambda u: _run_unit(cfg, u[0], u[1], measure_runtime), units)
-            )
-    else:
-        per_unit = [_run_unit(cfg, v, s, measure_runtime) for v, s in units]
-    return ExperimentResult(tuple(r for unit in per_unit for r in unit))
+    return ExperimentResult(tuple(
+        r
+        for v in cfg.sweep_values
+        for s in range(cfg.trials)
+        for r in _run_unit(cfg, v, s, measure_runtime)
+    ))
 
 
 def _fmt(value: float | None, status: str) -> str:

@@ -13,7 +13,6 @@ import scipy.linalg
 
 __all__ = [
     "mmse_channel_estimate",
-    "mmse_channel_estimate_full",
     "ls_channel_estimate",
     "rzf_filter",
     "uplink_sum_rate",
@@ -34,17 +33,6 @@ def mmse_channel_estimate(
     if np.any(c_obs_p <= 0):
         raise ValueError("slot variances must be strictly positive")
     return (np.asarray(c_hk, float) / c_obs_p) * np.asarray(obs_col)
-
-
-def mmse_channel_estimate_full(
-    obs_col: np.ndarray, C_h: np.ndarray, C_phi: np.ndarray
-) -> np.ndarray:
-    """General matrix form C_h C_phi^{-1} phi (no diagonal shortcut).
-
-    Kept alongside the element-wise fast path; the two must agree when
-    both covariances are diagonal.
-    """
-    return np.asarray(C_h) @ np.linalg.solve(np.asarray(C_phi), np.asarray(obs_col))
 
 
 def ls_channel_estimate(obs_col: np.ndarray) -> np.ndarray:

@@ -53,7 +53,7 @@ def _simulate_training(C, schedule, sigma_v2, passes, rng):
     blocks = []
     for t in range(passes * schedule.N):
         alloc = schedule.allocations[t % schedule.N]
-        blocks.append(observe(draw_channels(cov, rng), alloc, sigma_v2, rng, t))
+        blocks.append(observe(draw_channels(cov, rng), alloc, sigma_v2, rng))
     return squared_rows(blocks)
 
 
@@ -240,7 +240,7 @@ def test_adaptive_matches_batch_reconstruction():
         st = AdaptiveState.initialize(K, lam=1.0)
         for t in range(S * N):
             alloc = sched.allocations[t % N]
-            st = adaptive_update(st, alloc, B.B[m, t * Ttr:(t + 1) * Ttr],
+            st = adaptive_update(st, alloc, B[m, t * Ttr:(t + 1) * Ttr],
                                  sigma_v2, unit_scaling=True)
         c = np.linalg.solve(st.Xi - np.eye(K), st.psi)
         worst = max(worst, float(np.max(np.abs(c - batch.C_hat[m]))))
@@ -390,14 +390,14 @@ def test_mmse_estimation_never_worse_than_ls():
         for e in range(200):
             alloc = sched.allocations[e % sched.N]
             chan = draw_channels(cov, rng)
-            Phi = observe(chan, alloc, scn.sigma_v2, rng).Phi
+            Phi = observe(chan, alloc, scn.sigma_v2, rng)
             pilots = alloc.pilot_of_user
             for j, k in enumerate(served):
                 col = Phi[:, pilots[k]]
                 sharing = alloc.assignment[:, pilots[k]] == 1
                 c_obs = cov.C[:, sharing].sum(axis=1) + scn.sigma_v2
                 hm = mmse_channel_estimate(col, cov.C[:, k], c_obs)
-                h = chan.H[:, k]
+                h = chan[:, k]
                 se_mmse[j] += np.sum(np.abs(hm - h) ** 2)
                 se_ls[j] += np.sum(np.abs(ls_channel_estimate(col) - h) ** 2)
         ok &= bool(np.all(se_mmse <= se_ls))

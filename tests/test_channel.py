@@ -4,7 +4,6 @@ import pytest
 from pilotcov import (
     Allocation,
     CovarianceSet,
-    ObservationBlock,
     draw_channels,
     make_example_schedule_442,
     observe,
@@ -16,12 +15,12 @@ class TestDrawChannels:
     def test_zero_variance_gives_zero_channel(self):
         cov = CovarianceSet(np.zeros((4, 3)))
         chan = draw_channels(cov, np.random.default_rng(0))
-        np.testing.assert_array_equal(chan.H, np.zeros((4, 3)))
+        np.testing.assert_array_equal(chan, np.zeros((4, 3)))
 
     def test_sample_variance_matches_target(self):
         rng = np.random.default_rng(1)
         cov = CovarianceSet(np.ones((1, 1)))
-        draws = np.array([draw_channels(cov, rng).H[0, 0] for _ in range(100_000)])
+        draws = np.array([draw_channels(cov, rng)[0, 0] for _ in range(100_000)])
         var = np.mean(np.abs(draws) ** 2)
         assert 0.98 <= var <= 1.02
         assert abs(draws.mean()) < 0.02
@@ -29,7 +28,7 @@ class TestDrawChannels:
     def test_real_imag_parts_balanced(self):
         rng = np.random.default_rng(2)
         cov = CovarianceSet(np.full((1, 1), 4.0))
-        draws = np.array([draw_channels(cov, rng).H[0, 0] for _ in range(50_000)])
+        draws = np.array([draw_channels(cov, rng)[0, 0] for _ in range(50_000)])
         assert abs(np.var(draws.real) - 2.0) < 0.1
         assert abs(np.var(draws.imag) - 2.0) < 0.1
 
@@ -41,7 +40,7 @@ class TestObserve:
         chan = draw_channels(cov, rng)
         alloc = Allocation(np.ones((1, 1)))
         block = observe(chan, alloc, 0.0, rng)
-        np.testing.assert_array_equal(block.Phi[:, 0], chan.H[:, 0])
+        np.testing.assert_array_equal(block[:, 0], chan[:, 0])
 
     def test_noise_free_contamination_sums_channels(self):
         rng = np.random.default_rng(4)
@@ -49,8 +48,8 @@ class TestObserve:
         chan = draw_channels(cov, rng)
         alloc = make_example_schedule_442().allocations[0]
         block = observe(chan, alloc, 0.0, rng)
-        np.testing.assert_allclose(block.Phi[:, 0], chan.H[:, 0] + chan.H[:, 1])
-        np.testing.assert_allclose(block.Phi[:, 1], chan.H[:, 2] + chan.H[:, 3])
+        np.testing.assert_allclose(block[:, 0], chan[:, 0] + chan[:, 1])
+        np.testing.assert_allclose(block[:, 1], chan[:, 2] + chan[:, 3])
 
     def test_slot_variance_matches_shared_power_plus_noise(self):
         rng = np.random.default_rng(5)
@@ -61,7 +60,7 @@ class TestObserve:
         samples = np.empty((100_000, 2), dtype=complex)
         for t in range(samples.shape[0]):
             chan = draw_channels(cov, rng)
-            samples[t] = observe(chan, alloc, sigma_v2, rng).Phi[0]
+            samples[t] = observe(chan, alloc, sigma_v2, rng)[0]
         measured = np.mean(np.abs(samples) ** 2, axis=0)
         expected = np.array([0.8 + 1.5 + sigma_v2, 0.3 + sigma_v2])
         np.testing.assert_allclose(measured, expected, rtol=0.03)
@@ -71,7 +70,7 @@ class TestObserve:
         cov = CovarianceSet(np.ones((1, 2)))
         alloc = Allocation.from_pilot_indices(np.array([0, 0]), 1)
         obs = np.array(
-            [observe(draw_channels(cov, rng), alloc, 0.1, rng).Phi[0, 0]
+            [observe(draw_channels(cov, rng), alloc, 0.1, rng)[0, 0]
              for _ in range(100_000)]
         )
         # block fading: successive intervals decorrelated within 3 sigma
@@ -89,29 +88,28 @@ class TestObserve:
 
 class TestSquaredRows:
     def test_zero_blocks(self):
-        blocks = [ObservationBlock(np.zeros((2, 3), dtype=complex), t) for t in range(2)]
+        blocks = [np.zeros((2, 3), dtype=complex) for _ in range(2)]
         out = squared_rows(blocks)
-        np.testing.assert_array_equal(out.B, np.zeros((2, 6)))
+        np.testing.assert_array_equal(out, np.zeros((2, 6)))
 
     def test_single_entry_magnitude(self):
-        block = ObservationBlock(np.array([[3.0 + 4.0j]]), 0)
+        block = np.array([[3.0 + 4.0j]])
         out = squared_rows([block])
-        np.testing.assert_allclose(out.B, [[25.0]])
+        np.testing.assert_allclose(out, [[25.0]])
 
     def test_recomputation_oracle(self):
         rng = np.random.default_rng(7)
         phis = [rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
                 for _ in range(3)]
-        blocks = [ObservationBlock(p, t) for t, p in enumerate(phis)]
-        out = squared_rows(blocks)
+        out = squared_rows(phis)
         expected = np.hstack([p.real**2 + p.imag**2 for p in phis])
-        np.testing.assert_allclose(out.B, expected, rtol=1e-12)
-        assert out.B.shape == (4, 6)
+        np.testing.assert_allclose(out, expected, rtol=1e-12)
+        assert out.shape == (4, 6)
 
     def test_mixed_antenna_counts_rejected(self):
         blocks = [
-            ObservationBlock(np.zeros((2, 1), dtype=complex), 0),
-            ObservationBlock(np.zeros((3, 1), dtype=complex), 1),
+            np.zeros((2, 1), dtype=complex),
+            np.zeros((3, 1), dtype=complex),
         ]
         with pytest.raises(ValueError):
             squared_rows(blocks)
@@ -126,17 +124,7 @@ def test_same_interval_slots_uncorrelated():
     n = 50_000
     obs = np.empty((n, 2), dtype=complex)
     for t in range(n):
-        obs[t] = observe(draw_channels(cov, rng), alloc, 0.1, rng).Phi[0]
+        obs[t] = observe(draw_channels(cov, rng), alloc, 0.1, rng)[0]
     cross = np.mean(obs[:, 0] * np.conj(obs[:, 1]))
     power = np.sqrt(np.mean(np.abs(obs[:, 0]) ** 2) * np.mean(np.abs(obs[:, 1]) ** 2))
     assert abs(cross) < 3.0 * power / np.sqrt(n)
-
-
-def test_debug_csv_dump(tmp_path):
-    from pilotcov.channel import dump_squared_csv
-
-    sq = squared_rows([ObservationBlock(np.array([[3.0 + 4.0j, 1.0]]), 0)])
-    path = tmp_path / "b.csv"
-    dump_squared_csv(sq, str(path))
-    loaded = np.loadtxt(path, delimiter=",")
-    np.testing.assert_allclose(loaded, [25.0, 1.0])

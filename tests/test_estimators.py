@@ -7,7 +7,6 @@ from pilotcov import (
     ObsCovEstimate,
     Schedule,
     SingularSystemError,
-    SquaredObservations,
     UserGrouping,
     draw_channels,
     estimate_all_rows_ml,
@@ -31,7 +30,7 @@ def _simulate(C, schedule, sigma_v2, repeats, rng):
     blocks = []
     for t in range(repeats * schedule.N):
         alloc = schedule.allocations[t % schedule.N]
-        blocks.append(observe(draw_channels(cov, rng), alloc, sigma_v2, rng, t))
+        blocks.append(observe(draw_channels(cov, rng), alloc, sigma_v2, rng))
     return squared_rows(blocks)
 
 
@@ -49,13 +48,13 @@ def _random_instance(rng, K=6, Ttr=3, N=4, repeats=10, sigma_v2=0.5):
 class TestEstimateObsCovariances:
     def test_single_repeat_is_identity(self):
         sched = make_example_schedule_442()
-        B = SquaredObservations(np.arange(12.0).reshape(2, 6))
+        B = np.arange(12.0).reshape(2, 6)
         out = estimate_obs_covariances(B, sched, 1)
-        np.testing.assert_array_equal(out.c_obs, B.B)
+        np.testing.assert_array_equal(out.c_obs, B)
 
     def test_constant_input(self):
         sched = make_example_schedule_442()
-        B = SquaredObservations(np.full((3, 18), 5.0))
+        B = np.full((3, 18), 5.0)
         out = estimate_obs_covariances(B, sched, 3)
         np.testing.assert_array_equal(out.c_obs, np.full((3, 6), 5.0))
 
@@ -74,11 +73,11 @@ class TestEstimateObsCovariances:
         sched = make_example_schedule_442()
         with pytest.raises(ValueError):
             estimate_obs_covariances(
-                SquaredObservations(np.zeros((2, 7))), sched, 1
+                np.zeros((2, 7)), sched, 1
             )
         with pytest.raises(ValueError):
             estimate_obs_covariances(
-                SquaredObservations(np.zeros((2, 12))), sched, 3
+                np.zeros((2, 12)), sched, 3
             )
 
 
@@ -287,9 +286,9 @@ class TestEstimateAllRowsML:
         C = rng.random((5, 4)) + 0.2
         B = _simulate(C, sched, 0.3, 40, rng)
         perm = np.array([3, 0, 4, 1, 2])
-        est = estimate_all_rows_ml(B.B, np.tile(sched.compound, (1, 40)), 0.3)
+        est = estimate_all_rows_ml(B, np.tile(sched.compound, (1, 40)), 0.3)
         est_perm = estimate_all_rows_ml(
-            B.B[perm], np.tile(sched.compound, (1, 40)), 0.3
+            B[perm], np.tile(sched.compound, (1, 40)), 0.3
         )
         np.testing.assert_allclose(est_perm.C_hat, est.C_hat[perm], atol=1e-12)
 
@@ -299,8 +298,8 @@ class TestEstimateAllRowsML:
         C = rng.random((3, 4))
         B = _simulate(C, sched, 0.2, 30, rng)
         Pi = np.tile(sched.compound, (1, 30))
-        a = estimate_all_rows_ml(B.B, Pi, 0.2)
-        b = estimate_all_rows_ml(B.B, Pi, 0.2)
+        a = estimate_all_rows_ml(B, Pi, 0.2)
+        b = estimate_all_rows_ml(B, Pi, 0.2)
         np.testing.assert_array_equal(a.C_hat, b.C_hat)
 
     def test_convergence_flags_returned(self):
@@ -309,7 +308,7 @@ class TestEstimateAllRowsML:
         C = rng.random((3, 4)) + 0.5
         B = _simulate(C, sched, 0.2, 50, rng)
         Pi = np.tile(sched.compound, (1, 50))
-        est, flags = estimate_all_rows_ml(B.B, Pi, 0.2, return_convergence=True)
+        est, flags = estimate_all_rows_ml(B, Pi, 0.2, return_convergence=True)
         assert flags.shape == (3,)
         assert est.C_hat.shape == (3, 4)
 
@@ -353,24 +352,3 @@ class TestConsistencyInT:
                 est = estimate_all_rows_ml(B, np.tile(sched.compound, (1, S)), 0.2)
                 errs[S].append(np.linalg.norm(est.C_hat - C) / np.linalg.norm(C))
         assert np.mean(errs[100]) < np.mean(errs[10])
-
-
-def test_ml_fixed_point_logs_diagnostics(caplog):
-    import logging
-
-    rng = np.random.default_rng(18)
-    b, Pi, s2, _ = _random_instance(rng)
-    with caplog.at_level(logging.DEBUG, logger="pilotcov.estimators"):
-        ml_fixed_point(b, Pi, s2)
-    assert any("ml_fixed_point" in rec.message for rec in caplog.records)
-
-
-def test_cov_estimate_csv_has_user_header(tmp_path):
-    from pilotcov.estimators import CovEstimate, save_cov_estimate_csv
-
-    est = CovEstimate(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    path = tmp_path / "c.csv"
-    save_cov_estimate_csv(est, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "0,1"
-    assert len(lines) == 3

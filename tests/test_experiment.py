@@ -148,12 +148,6 @@ class TestRunExperiment:
         emit_csv(run_experiment(cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_threads_do_not_change_records(self):
-        cfg = _tiny_config(estimators=("genie", "two_step"))
-        seq = run_experiment(cfg, threads=1)
-        par = run_experiment(cfg, threads=4)
-        assert seq.records == par.records
-
     def test_unidentifiable_marker_for_short_schedule(self):
         # a single allocation caps the compound rank at Ttr=4 < K=6:
         # covariance reconstruction is impossible, but genie and ls still
@@ -294,6 +288,43 @@ class TestCLI:
         cli_main(["run", desk_config, "--out", str(a)])
         cli_main(["run", desk_config, "--out", str(b), "--seed-base", "99"])
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{cfg}", "--bogus"],
+        ["run", "{cfg}", "--threads", "2"],
+        ["schedule", "generate", "--users", "12", "--pilots", "1"],
+        ["schedule", "generate", "--users", "12", "--pilots", "5", "--cells", "3",
+         "--length", "0"],
+        ["schedule", "generate", "--users", "12", "--pilots", "5", "--cells", "0"],
+        ["schedule", "inspect", "{missing}"],
+        ["schedule", "inspect", "{malformed}"],
+    ])
+    def test_bad_input_exits_1(self, argv, desk_config, tmp_path, capsys):
+        malformed = tmp_path / "malformed.txt"
+        malformed.write_text("0 1 x\n")
+        paths = {"cfg": desk_config, "missing": str(tmp_path / "missing.txt"),
+                 "malformed": str(malformed)}
+        argv = [a.format(**paths) for a in argv]
+        try:
+            rc = cli_main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 1
+        assert capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--help"])
+        assert exc.value.code == 0
+
+    def test_numerical_failure_in_run_exits_2(self, desk_config, tmp_path, monkeypatch):
+        from pilotcov import SingularSystemError, cli
+
+        def singular(cfg, **kwargs):
+            raise SingularSystemError("weighted normal equations are singular")
+
+        monkeypatch.setattr(cli, "run_experiment", singular)
+        assert cli_main(["run", desk_config, "--out", str(tmp_path / "o.csv")]) == 2
 
 
 def test_genie_beats_ls_in_most_seeds():
