@@ -19,7 +19,14 @@ Each of them solves the weighted normal equations (Pi D Pi^T) c =
 Pi D (b - sigma_v2) with a different diagonal slot weighting D: two-step
 uses D = I, ML re-weights D at every iterate, shared scaling uses one D
 for all antennas and the adaptive estimator accumulates Pi D Pi^T over
-intervals.  All of them go through `_solve_normal`.
+intervals.  All of them go through `_solve_normal`, and the D = I solve
+is `shared_scaling_estimate` with D = None.
+
+The batch estimators take per-slot statistics: the slot means b over the
+S passes of a window (`estimate_obs_covariances`) with the compound
+allocation Pi.  Raw squared observations with Pi tiled S times are an
+equivalent input, since their NLL and normal equations are exactly S
+times those of the means.
 """
 
 from __future__ import annotations
@@ -82,33 +89,22 @@ class MLFixedPointResult(NamedTuple):
     converged: bool
 
 
-def estimate_obs_covariances(
-    B: np.ndarray, schedule: Schedule, repeats: int
-) -> ObsCovEstimate:
-    """Average the squared observations over `repeats` passes of the schedule.
+def estimate_obs_covariances(B: np.ndarray, schedule: Schedule) -> ObsCovEstimate:
+    """Average the squared observations over the passes of the schedule.
 
-    The sample mean of |phi|^2 is exactly the ML estimate of each slot's
-    observation variance.
+    B (M x S*N*Ttr) holds S >= 1 whole passes.  The sample mean of |phi|^2
+    is exactly the ML estimate of each slot's observation variance.
     """
     block = schedule.N * schedule.Ttr
-    total = B.shape[1]
-    if total % block != 0:
+    M, total = B.shape
+    if total == 0 or total % block != 0:
         raise ValueError(
-            f"{total} observation slots do not divide into blocks of "
+            f"{total} observation slots do not make whole passes of "
             f"{block} (N={schedule.N}, Ttr={schedule.Ttr})"
         )
-    if total != repeats * block:
-        raise ValueError(
-            f"expected {repeats} repeats x {block} slots = {repeats * block} "
-            f"columns, got {total}"
-        )
-    M = B.shape[0]
+    repeats = total // block
     means = B.reshape(M, repeats, block).mean(axis=1)
     return ObsCovEstimate(means, repeats)
-
-
-def _clamped(C: np.ndarray, clamp: bool) -> np.ndarray:
-    return np.maximum(C, 0.0) if clamp else C
 
 
 def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -144,9 +140,9 @@ def two_step_reconstruct(
             f"compound allocation has rank {rank} < K={schedule.K}; channel "
             f"variances cannot be uniquely reconstructed"
         )
-    Pi = schedule.compound
-    sol = _solve_normal(Pi @ Pi.T, Pi @ (obs.c_obs - sigma_v2).T)
-    return CovEstimate(_clamped(sol.T, clamp))
+    return shared_scaling_estimate(
+        obs.c_obs, schedule.compound, None, sigma_v2, clamp=clamp
+    )
 
 
 def shared_scaling_estimate(
@@ -170,8 +166,8 @@ def shared_scaling_estimate(
     if np.any(d <= 0) or not np.all(np.isfinite(d)):
         raise ValueError("D must be strictly positive and finite")
     rhs = Pi @ (d[:, None] * (np.asarray(B_mean) - sigma_v2).T)  # (K, M)
-    sol = _solve_normal((Pi * d) @ Pi.T, rhs)
-    return CovEstimate(_clamped(sol.T, clamp))
+    C = _solve_normal((Pi * d) @ Pi.T, rhs).T
+    return CovEstimate(np.maximum(C, 0.0) if clamp else C)
 
 
 def _slot_powers(c_m: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
@@ -229,13 +225,18 @@ def ml_fixed_point(
     Convergence requires the step criterion ||c_new - c_old||_inf <=
     tol * (1 + ||c_old||_inf) and, at interior iterates, a certified
     gradient norm <= 10 * tol.
+
+    b_m is normally one row of slot means with Pi the compound allocation;
+    the gradient certificate is then per pass of the schedule and does not
+    depend on the window length.  Raw squared observations with Pi tiled S
+    times have the same minimisers but an S times larger gradient.
     """
     Pi = np.asarray(Pi, dtype=float)
     b_m = np.asarray(b_m, dtype=float)
     K = Pi.shape[0]
     if init is None:
         # warm start from the unweighted (two-step) solution
-        c = np.maximum(_solve_normal(Pi @ Pi.T, Pi @ (b_m - sigma_v2)), 0.0)
+        c = shared_scaling_estimate(b_m[None, :], Pi, None, sigma_v2).C_hat[0]
     else:
         c = np.asarray(init, dtype=float).copy()
         if c.shape != (K,) or np.any(c < 0):
@@ -304,7 +305,7 @@ def estimate_all_rows_ml(
     Bm = np.asarray(B, dtype=float)
     Pi = np.asarray(Pi, dtype=float)
     # shared warm start: unweighted right inverse for all rows at once
-    init_all = np.maximum(_solve_normal(Pi @ Pi.T, Pi @ (Bm - sigma_v2).T).T, 0.0)
+    init_all = shared_scaling_estimate(Bm, Pi, None, sigma_v2).C_hat
 
     C_hat = np.empty((Bm.shape[0], Pi.shape[0]))
     flags = np.empty(Bm.shape[0], dtype=bool)

@@ -145,6 +145,11 @@ def validate_experiment_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[estimation] ml_scaling must be per_row or shared")
     if cfg.eval_intervals < 1:
         raise ConfigError("[link] eval_intervals must be >= 1")
+    if cfg.scenario.seed < 0 or cfg.seed_base < 0:
+        raise ConfigError(
+            f"[scenario] seed and the seed base must be >= 0, got "
+            f"{cfg.scenario.seed} and {cfg.seed_base}"
+        )
     if cfg.scenario.sigma_v2 <= 0:
         raise ConfigError(
             "[scenario] sigma_v2 must be > 0: the MMSE evaluation needs "
@@ -257,19 +262,14 @@ def _estimate_covariances(
         return _estimate_adaptive(B, schedule, sigma_v2, cfg.lam)
     if not identifiable:
         raise _Unidentifiable()
-    S = B.shape[1] // (schedule.N * schedule.Ttr)
+    obs = estimate_obs_covariances(B, schedule)
     if name == "two_step":
-        obs = estimate_obs_covariances(B, schedule, S)
         return two_step_reconstruct(obs, schedule, sigma_v2)
     if name == "ml":
-        Pi_full = np.tile(schedule.compound, (1, S))
-        if cfg.ml_scaling == "shared":
-            return shared_scaling_fixed_point(
-                B, Pi_full, sigma_v2, tol=cfg.tol, max_iter=cfg.max_iter
-            )
-        return estimate_all_rows_ml(
-            B, Pi_full, sigma_v2, tol=cfg.tol, max_iter=cfg.max_iter
-        )
+        ml = (shared_scaling_fixed_point if cfg.ml_scaling == "shared"
+              else estimate_all_rows_ml)
+        return ml(obs.c_obs, schedule.compound, sigma_v2,
+                  tol=cfg.tol, max_iter=cfg.max_iter)
     raise ConfigError(f"unknown estimator {name!r}")
 
 
@@ -284,19 +284,15 @@ def _serving_estimates(
     C_used: np.ndarray | None,
     sigma_v2: float,
 ) -> np.ndarray:
-    """Channel estimates of the served users from one training phase."""
-    M = Phi.shape[0]
-    H_hat = np.empty((M, served.size), dtype=complex)
-    pilots = alloc.pilot_of_user
-    for j, k in enumerate(served):
-        col = Phi[:, pilots[k]]
-        if C_used is None:
-            H_hat[:, j] = ls_channel_estimate(col)
-        else:
-            sharing = alloc.assignment[:, pilots[k]] == 1
-            c_obs = C_used[:, sharing].sum(axis=1) + sigma_v2
-            H_hat[:, j] = mmse_channel_estimate(col, C_used[:, k], c_obs)
-    return H_hat
+    """Channel estimates of the served users from one training phase; MMSE
+    divides by the slot variances C Pi + sigma_v2, LS needs no C_used."""
+    pilots = alloc.pilot_of_user[served]
+    if C_used is None:
+        return ls_channel_estimate(Phi[:, pilots])
+    slot_var = C_used @ alloc.assignment + sigma_v2
+    return mmse_channel_estimate(
+        Phi[:, pilots], C_used[:, served], slot_var[:, pilots]
+    )
 
 
 def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
@@ -440,23 +436,32 @@ def load_result_csv(path: str) -> ExperimentResult:
     return ExperimentResult(tuple(records))
 
 
+def _finite_float(sec: configparser.SectionProxy, key: str,
+                  fallback: float | None = None) -> float | None:
+    """`getfloat` that also rejects nan and inf, which configparser accepts."""
+    value = sec.getfloat(key, fallback)
+    if value is not None and not np.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value}")
+    return value
+
+
 def _profile_from_section(sec: configparser.SectionProxy) -> ProfileKind:
     kind = sec.get("kind", "uniform").strip().lower()
     try:
         if kind == "uniform":
-            return Uniform(power=sec.getfloat("power", 1.0))
+            return Uniform(power=_finite_float(sec, "power", 1.0))
         if kind == "bandlimited":
             center = sec.getint("center") if "center" in sec else None
             return BandLimited(
                 width=sec.getint("width"),
-                power=sec.getfloat("power", 1.0),
+                power=_finite_float(sec, "power", 1.0),
                 center=center,
-                dynamic_range_db=sec.getfloat("dynamic_range_db", 20.0),
+                dynamic_range_db=_finite_float(sec, "dynamic_range_db", 20.0),
             )
         if kind == "random_sparse":
             return RandomSparse(
-                support_fraction=sec.getfloat("support_fraction"),
-                total_power=sec.getfloat("total_power", 1.0),
+                support_fraction=_finite_float(sec, "support_fraction"),
+                total_power=_finite_float(sec, "total_power", 1.0),
             )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[profile] invalid field: {exc}") from exc
@@ -491,7 +496,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
     get_int = lambda s, k: s.getint(k)
-    get_float = lambda s, k: s.getfloat(k)
+    get_float = _finite_float
     get_str = lambda s, k: s.get(k).strip()
 
     try:

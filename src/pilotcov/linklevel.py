@@ -22,12 +22,13 @@ __all__ = [
 def mmse_channel_estimate(
     obs_col: np.ndarray, c_hk: np.ndarray, c_obs_p: np.ndarray
 ) -> np.ndarray:
-    """Per-antenna Wiener shrinkage of one observation column.
+    """Per-antenna Wiener shrinkage of observation columns.
 
     With diagonal covariances the conditional-mean estimate reduces to
     h_hat[m] = c_hk[m] / c_obs_p[m] * obs_col[m], where c_obs_p is the
     variance of the observation slot (sum of the sharing users' variances
-    plus noise).
+    plus noise).  obs_col is one column (M,) or one column per user
+    (M x J), with c_hk and c_obs_p of the same shape.
     """
     c_obs_p = np.asarray(c_obs_p, dtype=float)
     if np.any(c_obs_p <= 0):
@@ -37,7 +38,8 @@ def mmse_channel_estimate(
 
 def ls_channel_estimate(obs_col: np.ndarray) -> np.ndarray:
     """Least-squares estimate: with orthonormal pilots this is the raw
-    correlated observation, no statistics required."""
+    correlated observation, no statistics required.  obs_col is one column
+    (M,) or one column per user (M x J)."""
     return np.array(obs_col, copy=True)
 
 

@@ -233,7 +233,7 @@ def test_adaptive_matches_batch_reconstruction():
     sigma_v2 = 0.3
     B = _simulate_training(C, sched, sigma_v2, S, rng)
     batch = two_step_reconstruct(
-        estimate_obs_covariances(B, sched, S), sched, sigma_v2, clamp=False
+        estimate_obs_covariances(B, sched), sched, sigma_v2, clamp=False
     )
     worst = 0.0
     for m in range(M):

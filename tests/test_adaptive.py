@@ -82,7 +82,7 @@ class TestBatchEquivalence:
         sigma_v2 = 0.3
         B = _training_blocks(C, sched, sigma_v2, S, rng)
         batch = two_step_reconstruct(
-            estimate_obs_covariances(B, sched, S), sched, sigma_v2, clamp=False
+            estimate_obs_covariances(B, sched), sched, sigma_v2, clamp=False
         )
         for m in range(3):
             st = AdaptiveState.initialize(K, lam=1.0)

@@ -49,13 +49,13 @@ class TestEstimateObsCovariances:
     def test_single_repeat_is_identity(self):
         sched = make_example_schedule_442()
         B = np.arange(12.0).reshape(2, 6)
-        out = estimate_obs_covariances(B, sched, 1)
+        out = estimate_obs_covariances(B, sched)
         np.testing.assert_array_equal(out.c_obs, B)
 
     def test_constant_input(self):
         sched = make_example_schedule_442()
         B = np.full((3, 18), 5.0)
-        out = estimate_obs_covariances(B, sched, 3)
+        out = estimate_obs_covariances(B, sched)
         np.testing.assert_array_equal(out.c_obs, np.full((3, 6), 5.0))
 
     def test_monte_carlo_consistency(self):
@@ -65,20 +65,16 @@ class TestEstimateObsCovariances:
         sigma_v2 = 0.2
         S = 10_000
         B = _simulate(C, sched, sigma_v2, S, rng)
-        out = estimate_obs_covariances(B, sched, S)
+        out = estimate_obs_covariances(B, sched)
         expected = C @ sched.compound + sigma_v2
         np.testing.assert_allclose(out.c_obs, expected, rtol=0.05)
 
     def test_mismatched_columns_rejected(self):
         sched = make_example_schedule_442()
         with pytest.raises(ValueError):
-            estimate_obs_covariances(
-                np.zeros((2, 7)), sched, 1
-            )
+            estimate_obs_covariances(np.zeros((2, 7)), sched)
         with pytest.raises(ValueError):
-            estimate_obs_covariances(
-                np.zeros((2, 12)), sched, 3
-            )
+            estimate_obs_covariances(np.zeros((2, 0)), sched)  # empty window
 
 
 class TestTwoStepReconstruct:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pilotcov import (
+    Allocation,
     BandLimited,
     ConfigError,
     ExperimentConfig,
@@ -9,12 +10,16 @@ from pilotcov import (
     Record,
     ScenarioConfig,
     Uniform,
+    UserGrouping,
     emit_csv,
     load_experiment_config,
     load_result_csv,
+    ls_channel_estimate,
+    mmse_channel_estimate,
     run_experiment,
 )
 from pilotcov.cli import main as cli_main
+from pilotcov.experiment import _serving_estimates
 
 DESK_CFG = """
 [scenario]
@@ -312,6 +317,28 @@ class TestCLI:
         assert rc == 1
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits, extra", [
+        ([("sigma_v2 = 0.2", "sigma_v2 = nan")], []),
+        ([("sigma_v2 = 0.2", "sigma_v2 = inf")], []),
+        ([("tol = 1e-8", "tol = nan"),
+          ("estimators = genie, ls", "estimators = genie, ml, ls")], []),
+        ([("power = 1.0", "power = nan")], []),
+        ([("seed = 7", "seed = -3")], []),
+        ([], ["--seed-base", "-1"]),
+    ], ids=["sigma_v2-nan", "sigma_v2-inf", "tol-nan", "power-nan", "seed-negative",
+            "seed-base-negative"])
+    def test_bad_numbers_exit_1(self, edits, extra, tmp_path, capsys):
+        text = DESK_CFG
+        for old, new in edits:
+            text = text.replace(old, new)
+        path = tmp_path / "numbers.cfg"
+        path.write_text(text)
+        rc = cli_main(["run", str(path), "--out", str(tmp_path / "o.csv"), *extra])
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+        if edits:
+            assert cli_main(["validate", str(path)]) == 1
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", "--help"])
@@ -367,3 +394,39 @@ def test_emit_csv_unwritable_path_raises(tmp_path):
     res = ExperimentResult((Record(1, "ls", 0, 1.0, None, 0.0),))
     with pytest.raises(OSError):
         emit_csv(res, str(tmp_path / "missing_dir" / "out.csv"))
+
+
+def _serving_estimates_loop(Phi, alloc, served, C_used, sigma_v2):
+    """Reference: one served user at a time, its slot variance from a mask."""
+    H_hat = np.empty((Phi.shape[0], served.size), dtype=complex)
+    pilots = alloc.pilot_of_user
+    for j, k in enumerate(served):
+        col = Phi[:, pilots[k]]
+        if C_used is None:
+            H_hat[:, j] = ls_channel_estimate(col)
+        else:
+            sharing = alloc.assignment[:, pilots[k]] == 1
+            c_obs = C_used[:, sharing].sum(axis=1) + sigma_v2
+            H_hat[:, j] = mmse_channel_estimate(col, C_used[:, k], c_obs)
+    return H_hat
+
+
+@pytest.mark.parametrize("with_cov", [True, False], ids=["mmse", "ls"])
+def test_serving_estimates_match_per_user_loop(with_cov):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        cells, per_cell = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        Ttr, M = int(rng.integers(per_cell, per_cell + 3)), int(rng.integers(1, 9))
+        # distinct pilots inside each cell, reused across cells
+        alloc = Allocation.from_pilot_indices(np.concatenate(
+            [rng.permutation(Ttr)[:per_cell] for _ in range(cells)]), Ttr)
+        served = UserGrouping.contiguous(cells, per_cell).members(
+            int(rng.integers(cells)))
+        Phi = rng.standard_normal((M, Ttr)) + 1j * rng.standard_normal((M, Ttr))
+        C_used = rng.uniform(0.0, 2.0, size=(M, alloc.K)) if with_cov else None
+        sigma_v2 = rng.uniform(0.05, 1.0)
+        np.testing.assert_allclose(
+            _serving_estimates(Phi, alloc, served, C_used, sigma_v2),
+            _serving_estimates_loop(Phi, alloc, served, C_used, sigma_v2),
+            rtol=1e-12,
+        )
