@@ -42,6 +42,7 @@ from .scenario import (
     generate_covariance_set,
 )
 from .schedule import (
+    Allocation,
     Schedule,
     load_schedule,
     make_example_schedule_442,
@@ -139,8 +140,8 @@ def validate_experiment_config(cfg: ExperimentConfig) -> None:
         )
     if not 0.0 < cfg.lam <= 1.0:
         raise ConfigError("[estimation] lambda must be in (0, 1]")
-    if cfg.tol <= 0 or cfg.max_iter < 1:
-        raise ConfigError("[estimation] tol must be > 0 and max_iter >= 1")
+    if not (np.isfinite(cfg.tol) and cfg.tol > 0) or cfg.max_iter < 1:
+        raise ConfigError("[estimation] tol must be finite and > 0, and max_iter >= 1")
     if cfg.ml_scaling not in ("per_row", "shared"):
         raise ConfigError("[estimation] ml_scaling must be per_row or shared")
     if cfg.eval_intervals < 1:
@@ -150,10 +151,10 @@ def validate_experiment_config(cfg: ExperimentConfig) -> None:
             f"[scenario] seed and the seed base must be >= 0, got "
             f"{cfg.scenario.seed} and {cfg.seed_base}"
         )
-    if cfg.scenario.sigma_v2 <= 0:
+    if not (np.isfinite(cfg.scenario.sigma_v2) and cfg.scenario.sigma_v2 > 0):
         raise ConfigError(
-            "[scenario] sigma_v2 must be > 0: the MMSE evaluation needs "
-            "strictly positive slot variances"
+            "[scenario] sigma_v2 must be finite and > 0: the MMSE evaluation "
+            "needs strictly positive, finite slot variances"
         )
 
     scn = cfg.scenario
@@ -279,20 +280,48 @@ class _Unidentifiable(Exception):
 
 def _serving_estimates(
     Phi: np.ndarray,
-    alloc,
+    allocs: tuple[Allocation, ...],
     served: np.ndarray,
     C_used: np.ndarray | None,
     sigma_v2: float,
 ) -> np.ndarray:
-    """Channel estimates of the served users from one training phase; MMSE
-    divides by the slot variances C Pi + sigma_v2, LS needs no C_used."""
-    pilots = alloc.pilot_of_user[served]
+    """Channel estimates (n, M, K_served) of the served users from n
+    training phases Phi (n, M, Ttr), phase i observed under allocs[i];
+    MMSE divides by the slot variances C Pi + sigma_v2, LS needs no C_used."""
+    pilots = np.stack([a.pilot_of_user[served] for a in allocs])[:, None, :]
+    obs = np.take_along_axis(Phi, pilots, axis=2)
     if C_used is None:
-        return ls_channel_estimate(Phi[:, pilots])
-    slot_var = C_used @ alloc.assignment + sigma_v2
+        return ls_channel_estimate(obs)
+    slot_var = np.stack([C_used @ a.assignment for a in allocs]) + sigma_v2
     return mmse_channel_estimate(
-        Phi[:, pilots], C_used[:, served], slot_var[:, pilots]
+        obs, C_used[:, served], np.take_along_axis(slot_var, pilots, axis=2)
     )
+
+
+def _evaluate_rates(
+    H: np.ndarray,
+    Phi: np.ndarray,
+    schedule: Schedule,
+    served: np.ndarray,
+    C_used: np.ndarray | None,
+    sigma_v2: float,
+    overhead: float,
+) -> np.ndarray:
+    """Sum-rate of each evaluation interval, (E,), from its channels H
+    (E, M, K) and training phase Phi (E, M, Ttr) taken under allocation
+    e % N.  Each schedule pass of N intervals is one stacked estimate,
+    filter and rate evaluation; the last pass may be partial."""
+    E, N = H.shape[0], schedule.N
+    rates = np.empty(E)
+    for start in range(0, E, N):
+        stop = min(start + N, E)
+        H_hat = _serving_estimates(Phi[start:stop], schedule.allocations[:stop - start],
+                                   served, C_used, sigma_v2)
+        W = rzf_filter(H_hat, sigma_v2)
+        rates[start:stop] = uplink_sum_rate(
+            W, H[start:stop], sigma_v2, served=served, overhead=overhead
+        )
+    return rates
 
 
 def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
@@ -328,11 +357,13 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
     B = squared_rows(blocks)
 
     # evaluation phases are shared by all estimators (common random numbers)
-    eval_draws = []
-    for e in range(cfg.eval_intervals):
-        alloc = schedule.allocations[e % schedule.N]
-        H = draw_channels(truth, rng_eval_chan)
-        eval_draws.append((alloc, H, observe(H, alloc, scn.sigma_v2, rng_eval_noise)))
+    E = cfg.eval_intervals
+    H_eval = np.empty((E, scn.M, scn.K), dtype=complex)
+    Phi_eval = np.empty((E, scn.M, scn.Ttr), dtype=complex)
+    for e in range(E):
+        H_eval[e] = draw_channels(truth, rng_eval_chan)
+        Phi_eval[e] = observe(H_eval[e], schedule.allocations[e % schedule.N],
+                              scn.sigma_v2, rng_eval_noise)
 
     served = grouping.members(0)
     overhead = 1.0 - scn.Ttr / cfg.t_coh
@@ -358,14 +389,9 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
         else:
             cov_rmse = float(np.linalg.norm(est.C_hat - truth.C) / truth_norm)
 
-        rates = np.empty(len(eval_draws))
-        for i, (alloc, H, Phi) in enumerate(eval_draws):
-            C_used = None if est is None else est.C_hat
-            H_hat = _serving_estimates(Phi, alloc, served, C_used, scn.sigma_v2)
-            W = rzf_filter(H_hat, scn.sigma_v2)
-            rates[i] = uplink_sum_rate(
-                W, H, scn.sigma_v2, served=served, overhead=overhead
-            )
+        rates = _evaluate_rates(H_eval, Phi_eval, schedule, served,
+                                None if est is None else est.C_hat,
+                                scn.sigma_v2, overhead)
         records.append(Record(axis_value, name, trial, float(rates.mean()),
                               cov_rmse, runtime_ms))
     return records

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IdentifiabilityError, InfeasibleConstraintError
+from .errors import IdentifiabilityError, InfeasibleConstraintError, SingularSystemError
 from .scenario import UserGrouping
 
 __all__ = [
@@ -199,7 +199,9 @@ def rank_and_condition(schedule: Schedule) -> tuple[int, float]:
     """Numerical rank and condition number of the compound allocation.
 
     Singular values below max_dim * eps * s_max count as zero; the
-    condition number is taken over the nonzero singular values.
+    condition number is taken over the nonzero singular values.  A rank
+    above the structural bound Ttr + (N - 1)(Ttr - 1) can only come from
+    a failed SVD and raises SingularSystemError.
     """
     s = np.linalg.svd(schedule.compound, compute_uv=False)
     tol = max(schedule.compound.shape) * np.finfo(float).eps * s[0]
@@ -209,7 +211,11 @@ def rank_and_condition(schedule: Schedule) -> tuple[int, float]:
     # with one-hot rows every user is served each interval, so adding an
     # allocation raises the rank by at most Ttr - 1
     bound = schedule.Ttr + (schedule.N - 1) * (schedule.Ttr - 1)
-    assert rank <= bound, f"rank {rank} exceeds structural bound {bound}"
+    if rank > bound:
+        raise SingularSystemError(
+            f"numerical rank {rank} of the compound allocation exceeds its "
+            f"structural bound {bound}"
+        )
     return rank, cond
 
 

@@ -15,11 +15,14 @@ from pilotcov import (
     load_experiment_config,
     load_result_csv,
     ls_channel_estimate,
+    make_random_schedule,
     mmse_channel_estimate,
     run_experiment,
+    rzf_filter,
+    uplink_sum_rate,
 )
 from pilotcov.cli import main as cli_main
-from pilotcov.experiment import _serving_estimates
+from pilotcov.experiment import _evaluate_rates, _serving_estimates
 
 DESK_CFG = """
 [scenario]
@@ -121,6 +124,20 @@ class TestConfigLoading:
                     users_per_cell=3, seed=7,
                 )
             )
+
+    @pytest.mark.parametrize("field, value", [
+        ("tol", np.nan), ("tol", np.inf), ("lam", np.nan),
+        ("sigma_v2", np.inf), ("sigma_v2", np.nan),
+    ])
+    def test_non_finite_numbers_rejected_in_code(self, field, value):
+        if field == "sigma_v2":
+            scenario = ScenarioConfig(M=8, K=6, Ttr=4, sigma_v2=value, num_cells=2,
+                                      users_per_cell=3, seed=7)
+            overrides = {"scenario": scenario}
+        else:
+            overrides = {field: value}
+        with pytest.raises(ConfigError, match="lambda" if field == "lam" else field):
+            _tiny_config(**overrides)
 
     def test_infeasible_cell_constraint_surfaced_before_run(self):
         with pytest.raises(ConfigError, match="users per cell"):
@@ -417,16 +434,55 @@ def test_serving_estimates_match_per_user_loop(with_cov):
     for _ in range(50):
         cells, per_cell = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         Ttr, M = int(rng.integers(per_cell, per_cell + 3)), int(rng.integers(1, 9))
+        n = int(rng.integers(1, 5))
         # distinct pilots inside each cell, reused across cells
-        alloc = Allocation.from_pilot_indices(np.concatenate(
-            [rng.permutation(Ttr)[:per_cell] for _ in range(cells)]), Ttr)
+        allocs = tuple(
+            Allocation.from_pilot_indices(np.concatenate(
+                [rng.permutation(Ttr)[:per_cell] for _ in range(cells)]), Ttr)
+            for _ in range(n))
         served = UserGrouping.contiguous(cells, per_cell).members(
             int(rng.integers(cells)))
-        Phi = rng.standard_normal((M, Ttr)) + 1j * rng.standard_normal((M, Ttr))
-        C_used = rng.uniform(0.0, 2.0, size=(M, alloc.K)) if with_cov else None
+        Phi = rng.standard_normal((n, M, Ttr)) + 1j * rng.standard_normal((n, M, Ttr))
+        C_used = rng.uniform(0.0, 2.0, size=(M, cells * per_cell)) if with_cov else None
         sigma_v2 = rng.uniform(0.05, 1.0)
-        np.testing.assert_allclose(
-            _serving_estimates(Phi, alloc, served, C_used, sigma_v2),
-            _serving_estimates_loop(Phi, alloc, served, C_used, sigma_v2),
-            rtol=1e-12,
-        )
+        stacked = _serving_estimates(Phi, allocs, served, C_used, sigma_v2)
+        assert stacked.shape == (n, M, served.size)
+        for i, alloc in enumerate(allocs):
+            np.testing.assert_allclose(
+                stacked[i],
+                _serving_estimates_loop(Phi[i], alloc, served, C_used, sigma_v2),
+                rtol=1e-12,
+            )
+
+
+def _evaluate_rates_loop(H, Phi, schedule, served, C_used, sigma_v2, overhead):
+    """Reference: one evaluation interval at a time, each through the
+    per-user serving loop and a single-draw filter and rate."""
+    rates = np.empty(H.shape[0])
+    for e in range(H.shape[0]):
+        alloc = schedule.allocations[e % schedule.N]
+        H_hat = _serving_estimates_loop(Phi[e], alloc, served, C_used, sigma_v2)
+        W = rzf_filter(H_hat, sigma_v2)
+        rates[e] = uplink_sum_rate(W, H[e], sigma_v2, served=served, overhead=overhead)
+    return rates
+
+
+@pytest.mark.parametrize("with_cov", [True, False], ids=["mmse", "ls"])
+@pytest.mark.parametrize("E", [4, 5, 13], ids=["N-1", "N", "2N+3"])
+def test_pass_evaluation_matches_per_interval_loop(with_cov, E):
+    rng = np.random.default_rng(12)
+    M, K, Ttr, N, sigma_v2, overhead = 9, 6, 4, 5, 0.2, 0.95
+    grouping = UserGrouping.contiguous(2, 3)
+    schedule = make_random_schedule(K, Ttr, N, grouping, rng)
+    H = rng.standard_normal((E, M, K)) + 1j * rng.standard_normal((E, M, K))
+    Phi = np.stack([H[e] @ schedule.allocations[e % N].assignment for e in range(E)])
+    Phi += np.sqrt(sigma_v2 / 2) * (rng.standard_normal(Phi.shape)
+                                    + 1j * rng.standard_normal(Phi.shape))
+    C_used = rng.uniform(0.1, 2.0, size=(M, K)) if with_cov else None
+    served = grouping.members(1)
+    rates = _evaluate_rates(H, Phi, schedule, served, C_used, sigma_v2, overhead)
+    np.testing.assert_allclose(
+        rates,
+        _evaluate_rates_loop(H, Phi, schedule, served, C_used, sigma_v2, overhead),
+        rtol=1e-12,
+    )

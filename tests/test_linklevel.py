@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pilotcov import (
     Allocation,
@@ -16,6 +17,19 @@ from pilotcov import (
 def mmse_channel_estimate_full(obs_col, C_h, C_phi):
     """Oracle: general matrix form C_h C_phi^{-1} phi (no diagonal shortcut)."""
     return C_h @ np.linalg.solve(C_phi, obs_col)
+
+
+def rzf_filter_full(H_hat, sigma_v2):
+    """Oracle: one draw, the M x M form (H H^H + K sigma_v2 I)^{-1} H."""
+    M, K_served = H_hat.shape
+    G = H_hat @ H_hat.conj().T + (K_served * sigma_v2) * np.eye(M)
+    if sigma_v2 > 0:
+        return scipy.linalg.solve(G, H_hat, assume_a="pos")
+    return np.linalg.pinv(G) @ H_hat
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestMMSEChannelEstimate:
@@ -115,7 +129,45 @@ class TestRZFFilter:
         np.testing.assert_allclose(G @ W, H, atol=1e-10)
 
 
+    @pytest.mark.parametrize("M, K_served, sigma_v2, kind", [
+        (8, 3, 0.7, "random"),
+        (4, 9, 0.3, "random"),
+        (6, 4, 0.0, "rank_deficient"),
+        (5, 3, 0.4, "zero"),
+        (5, 3, 0.0, "zero"),
+    ], ids=["K<M", "K>M", "pinv-rank-deficient", "zero", "zero-pinv"])
+    def test_stacked_push_through_matches_full_oracle(self, M, K_served, sigma_v2, kind):
+        rng = np.random.default_rng(8)
+        H = _complex_normal(rng, (2, 3, M, K_served))
+        if kind == "rank_deficient":
+            # small integers keep H^H H and H H^H exact; two repeated
+            # columns leave both Gram matrices singular
+            H = np.round(4 * H)
+            H[..., 2] = H[..., 0]
+            H[..., 3] = H[..., 1]
+        elif kind == "zero":
+            H = np.zeros_like(H)
+        W = rzf_filter(H, sigma_v2)
+        assert W.shape == H.shape
+        for idx in np.ndindex(H.shape[:-2]):
+            np.testing.assert_allclose(
+                W[idx], rzf_filter_full(H[idx], sigma_v2), rtol=1e-10, atol=0
+            )
+
+
 class TestUplinkSumRate:
+    def test_stacked_rates_equal_per_draw_calls(self):
+        rng = np.random.default_rng(9)
+        H = _complex_normal(rng, (5, 8, 6))
+        served = np.array([4, 1, 2])
+        W = rzf_filter(H[..., served], 0.3)
+        rates = uplink_sum_rate(W, H, 0.3, served=served, overhead=0.9)
+        assert rates.shape == (5,)
+        for e in range(5):
+            single = uplink_sum_rate(W[e], H[e], 0.3, served=served, overhead=0.9)
+            assert type(single) is float
+            np.testing.assert_allclose(rates[e], single, rtol=1e-12)
+
     def test_zero_channels_zero_rate(self):
         W = np.ones((4, 2), dtype=complex)
         assert uplink_sum_rate(W, np.zeros((4, 5), dtype=complex), 0.3) == 0.0

@@ -7,6 +7,10 @@ shared-scaling estimate must be
   * permutation equivariant: relabelling users (rows of every allocation)
     permutes the columns of C_hat the same way.
 
+The numerical rank of any random schedule respects the structural bound
+Ttr + (N - 1)(Ttr - 1): every user is served in every interval, so each
+allocation after the first adds at most Ttr - 1 to the rank.
+
 The per-slot means over the S passes of a window are a sufficient
 statistic: the NLL and its gradient on the raw squared observations are S
 times those on the means, so the ML estimators give the same answer on
@@ -28,6 +32,7 @@ from pilotcov import (
     make_random_schedule,
     min_schedule_length,
     negative_llf,
+    rank_and_condition,
     shared_scaling_estimate,
     shared_scaling_fixed_point,
     two_step_reconstruct,
@@ -77,6 +82,18 @@ def test_user_permutation_equivariance(problem, random):
     for base, moved in zip(_estimates(sched, b, sigma_v2, d),
                            _estimates(permuted, b, sigma_v2, d)):
         np.testing.assert_allclose(moved, base[:, perm], rtol=RTOL)
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(2, 6), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+def test_rank_respects_structural_bound(cells, per_cell, Ttr, N, seed):
+    Ttr = max(Ttr, per_cell)
+    K = cells * per_cell
+    sched = make_random_schedule(K, Ttr, N, UserGrouping.contiguous(cells, per_cell),
+                                 np.random.default_rng(seed), require_full_rank=False)
+    rank, _ = rank_and_condition(sched)
+    assert 1 <= rank <= min(K, Ttr + (N - 1) * (Ttr - 1))
 
 
 @st.composite

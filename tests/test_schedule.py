@@ -6,6 +6,7 @@ from pilotcov import (
     IdentifiabilityError,
     InfeasibleConstraintError,
     Schedule,
+    SingularSystemError,
     UserGrouping,
     load_schedule,
     make_example_schedule_442,
@@ -92,6 +93,15 @@ class TestRankAndCondition:
                                              require_full_rank=False)
                 rank, _ = rank_and_condition(sched)
                 assert rank <= Ttr + (N - 1) * (Ttr - 1)
+
+    def test_rank_above_structural_bound_raises(self, monkeypatch):
+        # a broken SVD claiming full rank for K=4, Ttr=2, N=2 (bound 3)
+        # must fail loudly, and not through an assert that -O strips
+        sched = Schedule((make_example_schedule_442().allocations[0],) * 2)
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda A, compute_uv: np.ones(min(A.shape)))
+        with pytest.raises(SingularSystemError, match="structural bound 3"):
+            rank_and_condition(sched)
 
 
 class TestRandomSchedule:
