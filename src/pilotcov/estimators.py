@@ -1,8 +1,11 @@
 """Channel-variance estimators from contaminated training observations.
 
-All estimators work row-by-row: with diagonal covariances the rows of the
-observation matrix are mutually independent, so each antenna m poses an
-independent estimation problem for the length-K variance vector c_m.
+With diagonal covariances the rows of the observation matrix are mutually
+independent, so each antenna m poses an independent estimation problem
+for the length-K variance vector c_m.  ML solves the rows one at a time;
+the adaptive estimator solves all of them at once, as a stack of K x K
+normal equations per interval; two-step and shared scaling share one
+K x K system across the rows.
 
 Implemented estimators:
   * two-step reconstruction: per-slot sample variances, then a right
@@ -110,14 +113,23 @@ def estimate_obs_covariances(B: np.ndarray, schedule: Schedule) -> ObsCovEstimat
 def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the normal equations G c = rhs for G = Pi D Pi^T.
 
-    G must be symmetric positive definite; rhs is one right-hand side
-    (length K) or one per column (K x M).
+    G must be symmetric positive definite.  A single G (K x K) takes one
+    right-hand side (length K) or one per column (K x M).  A stack G
+    (..., K, K) takes one right-hand side per slice, (..., K).  The two
+    cases are told apart by G.ndim: rhs shapes (K, M) and (M, K) coincide
+    when M == K.
     """
     try:
-        return scipy.linalg.solve(G, rhs, assume_a="pos")
+        if G.ndim == 2:
+            return scipy.linalg.solve(G, rhs, assume_a="pos")
+        # stacked right-hand sides must be (..., K, NRHS) matrices
+        return scipy.linalg.solve(G, rhs[..., None], assume_a="pos")[..., 0]
     except np.linalg.LinAlgError as exc:
+        # for a stack, scipy's message may name the wrong slice
+        detail = (f"at least one of {G[..., 0, 0].size} stacked systems"
+                  if G.ndim > 2 else str(exc))
         raise SingularSystemError(
-            f"weighted normal equations are singular: {exc}"
+            f"weighted normal equations are singular or indefinite: {detail}"
         ) from exc
 
 
@@ -355,69 +367,81 @@ def shared_scaling_fixed_point(
 
 @dataclass(frozen=True)
 class AdaptiveState:
-    """State of the adaptive variance estimator for one antenna row.
+    """State of the adaptive variance estimator for a stack of antenna rows.
 
     Xi accumulates the weighted Gram matrix of the allocations, psi the
-    weighted observations; c_hat solves Xi c = psi, clamped to c >= 0.
+    weighted observations; c_hat solves Xi c = psi, clamped to c >= 0,
+    in every row.  The leading dimensions `...` index the rows; they are
+    empty for a single row.
     """
 
-    Xi: np.ndarray      # (K, K)
-    psi: np.ndarray     # (K,)
-    c_hat: np.ndarray   # (K,)
+    Xi: np.ndarray      # (..., K, K)
+    psi: np.ndarray     # (..., K)
+    c_hat: np.ndarray   # (..., K)
     lam: float
 
     @classmethod
-    def initialize(cls, K: int, lam: float = 0.99) -> "AdaptiveState":
+    def initialize(
+        cls, K: int, lam: float = 0.99, shape: tuple[int, ...] = ()
+    ) -> "AdaptiveState":
+        """Start every row of a `shape` stack at Xi = I, psi = 0, c_hat = 1."""
         if not 0.0 < lam <= 1.0:
             raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
         return cls(
-            Xi=np.eye(K),
-            psi=np.zeros(K),
-            c_hat=np.ones(K),
+            Xi=np.zeros(shape + (K, K)) + np.eye(K),
+            psi=np.zeros(shape + (K,)),
+            c_hat=np.ones(shape + (K,)),
             lam=lam,
         )
 
     @property
     def K(self) -> int:
-        return self.psi.size
+        return self.psi.shape[-1]
 
 
 def adaptive_update(
     state: AdaptiveState,
     alloc: Allocation,
-    b_m_t: np.ndarray,
+    b: np.ndarray,
     sigma_v2: float,
     *,
     unit_scaling: bool = False,
 ) -> AdaptiveState:
-    """One interval of the adaptive estimator.
+    """One interval of the adaptive estimator, for every row of the state.
 
-    Slot weights come from the current variance estimate,
-    d_p = 1 / (pi_p^T c_hat + sigma_v2)^2; both accumulators are decayed
-    by the forgetting factor before the new interval is added, and the
-    new estimate solves the accumulated normal equations Xi c = psi,
-    clamped to the nonnegative orthant.
+    b (..., Ttr) holds each row's squared observations of the interval;
+    its leading shape must be the state's.  Slot weights come from the
+    current variance estimate, d_p = 1 / (pi_p^T c_hat + sigma_v2)^2; both
+    accumulators are decayed by the forgetting factor before the new
+    interval is added, and the new estimate solves the accumulated normal
+    equations Xi c = psi, clamped to the nonnegative orthant.
 
     `unit_scaling=True` freezes the weights at one (plain recursive
     least squares), which is mainly useful for equivalence checks against
     the batch reconstruction.
     """
     A = alloc.assignment
-    b_m_t = np.asarray(b_m_t, dtype=float)
+    b = np.asarray(b, dtype=float)
+    rows = state.psi.shape[:-1]
     if A.shape[0] != state.K:
         raise ValueError(f"allocation has K={A.shape[0]}, state has K={state.K}")
-    if b_m_t.shape != (alloc.Ttr,):
-        raise ValueError(f"need one squared observation per pilot ({alloc.Ttr})")
+    if b.shape != rows + (alloc.Ttr,):
+        raise ValueError(
+            f"need one squared observation per pilot ({alloc.Ttr}) for each "
+            f"row of the state {rows}, got shape {b.shape}"
+        )
 
+    # the matrix-vector products (A @ v[..., None])[..., 0] round as in a
+    # single-row update, so a stack gives each row's result bit for bit
     if unit_scaling:
-        d = np.ones(alloc.Ttr)
+        d = np.ones(b.shape)
     else:
-        slot_power = A.T @ state.c_hat + sigma_v2
+        slot_power = (A.T @ state.c_hat[..., None])[..., 0] + sigma_v2
         if np.any(slot_power <= 0) or not np.all(np.isfinite(slot_power)):
             raise SingularSystemError("slot powers vanished in adaptive update")
         d = slot_power**-2
 
-    psi = state.lam * state.psi + A @ (d * (b_m_t - sigma_v2))
-    Xi = state.lam * state.Xi + (A * d) @ A.T
+    psi = state.lam * state.psi + (A @ (d * (b - sigma_v2))[..., None])[..., 0]
+    Xi = state.lam * state.Xi + (A * d[..., None, :]) @ A.T
     c_hat = np.maximum(_solve_normal(Xi, psi), 0.0)
     return AdaptiveState(Xi=Xi, psi=psi, c_hat=c_hat, lam=state.lam)

@@ -230,19 +230,14 @@ def _build_schedule(
 def _estimate_adaptive(
     B: np.ndarray, schedule: Schedule, sigma_v2: float, lam: float
 ) -> CovEstimate:
-    M = B.shape[0]
-    K, Ttr, N = schedule.K, schedule.Ttr, schedule.N
-    T = B.shape[1] // Ttr
-    C_hat = np.empty((M, K))
-    for m in range(M):
-        state = AdaptiveState.initialize(K, lam)
-        for t in range(T):
-            alloc = schedule.allocations[t % N]
-            state = adaptive_update(
-                state, alloc, B[m, t * Ttr : (t + 1) * Ttr], sigma_v2
-            )
-        C_hat[m] = state.c_hat
-    return CovEstimate(C_hat)
+    Ttr, N = schedule.Ttr, schedule.N
+    state = AdaptiveState.initialize(schedule.K, lam, shape=B.shape[:1])
+    for t in range(B.shape[1] // Ttr):
+        state = adaptive_update(
+            state, schedule.allocations[t % N], B[:, t * Ttr : (t + 1) * Ttr],
+            sigma_v2,
+        )
+    return CovEstimate(state.c_hat)
 
 
 def _estimate_covariances(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pilotcov import (
     Allocation,
@@ -14,6 +15,7 @@ from pilotcov import (
     squared_rows,
     two_step_reconstruct,
 )
+from pilotcov.experiment import _estimate_adaptive
 
 
 class TestInitialization:
@@ -22,6 +24,13 @@ class TestInitialization:
         np.testing.assert_array_equal(st.Xi, np.eye(3))
         np.testing.assert_array_equal(st.psi, np.zeros(3))
         np.testing.assert_array_equal(st.c_hat, np.ones(3))
+
+    def test_stacked_initial_state(self):
+        st = AdaptiveState.initialize(3, lam=0.95, shape=(4, 2))
+        assert st.K == 3
+        np.testing.assert_array_equal(st.Xi, np.broadcast_to(np.eye(3), (4, 2, 3, 3)))
+        np.testing.assert_array_equal(st.psi, np.zeros((4, 2, 3)))
+        np.testing.assert_array_equal(st.c_hat, np.ones((4, 2, 3)))
 
     @pytest.mark.parametrize("lam", [0.0, -0.5, 1.5])
     def test_invalid_forgetting_factor(self, lam):
@@ -58,6 +67,12 @@ class TestSingleUpdate:
         st = AdaptiveState.initialize(2, lam=0.9)
         with pytest.raises(ValueError):
             adaptive_update(st, Allocation(np.eye(2)), np.array([1.0]), 1.0)
+        # the leading (row) shapes of state and observations must match
+        stacked = AdaptiveState.initialize(2, lam=0.9, shape=(3,))
+        for state, b in [(stacked, np.ones((2, 2))), (stacked, np.ones(2)),
+                         (stacked, np.ones((1, 3, 2))), (st, np.ones((3, 2)))]:
+            with pytest.raises(ValueError):
+                adaptive_update(state, Allocation(np.eye(2)), b, 1.0)
 
 
 def _training_blocks(C, schedule, sigma_v2, passes, rng):
@@ -119,3 +134,73 @@ class TestNoiseFreeFixedPoint:
             np.testing.assert_allclose(c, c_true, atol=1e-10)
         # the init bias itself decays: the stored estimate approaches truth
         np.testing.assert_allclose(st.c_hat, c_true, rtol=0.2)
+
+
+def _per_row_update(Xi, psi, c_hat, lam, A, b_m_t, sigma_v2):
+    """Reference: one adaptive interval for one antenna row, in vector form."""
+    d = (A.T @ c_hat + sigma_v2) ** -2
+    psi = lam * psi + A @ (d * (b_m_t - sigma_v2))
+    Xi = lam * Xi + (A * d) @ A.T
+    return Xi, psi, np.maximum(scipy.linalg.solve(Xi, psi, assume_a="pos"), 0.0)
+
+
+def _per_row_estimate(B, schedule, sigma_v2, lam):
+    """Reference: the adaptive estimator run row by row, interval by interval."""
+    K, Ttr, N = schedule.K, schedule.Ttr, schedule.N
+    C_hat = np.empty((B.shape[0], K))
+    for m in range(B.shape[0]):
+        Xi, psi, c_hat = np.eye(K), np.zeros(K), np.ones(K)
+        for t in range(B.shape[1] // Ttr):
+            Xi, psi, c_hat = _per_row_update(
+                Xi, psi, c_hat, lam, schedule.allocations[t % N].assignment,
+                B[m, t * Ttr : (t + 1) * Ttr], sigma_v2,
+            )
+        C_hat[m] = c_hat
+    return C_hat
+
+
+def _sparse_problem(rng, M, K, Ttr, N, T, cells):
+    """A schedule and squared observations for T intervals whose true
+    variances are zero for about a third of the (antenna, user) pairs."""
+    sched = make_random_schedule(
+        K, Ttr, N, UserGrouping.contiguous(cells, K // cells), rng
+    )
+    C = rng.uniform(0.05, 2.0, size=(M, K)) * (rng.random((M, K)) > 0.3)
+    sigma_v2 = 0.1
+    B = _training_blocks(C, sched, sigma_v2, T // N, rng)
+    return B, sched, sigma_v2
+
+
+class TestStackedMatchesPerRow:
+    """All antenna rows are updated as one stack per interval; the per-row
+    loop above is the reference."""
+
+    def test_bit_identical_at_desk_geometry(self):
+        rng = np.random.default_rng(11)
+        B, sched, sigma_v2 = _sparse_problem(rng, M=32, K=12, Ttr=5, N=5, T=60, cells=3)
+        np.testing.assert_array_equal(
+            _estimate_adaptive(B, sched, sigma_v2, 0.99).C_hat,
+            _per_row_estimate(B, sched, sigma_v2, 0.99),
+        )
+
+    def test_matches_at_full_scale_geometry(self):
+        rng = np.random.default_rng(12)
+        B, sched, sigma_v2 = _sparse_problem(rng, M=6, K=70, Ttr=11, N=7, T=21, cells=7)
+        np.testing.assert_allclose(
+            _estimate_adaptive(B, sched, sigma_v2, 0.99).C_hat,
+            _per_row_estimate(B, sched, sigma_v2, 0.99),
+            rtol=1e-12, atol=0,
+        )
+
+    def test_matches_with_rows_clamped_at_zero(self):
+        # rows that see less than the noise floor are clamped to zero
+        # entirely; users absent from a row clamp single entries
+        rng = np.random.default_rng(13)
+        B, sched, sigma_v2 = _sparse_problem(rng, M=8, K=6, Ttr=3, N=4, T=40, cells=3)
+        B[:3] = 0.0
+        C_ref = _per_row_estimate(B, sched, sigma_v2, 0.95)
+        assert np.all(C_ref[:3] == 0.0)
+        assert 0 < np.count_nonzero(C_ref[3:] == 0.0) < C_ref[3:].size
+        np.testing.assert_array_equal(
+            _estimate_adaptive(B, sched, sigma_v2, 0.95).C_hat, C_ref
+        )

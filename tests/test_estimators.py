@@ -22,6 +22,7 @@ from pilotcov import (
     squared_rows,
     two_step_reconstruct,
 )
+from pilotcov.estimators import _solve_normal
 
 
 def _simulate(C, schedule, sigma_v2, repeats, rng):
@@ -135,6 +136,20 @@ class TestSharedScalingEstimate:
         Pi = np.ones((3, 4))  # rank-one Gram matrix
         with pytest.raises((SingularSystemError, ValueError)):
             shared_scaling_estimate(np.ones((2, 4)), Pi, None, 0.0)
+
+    def test_indefinite_slice_of_a_stack_rejected(self):
+        rng = np.random.default_rng(5)
+        X = rng.random((5, 3, 3))
+        G = X @ X.transpose(0, 2, 1) + np.eye(3)
+        rhs = rng.random((5, 3))
+        np.testing.assert_allclose(
+            _solve_normal(G, rhs),
+            np.stack([np.linalg.solve(G[m], rhs[m]) for m in range(5)]),
+            rtol=1e-10,
+        )
+        G[2] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(SingularSystemError, match="indefinite"):
+            _solve_normal(G, rhs)
 
     def test_right_inverse_identity(self):
         # algebraic core: Pi^T D (Pi D Pi^T)^{-1} right-inverts Pi for any

@@ -370,6 +370,27 @@ class TestCLI:
         monkeypatch.setattr(cli, "run_experiment", singular)
         assert cli_main(["run", desk_config, "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_indefinite_adaptive_system_in_run_exits_2(self, tmp_path, monkeypatch,
+                                                      capsys):
+        # antenna row 2 starts from an indefinite Gram matrix, so the first
+        # stacked solve of the adaptive estimator fails on that slice alone
+        from pilotcov import AdaptiveState
+
+        initialize = AdaptiveState.initialize.__func__
+
+        def indefinite(cls, K, lam=0.99, shape=()):
+            state = initialize(cls, K, lam, shape)
+            Xi = state.Xi.copy()
+            Xi[2] = -100.0 * np.eye(K)
+            return cls(Xi, state.psi, state.c_hat, lam)
+
+        monkeypatch.setattr(AdaptiveState, "initialize", classmethod(indefinite))
+        path = tmp_path / "adaptive.cfg"
+        path.write_text(DESK_CFG.replace("estimators = genie, ls",
+                                         "estimators = adaptive"))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "indefinite" in capsys.readouterr().err
+
 
 def test_genie_beats_ls_in_most_seeds():
     cfg = _tiny_config(

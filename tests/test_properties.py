@@ -15,6 +15,11 @@ The per-slot means over the S passes of a window are a sufficient
 statistic: the NLL and its gradient on the raw squared observations are S
 times those on the means, so the ML estimators give the same answer on
 either input.
+
+The adaptive estimator updates all antenna rows as one stack, yet the
+rows stay independent problems: permuting the rows of B permutes the rows
+of its estimate and changes nothing else, and each row of a stacked update
+is bit for bit the single-row update of that row.
 """
 
 import numpy as np
@@ -22,10 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotcov import (
+    AdaptiveState,
     Allocation,
     ObsCovEstimate,
     Schedule,
     UserGrouping,
+    adaptive_update,
     estimate_all_rows_ml,
     estimate_obs_covariances,
     llf_gradient,
@@ -37,6 +44,7 @@ from pilotcov import (
     shared_scaling_fixed_point,
     two_step_reconstruct,
 )
+from pilotcov.experiment import _estimate_adaptive
 
 RTOL = 1e-9
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -145,3 +153,32 @@ def test_ml_estimators_agree_on_raw_data_and_slot_means(window):
     means, flags = estimate_all_rows_ml(b_mean, Pi, sigma_v2, return_convergence=True)
     assert _relative_gap(raw.C_hat, means.C_hat) <= 1e-5
     np.testing.assert_array_equal(raw_flags, flags)
+
+
+@SETTINGS
+@given(windows(), st.randoms(use_true_random=False))
+def test_adaptive_estimate_permutes_with_antenna_rows(window, random):
+    sched, B, _, sigma_v2, _ = window
+    perm = np.array(random.sample(range(B.shape[0]), B.shape[0]))
+    np.testing.assert_array_equal(_estimate_adaptive(B[perm], sched, sigma_v2, 0.99).C_hat,
+                                  _estimate_adaptive(B, sched, sigma_v2, 0.99).C_hat[perm])
+
+
+@SETTINGS
+@given(windows(), st.integers(0, 20), st.booleans())
+def test_stacked_adaptive_update_is_the_single_row_update_per_row(window, steps, unit):
+    sched, B, _, sigma_v2, _ = window
+    Ttr, N = sched.Ttr, sched.N
+    steps = min(steps, B.shape[1] // Ttr - 1)
+    state = AdaptiveState.initialize(sched.K, 0.9, shape=B.shape[:1])
+    for t in range(steps):
+        state = adaptive_update(state, sched.allocations[t % N],
+                                B[:, t * Ttr : (t + 1) * Ttr], sigma_v2)
+    alloc, b = sched.allocations[steps % N], B[:, steps * Ttr : (steps + 1) * Ttr]
+    stacked = adaptive_update(state, alloc, b, sigma_v2, unit_scaling=unit)
+    for m in range(B.shape[0]):
+        row = AdaptiveState(state.Xi[m], state.psi[m], state.c_hat[m], state.lam)
+        single = adaptive_update(row, alloc, b[m], sigma_v2, unit_scaling=unit)
+        np.testing.assert_array_equal(stacked.Xi[m], single.Xi)
+        np.testing.assert_array_equal(stacked.psi[m], single.psi)
+        np.testing.assert_array_equal(stacked.c_hat[m], single.c_hat)
