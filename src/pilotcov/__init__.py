@@ -15,7 +15,6 @@ from .errors import (
 )
 from .estimators import (
     AdaptiveState,
-    ObsCovEstimate,
     adaptive_update,
     estimate_all_rows_ml,
     estimate_obs_covariances,
@@ -28,7 +27,6 @@ from .estimators import (
 )
 from .experiment import (
     ExperimentConfig,
-    ExperimentResult,
     Record,
     emit_csv,
     load_experiment_config,

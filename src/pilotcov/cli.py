@@ -80,10 +80,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from dataclasses import replace
 
         cfg = replace(cfg, seed_base=args.seed_base)
-    result = run_experiment(cfg, measure_runtime=args.timing)
-    emit_csv(result, args.out)
-    n_bad = sum(r.status != "ok" for r in result.records)
-    print(f"wrote {len(result.records)} records to {args.out}"
+    records = run_experiment(cfg, measure_runtime=args.timing)
+    emit_csv(records, args.out)
+    n_bad = sum(r.status != "ok" for r in records)
+    print(f"wrote {len(records)} records to {args.out}"
           + (f" ({n_bad} unidentifiable)" if n_bad else ""))
     return 0
 

@@ -30,6 +30,10 @@ S passes of a window (`estimate_obs_covariances`) with the compound
 allocation Pi.  Raw squared observations with Pi tiled S times are an
 equivalent input, since their NLL and normal equations are exactly S
 times those of the means.
+
+Inputs and results are plain arrays: the slot means are (M, N*Ttr) and
+every estimate is (M, K).  The ML estimators return (C_hat, converged):
+one flag per antenna row for per-row ML, one bool for shared scaling.
 """
 
 from __future__ import annotations
@@ -45,8 +49,6 @@ from .errors import IdentifiabilityError, SingularSystemError
 from .schedule import Allocation, Schedule, rank_and_condition
 
 __all__ = [
-    "ObsCovEstimate",
-    "CovEstimate",
     "AdaptiveState",
     "MLFixedPointResult",
     "estimate_obs_covariances",
@@ -63,40 +65,19 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ObsCovEstimate:
-    """Per-slot observation variances (sample means of squared magnitudes)."""
-
-    c_obs: np.ndarray  # (M, N * Ttr)
-    sample_count: int
-
-    def __post_init__(self) -> None:
-        if np.any(self.c_obs < 0):
-            raise ValueError("observation variances must be nonnegative")
-
-
-@dataclass(frozen=True)
-class CovEstimate:
-    """Estimated per-antenna, per-user channel variances."""
-
-    C_hat: np.ndarray  # (M, K)
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.C_hat)):
-            raise ValueError("estimate contains non-finite entries")
-
-
 class MLFixedPointResult(NamedTuple):
     c_hat: np.ndarray
     iterations: int
     converged: bool
 
 
-def estimate_obs_covariances(B: np.ndarray, schedule: Schedule) -> ObsCovEstimate:
-    """Average the squared observations over the passes of the schedule.
+def estimate_obs_covariances(B: np.ndarray, schedule: Schedule) -> np.ndarray:
+    """Slot means (M x N*Ttr) of the squared observations over the passes
+    of the schedule.
 
-    B (M x S*N*Ttr) holds S >= 1 whole passes.  The sample mean of |phi|^2
-    is exactly the ML estimate of each slot's observation variance.
+    B (M x S*N*Ttr) holds S >= 1 whole passes of nonnegative squared
+    magnitudes.  The sample mean of |phi|^2 is exactly the ML estimate of
+    each slot's observation variance.
     """
     block = schedule.N * schedule.Ttr
     M, total = B.shape
@@ -105,9 +86,9 @@ def estimate_obs_covariances(B: np.ndarray, schedule: Schedule) -> ObsCovEstimat
             f"{total} observation slots do not make whole passes of "
             f"{block} (N={schedule.N}, Ttr={schedule.Ttr})"
         )
-    repeats = total // block
-    means = B.reshape(M, repeats, block).mean(axis=1)
-    return ObsCovEstimate(means, repeats)
+    if np.any(B < 0):
+        raise ValueError("squared observations must be nonnegative")
+    return B.reshape(M, total // block, block).mean(axis=1)
 
 
 def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -134,14 +115,14 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def two_step_reconstruct(
-    obs: ObsCovEstimate,
+    c_obs: np.ndarray,
     schedule: Schedule,
     sigma_v2: float,
     *,
     clamp: bool = True,
-) -> CovEstimate:
-    """Right-invert the compound allocation (D = I):
-    C = (c_obs - sigma_v2) Pi^T (Pi Pi^T)^{-1}.
+) -> np.ndarray:
+    """Right-invert the compound allocation (D = I) on the slot means
+    c_obs (M x N*Ttr): C = (c_obs - sigma_v2) Pi^T (Pi Pi^T)^{-1}, (M x K).
 
     Requires the compound allocation matrix to have full row rank K;
     otherwise the channel variances are not uniquely reconstructible.
@@ -153,7 +134,7 @@ def two_step_reconstruct(
             f"variances cannot be uniquely reconstructed"
         )
     return shared_scaling_estimate(
-        obs.c_obs, schedule.compound, None, sigma_v2, clamp=clamp
+        c_obs, schedule.compound, None, sigma_v2, clamp=clamp
     )
 
 
@@ -164,22 +145,27 @@ def shared_scaling_estimate(
     sigma_v2: float,
     *,
     clamp: bool = True,
-) -> CovEstimate:
+) -> np.ndarray:
     """Weighted right inverse shared by all antenna rows.
 
-    C = (B_mean - sigma_v2) D Pi^T (Pi D Pi^T)^{-1} for a positive diagonal
-    D (given as a vector of slot weights; None means identity).  With
-    D = identity this reduces exactly to the two-step reconstruction.
+    C = (B_mean - sigma_v2) D Pi^T (Pi D Pi^T)^{-1}, (M x K), for a positive
+    diagonal D (given as a vector of slot weights; None means identity).
+    With D = identity this reduces exactly to the two-step reconstruction.
     """
     Pi = np.asarray(Pi_tilde, dtype=float)
+    B_mean = np.asarray(B_mean)
+    if B_mean.shape[-1] != Pi.shape[1]:
+        raise ValueError(
+            f"need one observation per slot ({Pi.shape[1]}), got shape {B_mean.shape}"
+        )
     d = np.ones(Pi.shape[1]) if D is None else np.asarray(D, dtype=float)
     if d.shape != (Pi.shape[1],):
         raise ValueError(f"D must be a length-{Pi.shape[1]} weight vector")
     if np.any(d <= 0) or not np.all(np.isfinite(d)):
         raise ValueError("D must be strictly positive and finite")
-    rhs = Pi @ (d[:, None] * (np.asarray(B_mean) - sigma_v2).T)  # (K, M)
+    rhs = Pi @ (d[:, None] * (B_mean - sigma_v2).T)  # (K, M)
     C = _solve_normal((Pi * d) @ Pi.T, rhs).T
-    return CovEstimate(np.maximum(C, 0.0) if clamp else C)
+    return np.maximum(C, 0.0) if clamp else C
 
 
 def _slot_powers(c_m: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
@@ -246,9 +232,14 @@ def ml_fixed_point(
     Pi = np.asarray(Pi, dtype=float)
     b_m = np.asarray(b_m, dtype=float)
     K = Pi.shape[0]
+    if b_m.shape != (Pi.shape[1],):
+        raise ValueError(
+            f"b_m must hold one observation per slot ({Pi.shape[1]}), "
+            f"got shape {b_m.shape}"
+        )
     if init is None:
         # warm start from the unweighted (two-step) solution
-        c = shared_scaling_estimate(b_m[None, :], Pi, None, sigma_v2).C_hat[0]
+        c = shared_scaling_estimate(b_m[None, :], Pi, None, sigma_v2)[0]
     else:
         c = np.asarray(init, dtype=float).copy()
         if c.shape != (K,) or np.any(c < 0):
@@ -305,19 +296,18 @@ def estimate_all_rows_ml(
     sigma_v2: float,
     tol: float = 1e-8,
     max_iter: int = 200,
-    *,
-    return_convergence: bool = False,
-):
+) -> tuple[np.ndarray, np.ndarray]:
     """Run `ml_fixed_point` independently on every antenna row.
 
-    The rows are independent problems; results do not depend on the order
-    in which they are solved.  Non-convergence of individual rows is
-    reported via the aggregated flags (and a warning), not an error.
+    Returns (C_hat (M x K), converged (M,) bool).  The rows are independent
+    problems; results do not depend on the order in which they are solved.
+    Non-convergence of individual rows is reported via the flags (and a
+    warning), not an error.
     """
     Bm = np.asarray(B, dtype=float)
     Pi = np.asarray(Pi, dtype=float)
     # shared warm start: unweighted right inverse for all rows at once
-    init_all = shared_scaling_estimate(Bm, Pi, None, sigma_v2).C_hat
+    init_all = shared_scaling_estimate(Bm, Pi, None, sigma_v2)
 
     C_hat = np.empty((Bm.shape[0], Pi.shape[0]))
     flags = np.empty(Bm.shape[0], dtype=bool)
@@ -331,10 +321,7 @@ def estimate_all_rows_ml(
             "ml_fixed_point did not converge on %d of %d antenna rows",
             int(np.sum(~flags)), flags.size,
         )
-    est = CovEstimate(C_hat)
-    if return_convergence:
-        return est, flags
-    return est
+    return C_hat, flags
 
 
 def shared_scaling_fixed_point(
@@ -343,26 +330,30 @@ def shared_scaling_fixed_point(
     sigma_v2: float,
     tol: float = 1e-8,
     max_iter: int = 200,
-) -> CovEstimate:
+) -> tuple[np.ndarray, bool]:
     """Batch variant with one scaling matrix shared by all antenna rows.
 
-    The shared slot weights are rebuilt from the antenna-averaged variance
-    estimate, trading some accuracy for a single K x K solve per sweep.
+    Returns (C_hat (M x K), converged).  The shared slot weights are rebuilt
+    from the antenna-averaged variance estimate, trading some accuracy for
+    a single K x K solve per sweep.  Stopping at max_iter is reported via
+    the flag (and a warning), not an error.
     """
     Bm = np.asarray(B, dtype=float)
     Pi = np.asarray(Pi, dtype=float)
-    est = shared_scaling_estimate(Bm, Pi, None, sigma_v2)
-    C = est.C_hat
+    C = shared_scaling_estimate(Bm, Pi, None, sigma_v2)
     for _ in range(max_iter):
         powers = Pi.T @ C.mean(axis=0) + sigma_v2
         if np.any(powers <= 0):
             raise SingularSystemError("average slot powers vanished")
-        C_new = shared_scaling_estimate(Bm, Pi, powers**-2, sigma_v2).C_hat
+        C_new = shared_scaling_estimate(Bm, Pi, powers**-2, sigma_v2)
         done = np.max(np.abs(C_new - C)) <= tol * (1.0 + np.max(np.abs(C)))
         C = C_new
         if done:
-            break
-    return CovEstimate(C)
+            return C, True
+    logger.warning(
+        "shared_scaling_fixed_point did not converge in %d iterations", max_iter
+    )
+    return C, False
 
 
 @dataclass(frozen=True)

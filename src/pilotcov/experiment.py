@@ -23,7 +23,6 @@ from .channel import draw_channels, observe, squared_rows
 from .errors import ConfigError, IdentifiabilityError
 from .estimators import (
     AdaptiveState,
-    CovEstimate,
     adaptive_update,
     estimate_all_rows_ml,
     estimate_obs_covariances,
@@ -56,7 +55,6 @@ __all__ = [
     "UNIDENTIFIABLE",
     "ExperimentConfig",
     "Record",
-    "ExperimentResult",
     "load_experiment_config",
     "run_experiment",
     "emit_csv",
@@ -65,6 +63,9 @@ __all__ = [
 
 ESTIMATOR_NAMES = ("genie", "ml", "two_step", "adaptive", "ls")
 UNIDENTIFIABLE = "unidentifiable"
+# estimators that invert the compound allocation: a schedule of rank < K
+# gives them a marker instead of numbers
+INVERTS_COMPOUND = ("ml", "two_step")
 
 CSV_HEADER = "axis,estimator,seed,sum_rate,cov_rmse,runtime_ms"
 
@@ -204,11 +205,6 @@ class Record:
     status: str = "ok"
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    records: tuple[Record, ...]
-
-
 def _build_schedule(
     cfg: ExperimentConfig,
     scn: ScenarioConfig,
@@ -229,7 +225,7 @@ def _build_schedule(
 
 def _estimate_adaptive(
     B: np.ndarray, schedule: Schedule, sigma_v2: float, lam: float
-) -> CovEstimate:
+) -> np.ndarray:
     Ttr, N = schedule.Ttr, schedule.N
     state = AdaptiveState.initialize(schedule.K, lam, shape=B.shape[:1])
     for t in range(B.shape[1] // Ttr):
@@ -237,7 +233,7 @@ def _estimate_adaptive(
             state, schedule.allocations[t % N], B[:, t * Ttr : (t + 1) * Ttr],
             sigma_v2,
         )
-    return CovEstimate(state.c_hat)
+    return state.c_hat
 
 
 def _estimate_covariances(
@@ -247,30 +243,23 @@ def _estimate_covariances(
     B: np.ndarray,
     schedule: Schedule,
     sigma_v2: float,
-    identifiable: bool,
-) -> CovEstimate | None:
-    """Covariance estimate for one estimator, or None when it has none."""
+) -> np.ndarray | None:
+    """Covariance estimate (M, K) for one estimator, or None when it has none."""
     if name == "ls":
         return None
     if name == "genie":
-        return CovEstimate(genie_covariances(truth).C)
+        return genie_covariances(truth).C
     if name == "adaptive":
         return _estimate_adaptive(B, schedule, sigma_v2, cfg.lam)
-    if not identifiable:
-        raise _Unidentifiable()
-    obs = estimate_obs_covariances(B, schedule)
+    c_obs = estimate_obs_covariances(B, schedule)
     if name == "two_step":
-        return two_step_reconstruct(obs, schedule, sigma_v2)
+        return two_step_reconstruct(c_obs, schedule, sigma_v2)
     if name == "ml":
         ml = (shared_scaling_fixed_point if cfg.ml_scaling == "shared"
               else estimate_all_rows_ml)
-        return ml(obs.c_obs, schedule.compound, sigma_v2,
-                  tol=cfg.tol, max_iter=cfg.max_iter)
+        return ml(c_obs, schedule.compound, sigma_v2,
+                  tol=cfg.tol, max_iter=cfg.max_iter)[0]
     raise ConfigError(f"unknown estimator {name!r}")
-
-
-class _Unidentifiable(Exception):
-    """Internal: schedule rank < K, record a marker instead of numbers."""
 
 
 def _serving_estimates(
@@ -342,7 +331,6 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
     grouping = scn.grouping()
     schedule = _build_schedule(cfg, scn, rng_sched)
     rank, _ = rank_and_condition(schedule)
-    identifiable = rank == scn.K
 
     blocks = []
     for t in range(T):
@@ -366,26 +354,24 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
 
     records = []
     for name in cfg.estimators:
-        start = time.perf_counter()
-        try:
-            est = _estimate_covariances(
-                name, cfg, truth, B, schedule, scn.sigma_v2, identifiable
-            )
-        except _Unidentifiable:
+        if name in INVERTS_COMPOUND and rank < scn.K:
             records.append(Record(axis_value, name, trial, None, None, 0.0,
                                   status=UNIDENTIFIABLE))
             continue
+        start = time.perf_counter()
+        C_hat = _estimate_covariances(name, cfg, truth, B, schedule, scn.sigma_v2)
         runtime_ms = (time.perf_counter() - start) * 1e3 if measure_runtime else 0.0
 
-        if est is None:
+        if C_hat is None:
             cov_rmse = None
+        elif not np.all(np.isfinite(C_hat)):
+            raise ValueError(f"{name} estimate contains non-finite entries")
         elif truth_norm == 0.0:
-            cov_rmse = float(np.linalg.norm(est.C_hat - truth.C))
+            cov_rmse = float(np.linalg.norm(C_hat - truth.C))
         else:
-            cov_rmse = float(np.linalg.norm(est.C_hat - truth.C) / truth_norm)
+            cov_rmse = float(np.linalg.norm(C_hat - truth.C) / truth_norm)
 
-        rates = _evaluate_rates(H_eval, Phi_eval, schedule, served,
-                                None if est is None else est.C_hat,
+        rates = _evaluate_rates(H_eval, Phi_eval, schedule, served, C_hat,
                                 scn.sigma_v2, overhead)
         records.append(Record(axis_value, name, trial, float(rates.mean()),
                               cov_rmse, runtime_ms))
@@ -396,17 +382,17 @@ def run_experiment(
     cfg: ExperimentConfig,
     *,
     measure_runtime: bool = False,
-) -> ExperimentResult:
-    """Run the full sweep.  Output is deterministic given the config (with
-    `measure_runtime=False`, the default, runtime_ms is reported as 0 so
-    emitted CSV bytes are reproducible)."""
+) -> tuple[Record, ...]:
+    """Run the full sweep and return its records.  Output is deterministic
+    given the config (with `measure_runtime=False`, the default, runtime_ms
+    is reported as 0 so emitted CSV bytes are reproducible)."""
     validate_experiment_config(cfg)
-    return ExperimentResult(tuple(
+    return tuple(
         r
         for v in cfg.sweep_values
         for s in range(cfg.trials)
         for r in _run_unit(cfg, v, s, measure_runtime)
-    ))
+    )
 
 
 def _fmt(value: float | None, status: str) -> str:
@@ -417,9 +403,9 @@ def _fmt(value: float | None, status: str) -> str:
     return format(value, ".6g")
 
 
-def emit_csv(result: ExperimentResult, path: str) -> None:
+def emit_csv(records: tuple[Record, ...], path: str) -> None:
     """Write records sorted by (axis, estimator, seed), 6 significant digits."""
-    rows = sorted(result.records, key=lambda r:(r.axis_value, r.estimator, r.seed))
+    rows = sorted(records, key=lambda r: (r.axis_value, r.estimator, r.seed))
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
@@ -439,7 +425,7 @@ def _parse_cell(token: str) -> tuple[float | None, str]:
     return float(token), "ok"
 
 
-def load_result_csv(path: str) -> ExperimentResult:
+def load_result_csv(path: str) -> tuple[Record, ...]:
     """Parse a CSV produced by `emit_csv` back into records."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -454,7 +440,7 @@ def load_result_csv(path: str) -> ExperimentResult:
         records.append(
             Record(int(axis), name, int(seed), rate, rmse, float(rt), status)
         )
-    return ExperimentResult(tuple(records))
+    return tuple(records)
 
 
 def _finite_float(sec: configparser.SectionProxy, key: str,

@@ -16,7 +16,6 @@ from pilotcov import (
     BandLimited,
     CovarianceSet,
     ExperimentConfig,
-    ObsCovEstimate,
     ScenarioConfig,
     UserGrouping,
     adaptive_update,
@@ -77,9 +76,9 @@ def test_exact_reconstruction_oracle():
     worst = 0.0
     for _ in range(100):
         C = rng.random((8, 4))
-        exact = ObsCovEstimate(C @ sched.compound + sigma_v2, 1)
+        exact = C @ sched.compound + sigma_v2
         est = two_step_reconstruct(exact, sched, sigma_v2)
-        worst = max(worst, float(np.max(np.abs(est.C_hat - C))))
+        worst = max(worst, float(np.max(np.abs(est - C))))
     _criterion(
         "two-step exact recovery from exact slot covariances",
         worst < 1e-10,
@@ -99,14 +98,14 @@ def test_right_inverse_and_weighted_reduction():
         exact = C @ sched.compound + sigma_v2
         d = rng.uniform(0.1, 10.0, size=6)
         est_d = shared_scaling_estimate(exact, sched.compound, d, sigma_v2)
-        worst_d = max(worst_d, float(np.max(np.abs(est_d.C_hat - C))))
+        worst_d = max(worst_d, float(np.max(np.abs(est_d - C))))
         noisy = exact * rng.uniform(0.5, 1.5, size=exact.shape)
         est_eye = shared_scaling_estimate(noisy, sched.compound, None, sigma_v2,
                                           clamp=False)
-        est_two = two_step_reconstruct(ObsCovEstimate(noisy, 1), sched, sigma_v2,
+        est_two = two_step_reconstruct(noisy, sched, sigma_v2,
                                        clamp=False)
         worst_eye = max(worst_eye,
-                        float(np.max(np.abs(est_eye.C_hat - est_two.C_hat))))
+                        float(np.max(np.abs(est_eye - est_two))))
     _criterion(
         "weighted right inverse recovers exactly; identity weights = two-step",
         worst_d < 1e-10 and worst_eye < 1e-10,
@@ -213,7 +212,7 @@ def test_consistency_in_window_length():
             est = estimate_all_rows_ml(
                 B, np.tile(sched.compound, (1, T // N)), sigma_v2
             )
-            errs.append(np.linalg.norm(est.C_hat - C) / np.linalg.norm(C))
+            errs.append(np.linalg.norm(est[0] - C) / np.linalg.norm(C))
         medians[T] = float(np.median(errs))
     _criterion(
         "tenfold window shrinks median covariance error at least twofold",
@@ -243,7 +242,7 @@ def test_adaptive_matches_batch_reconstruction():
             st = adaptive_update(st, alloc, B[m, t * Ttr:(t + 1) * Ttr],
                                  sigma_v2, unit_scaling=True)
         c = np.linalg.solve(st.Xi - np.eye(K), st.psi)
-        worst = max(worst, float(np.max(np.abs(c - batch.C_hat[m]))))
+        worst = max(worst, float(np.max(np.abs(c - batch[m]))))
     _criterion(
         "adaptive accumulation (no forgetting, unit weights) = batch two-step",
         worst < 1e-8,
@@ -317,7 +316,7 @@ def test_rate_ordering_over_training_window():
     )
     res = run_experiment(cfg)
     by = collections.defaultdict(dict)
-    for r in res.records:
+    for r in res:
         by[(r.axis_value, r.estimator)][r.seed] = r.sum_rate
     means = {
         (v, n): float(np.mean(list(by[(v, n)].values())))
@@ -360,7 +359,7 @@ def test_rate_decreases_with_pilot_count_once_saturated():
     )
     res = run_experiment(cfg)
     by = collections.defaultdict(list)
-    for r in res.records:
+    for r in res:
         by[r.axis_value].append(r.sum_rate)
     means = [float(np.mean(by[v])) for v in cfg.sweep_values]
     ok = all(means[i + 1] < means[i] for i in range(len(means) - 1))

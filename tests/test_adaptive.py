@@ -108,7 +108,7 @@ class TestBatchEquivalence:
                     unit_scaling=True,
                 )
             c = np.linalg.solve(st.Xi - np.eye(K), st.psi)
-            assert np.max(np.abs(c - batch.C_hat[m])) < 1e-8
+            assert np.max(np.abs(c - batch[m])) < 1e-8
 
 
 class TestNoiseFreeFixedPoint:
@@ -179,7 +179,7 @@ class TestStackedMatchesPerRow:
         rng = np.random.default_rng(11)
         B, sched, sigma_v2 = _sparse_problem(rng, M=32, K=12, Ttr=5, N=5, T=60, cells=3)
         np.testing.assert_array_equal(
-            _estimate_adaptive(B, sched, sigma_v2, 0.99).C_hat,
+            _estimate_adaptive(B, sched, sigma_v2, 0.99),
             _per_row_estimate(B, sched, sigma_v2, 0.99),
         )
 
@@ -187,7 +187,7 @@ class TestStackedMatchesPerRow:
         rng = np.random.default_rng(12)
         B, sched, sigma_v2 = _sparse_problem(rng, M=6, K=70, Ttr=11, N=7, T=21, cells=7)
         np.testing.assert_allclose(
-            _estimate_adaptive(B, sched, sigma_v2, 0.99).C_hat,
+            _estimate_adaptive(B, sched, sigma_v2, 0.99),
             _per_row_estimate(B, sched, sigma_v2, 0.99),
             rtol=1e-12, atol=0,
         )
@@ -202,5 +202,5 @@ class TestStackedMatchesPerRow:
         assert np.all(C_ref[:3] == 0.0)
         assert 0 < np.count_nonzero(C_ref[3:] == 0.0) < C_ref[3:].size
         np.testing.assert_array_equal(
-            _estimate_adaptive(B, sched, sigma_v2, 0.95).C_hat, C_ref
+            _estimate_adaptive(B, sched, sigma_v2, 0.95), C_ref
         )

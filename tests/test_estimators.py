@@ -1,10 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from pilotcov import (
     CovarianceSet,
     IdentifiabilityError,
-    ObsCovEstimate,
     Schedule,
     SingularSystemError,
     UserGrouping,
@@ -51,13 +52,13 @@ class TestEstimateObsCovariances:
         sched = make_example_schedule_442()
         B = np.arange(12.0).reshape(2, 6)
         out = estimate_obs_covariances(B, sched)
-        np.testing.assert_array_equal(out.c_obs, B)
+        np.testing.assert_array_equal(out, B)
 
     def test_constant_input(self):
         sched = make_example_schedule_442()
         B = np.full((3, 18), 5.0)
         out = estimate_obs_covariances(B, sched)
-        np.testing.assert_array_equal(out.c_obs, np.full((3, 6), 5.0))
+        np.testing.assert_array_equal(out, np.full((3, 6), 5.0))
 
     def test_monte_carlo_consistency(self):
         rng = np.random.default_rng(0)
@@ -68,7 +69,7 @@ class TestEstimateObsCovariances:
         B = _simulate(C, sched, sigma_v2, S, rng)
         out = estimate_obs_covariances(B, sched)
         expected = C @ sched.compound + sigma_v2
-        np.testing.assert_allclose(out.c_obs, expected, rtol=0.05)
+        np.testing.assert_allclose(out, expected, rtol=0.05)
 
     def test_mismatched_columns_rejected(self):
         sched = make_example_schedule_442()
@@ -76,6 +77,28 @@ class TestEstimateObsCovariances:
             estimate_obs_covariances(np.zeros((2, 7)), sched)
         with pytest.raises(ValueError):
             estimate_obs_covariances(np.zeros((2, 0)), sched)  # empty window
+
+    def test_negative_squared_observations_rejected(self):
+        # one negative entry whose slot mean stays positive
+        B = np.ones((2, 12))
+        B[1, 7] = -1e-3
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate_obs_covariances(B, make_example_schedule_442())
+
+
+# every estimator needs one observation column per slot of the compound
+# allocation (6 for the example schedule); broadcasting must not stretch one
+@pytest.mark.parametrize("estimate", [
+    lambda B, s: shared_scaling_estimate(B, s.compound, None, 0.1),
+    lambda B, s: two_step_reconstruct(B, s, 0.1),
+    lambda B, s: estimate_all_rows_ml(B, s.compound, 0.1),
+    lambda B, s: shared_scaling_fixed_point(B, s.compound, 0.1),
+    lambda B, s: ml_fixed_point(B[0], s.compound, 0.1, init=np.ones(4)),
+], ids=["shared_scaling_estimate", "two_step_reconstruct", "estimate_all_rows_ml",
+        "shared_scaling_fixed_point", "ml_fixed_point"])
+def test_one_column_per_slot_required(estimate):
+    with pytest.raises(ValueError, match="per slot"):
+        estimate(np.ones((3, 1)), make_example_schedule_442())
 
 
 class TestTwoStepReconstruct:
@@ -85,26 +108,25 @@ class TestTwoStepReconstruct:
         sigma_v2 = 0.3
         for _ in range(20):
             C = rng.random((8, 4))
-            exact = ObsCovEstimate(C @ sched.compound + sigma_v2, 1)
+            exact = C @ sched.compound + sigma_v2
             est = two_step_reconstruct(exact, sched, sigma_v2)
-            assert np.max(np.abs(est.C_hat - C)) < 1e-10
+            assert np.max(np.abs(est - C)) < 1e-10
 
     def test_noise_only_observations_give_zero(self):
         sched = make_example_schedule_442()
-        obs = ObsCovEstimate(np.full((3, 6), 0.7), 1)
-        est = two_step_reconstruct(obs, sched, 0.7)
-        np.testing.assert_allclose(est.C_hat, 0.0, atol=1e-12)
+        est = two_step_reconstruct(np.full((3, 6), 0.7), sched, 0.7)
+        np.testing.assert_allclose(est, 0.0, atol=1e-12)
 
     def test_all_zero_case(self):
         sched = make_example_schedule_442()
-        est = two_step_reconstruct(ObsCovEstimate(np.zeros((2, 6)), 1), sched, 0.0)
-        np.testing.assert_array_equal(est.C_hat, np.zeros((2, 4)))
+        est = two_step_reconstruct(np.zeros((2, 6)), sched, 0.0)
+        np.testing.assert_array_equal(est, np.zeros((2, 4)))
 
     def test_rank_deficient_schedule_rejected(self):
         alloc = make_example_schedule_442().allocations[0]
         sched = Schedule((alloc, alloc))
         with pytest.raises(IdentifiabilityError, match="rank 2"):
-            two_step_reconstruct(ObsCovEstimate(np.ones((2, 4)), 1), sched, 0.1)
+            two_step_reconstruct(np.ones((2, 4)), sched, 0.1)
 
 
 class TestSharedScalingEstimate:
@@ -114,8 +136,8 @@ class TestSharedScalingEstimate:
         sigma_v2 = 0.4
         B_mean = rng.random((5, 6)) + sigma_v2
         est_d = shared_scaling_estimate(B_mean, sched.compound, None, sigma_v2)
-        est_t = two_step_reconstruct(ObsCovEstimate(B_mean, 1), sched, sigma_v2)
-        assert np.max(np.abs(est_d.C_hat - est_t.C_hat)) < 1e-10
+        est_t = two_step_reconstruct(B_mean, sched, sigma_v2)
+        assert np.max(np.abs(est_d - est_t)) < 1e-10
 
     def test_any_positive_weights_recover_exact_inputs(self):
         rng = np.random.default_rng(3)
@@ -125,12 +147,12 @@ class TestSharedScalingEstimate:
             d = rng.uniform(0.1, 5.0, size=6)
             exact = C @ sched.compound + 0.2
             est = shared_scaling_estimate(exact, sched.compound, d, 0.2)
-            assert np.max(np.abs(est.C_hat - C)) < 1e-10
+            assert np.max(np.abs(est - C)) < 1e-10
 
     def test_noise_floor_gives_zero(self):
         sched = make_example_schedule_442()
         est = shared_scaling_estimate(np.full((2, 6), 0.5), sched.compound, None, 0.5)
-        np.testing.assert_allclose(est.C_hat, 0.0, atol=1e-12)
+        np.testing.assert_allclose(est, 0.0, atol=1e-12)
 
     def test_singular_system_rejected(self):
         Pi = np.ones((3, 4))  # rank-one Gram matrix
@@ -287,9 +309,9 @@ class TestEstimateAllRowsML:
     def test_single_row_matches_direct_call(self):
         rng = np.random.default_rng(11)
         b, Pi, s2, _ = _random_instance(rng)
-        est = estimate_all_rows_ml(b[None, :], Pi, s2)
+        C_hat, _ = estimate_all_rows_ml(b[None, :], Pi, s2)
         direct = ml_fixed_point(b, Pi, s2)
-        np.testing.assert_allclose(est.C_hat[0], direct.c_hat, atol=1e-12)
+        np.testing.assert_allclose(C_hat[0], direct.c_hat, atol=1e-12)
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(12)
@@ -297,11 +319,11 @@ class TestEstimateAllRowsML:
         C = rng.random((5, 4)) + 0.2
         B = _simulate(C, sched, 0.3, 40, rng)
         perm = np.array([3, 0, 4, 1, 2])
-        est = estimate_all_rows_ml(B, np.tile(sched.compound, (1, 40)), 0.3)
-        est_perm = estimate_all_rows_ml(
+        est, _ = estimate_all_rows_ml(B, np.tile(sched.compound, (1, 40)), 0.3)
+        est_perm, _ = estimate_all_rows_ml(
             B[perm], np.tile(sched.compound, (1, 40)), 0.3
         )
-        np.testing.assert_allclose(est_perm.C_hat, est.C_hat[perm], atol=1e-12)
+        np.testing.assert_allclose(est_perm, est[perm], atol=1e-12)
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(13)
@@ -309,9 +331,10 @@ class TestEstimateAllRowsML:
         C = rng.random((3, 4))
         B = _simulate(C, sched, 0.2, 30, rng)
         Pi = np.tile(sched.compound, (1, 30))
-        a = estimate_all_rows_ml(B, Pi, 0.2)
-        b = estimate_all_rows_ml(B, Pi, 0.2)
-        np.testing.assert_array_equal(a.C_hat, b.C_hat)
+        a, flags_a = estimate_all_rows_ml(B, Pi, 0.2)
+        b, flags_b = estimate_all_rows_ml(B, Pi, 0.2)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(flags_a, flags_b)
 
     def test_convergence_flags_returned(self):
         rng = np.random.default_rng(14)
@@ -319,9 +342,9 @@ class TestEstimateAllRowsML:
         C = rng.random((3, 4)) + 0.5
         B = _simulate(C, sched, 0.2, 50, rng)
         Pi = np.tile(sched.compound, (1, 50))
-        est, flags = estimate_all_rows_ml(B, Pi, 0.2, return_convergence=True)
-        assert flags.shape == (3,)
-        assert est.C_hat.shape == (3, 4)
+        C_hat, flags = estimate_all_rows_ml(B, Pi, 0.2)
+        assert flags.shape == (3,) and flags.dtype == bool
+        assert C_hat.shape == (3, 4)
 
 
 class TestSharedScalingFixedPoint:
@@ -331,8 +354,9 @@ class TestSharedScalingFixedPoint:
         C = rng.random((4, 4))
         exact = np.tile(C @ sched.compound + 0.2, (1, 5))
         Pi = np.tile(sched.compound, (1, 5))
-        est = shared_scaling_fixed_point(exact, Pi, 0.2)
-        assert np.max(np.abs(est.C_hat - C)) < 1e-8
+        est, converged = shared_scaling_fixed_point(exact, Pi, 0.2)
+        assert converged is True
+        assert np.max(np.abs(est - C)) < 1e-8
 
     def test_close_to_per_row_on_noisy_data(self):
         rng = np.random.default_rng(16)
@@ -340,14 +364,24 @@ class TestSharedScalingFixedPoint:
         C = rng.random((4, 4)) + 0.3
         B = _simulate(C, sched, 0.3, 60, rng)
         Pi = np.tile(sched.compound, (1, 60))
-        shared = shared_scaling_fixed_point(B, Pi, 0.3)
-        per_row = estimate_all_rows_ml(B, Pi, 0.3)
+        shared, _ = shared_scaling_fixed_point(B, Pi, 0.3)
+        per_row, _ = estimate_all_rows_ml(B, Pi, 0.3)
         # both consistent estimators of the same truth on the same data
         assert (
-            np.linalg.norm(shared.C_hat - per_row.C_hat)
-            / np.linalg.norm(per_row.C_hat)
+            np.linalg.norm(shared - per_row)
+            / np.linalg.norm(per_row)
             < 0.25
         )
+
+    def test_stop_at_max_iter_is_flagged_and_logged(self, caplog):
+        rng = np.random.default_rng(16)
+        sched = make_example_schedule_442()
+        B = _simulate(rng.random((4, 4)) + 0.3, sched, 0.3, 60, rng)
+        Pi = np.tile(sched.compound, (1, 60))
+        with caplog.at_level(logging.WARNING, logger="pilotcov.estimators"):
+            C_hat, converged = shared_scaling_fixed_point(B, Pi, 0.3, max_iter=1)
+        assert converged is False and C_hat.shape == (4, 4)
+        assert "did not converge in 1 iterations" in caplog.text
 
 
 class TestConsistencyInT:
@@ -360,6 +394,6 @@ class TestConsistencyInT:
             local = np.random.default_rng(seed)
             for S in (10, 100):
                 B = _simulate(C, sched, 0.2, S, local)
-                est = estimate_all_rows_ml(B, np.tile(sched.compound, (1, S)), 0.2)
-                errs[S].append(np.linalg.norm(est.C_hat - C) / np.linalg.norm(C))
+                est, _ = estimate_all_rows_ml(B, np.tile(sched.compound, (1, S)), 0.2)
+                errs[S].append(np.linalg.norm(est - C) / np.linalg.norm(C))
         assert np.mean(errs[100]) < np.mean(errs[10])

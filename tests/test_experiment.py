@@ -6,7 +6,6 @@ from pilotcov import (
     BandLimited,
     ConfigError,
     ExperimentConfig,
-    ExperimentResult,
     Record,
     ScenarioConfig,
     Uniform,
@@ -147,19 +146,19 @@ class TestConfigLoading:
 class TestRunExperiment:
     def test_record_counting(self):
         res = run_experiment(_tiny_config())
-        assert len(res.records) == 2 * 2 * 3  # estimators x sweep x trials
-        combos = {(r.axis_value, r.estimator, r.seed) for r in res.records}
-        assert len(combos) == len(res.records)
+        assert len(res) == 2 * 2 * 3  # estimators x sweep x trials
+        combos = {(r.axis_value, r.estimator, r.seed) for r in res}
+        assert len(combos) == len(res)
 
     def test_genie_rmse_exactly_zero(self):
         res = run_experiment(_tiny_config())
-        for r in res.records:
+        for r in res:
             if r.estimator == "genie":
                 assert r.cov_rmse == 0.0
 
     def test_ls_has_no_cov_rmse(self):
         res = run_experiment(_tiny_config())
-        for r in res.records:
+        for r in res:
             if r.estimator == "ls":
                 assert r.cov_rmse is None
 
@@ -182,7 +181,7 @@ class TestRunExperiment:
         )
         res = run_experiment(cfg)
         by_name = {}
-        for r in res.records:
+        for r in res:
             by_name.setdefault(r.estimator, []).append(r)
         for name in ("two_step", "ml"):
             assert all(r.status == "unidentifiable" for r in by_name[name])
@@ -194,15 +193,15 @@ class TestRunExperiment:
     def test_adaptive_estimator_runs(self):
         cfg = _tiny_config(estimators=("adaptive",), sweep_values=(10,), trials=1)
         res = run_experiment(cfg)
-        assert len(res.records) == 1
-        assert res.records[0].cov_rmse is not None
+        assert len(res) == 1
+        assert res[0].cov_rmse is not None
 
     def test_ttr_sweep(self):
         cfg = _tiny_config(
             sweep_axis="Ttr", sweep_values=(4, 6), T=10, schedule_n=5,
         )
         res = run_experiment(cfg)
-        assert {r.axis_value for r in res.records} == {4, 6}
+        assert {r.axis_value for r in res} == {4, 6}
 
     def test_example442_mode(self):
         cfg = ExperimentConfig(
@@ -217,20 +216,18 @@ class TestRunExperiment:
             eval_intervals=3,
         )
         res = run_experiment(cfg)
-        assert all(r.status == "ok" for r in res.records)
+        assert all(r.status == "ok" for r in res)
 
 
 class TestCSV:
     def test_empty_result_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv(ExperimentResult(()), path)
+        emit_csv((), path)
         assert path.read_text() == "axis,estimator,seed,sum_rate,cov_rmse,runtime_ms\n"
 
     def test_single_record_two_lines(self, tmp_path):
         path = tmp_path / "one.csv"
-        emit_csv(
-            ExperimentResult((Record(10, "genie", 0, 1.25, 0.0, 0.0),)), path
-        )
+        emit_csv((Record(10, "genie", 0, 1.25, 0.0, 0.0),), path)
         assert path.read_text().splitlines() == [
             "axis,estimator,seed,sum_rate,cov_rmse,runtime_ms",
             "10,genie,0,1.25,0,0",
@@ -244,7 +241,7 @@ class TestCSV:
             Record(10, "genie", 0, 1.0, 0.0, 0.0),
         )
         path = tmp_path / "sorted.csv"
-        emit_csv(ExperimentResult(recs), path)
+        emit_csv(recs, path)
         keys = [ln.split(",")[:3] for ln in path.read_text().splitlines()[1:]]
         assert keys == sorted(keys, key=lambda k: (int(k[0]), k[1], int(k[2])))
 
@@ -262,12 +259,12 @@ class TestCSV:
             Record(5, "ls", 0, 2.5, None, 0.0),
         )
         path = tmp_path / "mark.csv"
-        emit_csv(ExperimentResult(recs), path)
+        emit_csv(recs, path)
         text = path.read_text()
         assert "unidentifiable,unidentifiable" in text
         loaded = load_result_csv(path)
-        assert loaded.records[1].status == "unidentifiable"
-        assert loaded.records[0].cov_rmse is None
+        assert loaded[1].status == "unidentifiable"
+        assert loaded[0].cov_rmse is None
 
 
 class TestCLI:
@@ -391,6 +388,22 @@ class TestCLI:
         assert cli_main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
         assert "indefinite" in capsys.readouterr().err
 
+    def test_non_finite_estimate_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
+        from pilotcov import experiment
+
+        def nan_ml(B, Pi, sigma_v2, tol=1e-8, max_iter=200):
+            return (np.full((B.shape[0], Pi.shape[0]), np.nan),
+                    np.ones(B.shape[0], dtype=bool))
+
+        monkeypatch.setattr(experiment, "estimate_all_rows_ml", nan_ml)
+        with pytest.raises(ValueError, match="ml estimate contains non-finite"):
+            run_experiment(_tiny_config(estimators=("genie", "ml"), trials=1))
+        path = tmp_path / "ml.cfg"
+        path.write_text(DESK_CFG.replace("estimators = genie, ls",
+                                         "estimators = ml"))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 def test_genie_beats_ls_in_most_seeds():
     cfg = _tiny_config(
@@ -398,8 +411,8 @@ def test_genie_beats_ls_in_most_seeds():
         eval_intervals=10,
     )
     res = run_experiment(cfg)
-    genie = {r.seed: r.sum_rate for r in res.records if r.estimator == "genie"}
-    ls = {r.seed: r.sum_rate for r in res.records if r.estimator == "ls"}
+    genie = {r.seed: r.sum_rate for r in res if r.estimator == "genie"}
+    ls = {r.seed: r.sum_rate for r in res if r.estimator == "ls"}
     wins = sum(genie[s] >= ls[s] for s in genie)
     assert wins >= 9  # >= 90% of seeds
 
@@ -417,7 +430,7 @@ def test_imported_schedule_mode(tmp_path):
         estimators=("two_step",), sweep_values=(10,), trials=2,
     )
     res = run_experiment(cfg)
-    assert all(r.status == "ok" for r in res.records)
+    assert all(r.status == "ok" for r in res)
 
 
 def test_timing_flag_records_wall_clock(tmp_path, desk_config):
@@ -429,7 +442,7 @@ def test_timing_flag_records_wall_clock(tmp_path, desk_config):
 
 
 def test_emit_csv_unwritable_path_raises(tmp_path):
-    res = ExperimentResult((Record(1, "ls", 0, 1.0, None, 0.0),))
+    res = (Record(1, "ls", 0, 1.0, None, 0.0),)
     with pytest.raises(OSError):
         emit_csv(res, str(tmp_path / "missing_dir" / "out.csv"))
 

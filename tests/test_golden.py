@@ -16,8 +16,8 @@ from pilotcov.experiment import load_result_csv
 DATA = Path(__file__).parent / "data"
 
 
-def _by_key(result):
-    return {(r.axis_value, r.estimator, r.seed): r for r in result.records}
+def _by_key(records):
+    return {(r.axis_value, r.estimator, r.seed): r for r in records}
 
 
 @pytest.mark.parametrize("scaling", ["per_row", "shared"])

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from pilotcov import (
     AdaptiveState,
     Allocation,
-    ObsCovEstimate,
     Schedule,
     UserGrouping,
     adaptive_update,
@@ -67,9 +66,9 @@ def problems(draw):
 
 
 def _estimates(sched, b, sigma_v2, d):
-    two = two_step_reconstruct(ObsCovEstimate(b, 1), sched, sigma_v2, clamp=False)
+    two = two_step_reconstruct(b, sched, sigma_v2, clamp=False)
     shared = shared_scaling_estimate(b, sched.compound, d, sigma_v2, clamp=False)
-    return two.C_hat, shared.C_hat
+    return two, shared
 
 
 @SETTINGS
@@ -131,7 +130,7 @@ def _relative_gap(a, b):
 @given(windows())
 def test_raw_nll_and_gradient_are_S_times_slot_mean_ones(window):
     sched, B, S, sigma_v2, C = window
-    b_mean = estimate_obs_covariances(B, sched).c_obs
+    b_mean = estimate_obs_covariances(B, sched)
     Pi, Pi_raw = sched.compound, np.tile(sched.compound, (1, S))
     for c, b_raw, b in zip(C, B, b_mean):
         np.testing.assert_allclose(negative_llf(c, b_raw, Pi_raw, sigma_v2),
@@ -144,14 +143,14 @@ def test_raw_nll_and_gradient_are_S_times_slot_mean_ones(window):
 @given(windows())
 def test_ml_estimators_agree_on_raw_data_and_slot_means(window):
     sched, B, S, sigma_v2, _ = window
-    b_mean = estimate_obs_covariances(B, sched).c_obs
+    b_mean = estimate_obs_covariances(B, sched)
     Pi, Pi_raw = sched.compound, np.tile(sched.compound, (1, S))
-    np.testing.assert_allclose(shared_scaling_fixed_point(B, Pi_raw, sigma_v2).C_hat,
-                               shared_scaling_fixed_point(b_mean, Pi, sigma_v2).C_hat,
+    np.testing.assert_allclose(shared_scaling_fixed_point(B, Pi_raw, sigma_v2)[0],
+                               shared_scaling_fixed_point(b_mean, Pi, sigma_v2)[0],
                                rtol=RTOL)
-    raw, raw_flags = estimate_all_rows_ml(B, Pi_raw, sigma_v2, return_convergence=True)
-    means, flags = estimate_all_rows_ml(b_mean, Pi, sigma_v2, return_convergence=True)
-    assert _relative_gap(raw.C_hat, means.C_hat) <= 1e-5
+    raw, raw_flags = estimate_all_rows_ml(B, Pi_raw, sigma_v2)
+    means, flags = estimate_all_rows_ml(b_mean, Pi, sigma_v2)
+    assert _relative_gap(raw, means) <= 1e-5
     np.testing.assert_array_equal(raw_flags, flags)
 
 
@@ -160,8 +159,8 @@ def test_ml_estimators_agree_on_raw_data_and_slot_means(window):
 def test_adaptive_estimate_permutes_with_antenna_rows(window, random):
     sched, B, _, sigma_v2, _ = window
     perm = np.array(random.sample(range(B.shape[0]), B.shape[0]))
-    np.testing.assert_array_equal(_estimate_adaptive(B[perm], sched, sigma_v2, 0.99).C_hat,
-                                  _estimate_adaptive(B, sched, sigma_v2, 0.99).C_hat[perm])
+    np.testing.assert_array_equal(_estimate_adaptive(B[perm], sched, sigma_v2, 0.99),
+                                  _estimate_adaptive(B, sched, sigma_v2, 0.99)[perm])
 
 
 @SETTINGS
