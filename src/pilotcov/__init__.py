@@ -45,7 +45,6 @@ from .scenario import (
     RandomSparse,
     ScenarioConfig,
     Uniform,
-    UserGrouping,
     generate_covariance_set,
     genie_covariances,
 )

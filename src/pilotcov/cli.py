@@ -18,12 +18,10 @@ import numpy as np
 
 from .errors import ConfigError, IdentifiabilityError, PilotCovError
 from .experiment import emit_csv, load_experiment_config, run_experiment
-from .scenario import UserGrouping
 from .schedule import (
     load_schedule,
     make_random_schedule,
     min_schedule_length,
-    rank_and_condition,
     save_schedule,
 )
 
@@ -91,18 +89,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     if args.schedule_command == "generate":
         K, Ttr = args.users, args.pilots
-        if args.cells < 1 or K % args.cells != 0:
-            raise ConfigError(f"K={K} not divisible into {args.cells} cells")
         try:
             N = args.length if args.length is not None else min_schedule_length(K, Ttr) + 2
-            grouping = UserGrouping.contiguous(args.cells, K // args.cells)
             schedule = make_random_schedule(
-                K, Ttr, N, grouping, np.random.default_rng(args.seed)
+                K, Ttr, N, args.cells, np.random.default_rng(args.seed)
             )
         except (ValueError, IdentifiabilityError) as exc:
             raise ConfigError(str(exc)) from exc
-        rank, cond = rank_and_condition(schedule)
-        print(f"K={K} Ttr={Ttr} N={N} rank={rank} condition={cond:.6g}")
+        print(f"K={K} Ttr={Ttr} N={N} rank={schedule.rank} "
+              f"condition={schedule.cond:.6g}")
         if args.out:
             save_schedule(schedule, args.out)
             print(f"wrote {args.out}")
@@ -112,10 +107,9 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         schedule = load_schedule(args.file, Ttr=args.pilots)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"schedule file {args.file}: {exc}") from exc
-    rank, cond = rank_and_condition(schedule)
-    full = "yes" if rank == schedule.K else "NO"
+    full = "yes" if schedule.rank == schedule.K else "NO"
     print(f"K={schedule.K} Ttr={schedule.Ttr} N={schedule.N}")
-    print(f"rank={rank} condition={cond:.6g} identifiable={full}")
+    print(f"rank={schedule.rank} condition={schedule.cond:.6g} identifiable={full}")
     if schedule.Ttr >= 2:
         print(f"minimum schedule length={min_schedule_length(schedule.K, schedule.Ttr)}")
     return 0

@@ -46,7 +46,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IdentifiabilityError, SingularSystemError
-from .schedule import Allocation, Schedule, rank_and_condition
+from .schedule import Allocation, Schedule
 
 __all__ = [
     "AdaptiveState",
@@ -127,10 +127,9 @@ def two_step_reconstruct(
     Requires the compound allocation matrix to have full row rank K;
     otherwise the channel variances are not uniquely reconstructible.
     """
-    rank, _ = rank_and_condition(schedule)
-    if rank < schedule.K:
+    if schedule.rank < schedule.K:
         raise IdentifiabilityError(
-            f"compound allocation has rank {rank} < K={schedule.K}; channel "
+            f"compound allocation has rank {schedule.rank} < K={schedule.K}; channel "
             f"variances cannot be uniquely reconstructed"
         )
     return shared_scaling_estimate(

@@ -43,11 +43,11 @@ from .scenario import (
 from .schedule import (
     Allocation,
     Schedule,
+    check_random_schedule,
     load_schedule,
     make_example_schedule_442,
     make_random_schedule,
     min_schedule_length,
-    rank_and_condition,
 )
 
 __all__ = [
@@ -96,18 +96,21 @@ class ExperimentConfig:
         validate_experiment_config(self)
 
 
-def _load_imported_schedule(path: str, Ttr: int) -> Schedule:
+def _load_imported_schedule(path: str, Ttr: int, K: int) -> Schedule:
     try:
-        return load_schedule(path, Ttr=Ttr)
+        sched = load_schedule(path, Ttr=Ttr)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"[schedule] path {path}: {exc}") from exc
+    if sched.K != K:
+        raise ConfigError(f"[schedule] path {path} covers {sched.K} users, not K={K}")
+    return sched
 
 
 def _schedule_length(cfg: ExperimentConfig, Ttr: int, K: int) -> int:
     if cfg.schedule_mode == "example442":
         return 3
     if cfg.schedule_mode == "imported":
-        return _load_imported_schedule(cfg.schedule_path, Ttr).N
+        return _load_imported_schedule(cfg.schedule_path, Ttr, K).N
     if cfg.schedule_n is not None:
         return cfg.schedule_n
     try:
@@ -159,6 +162,8 @@ def validate_experiment_config(cfg: ExperimentConfig) -> None:
         )
 
     scn = cfg.scenario
+    if isinstance(cfg.profile, BandLimited) and cfg.profile.width > scn.M:
+        raise ConfigError(f"[profile] width {cfg.profile.width} exceeds M={scn.M}")
     for v in cfg.sweep_values:
         Ttr = v if cfg.sweep_axis == "Ttr" else scn.Ttr
         T = cfg.T if cfg.sweep_axis == "Ttr" else v
@@ -174,12 +179,12 @@ def validate_experiment_config(cfg: ExperimentConfig) -> None:
                 "[schedule] example442 requires K=4 and Ttr=2 "
                 f"(got K={scn.K}, Ttr={Ttr})"
             )
-        if cfg.schedule_mode == "random" and scn.users_per_cell > Ttr:
-            raise ConfigError(
-                f"{scn.users_per_cell} users per cell cannot use distinct "
-                f"pilots with Ttr={Ttr}"
-            )
         N = _schedule_length(cfg, Ttr, scn.K)
+        if cfg.schedule_mode == "random":
+            try:
+                check_random_schedule(scn.K, Ttr, N, scn.num_cells)
+            except (ValueError, IdentifiabilityError) as exc:
+                raise ConfigError(f"[schedule] {exc}") from exc
         if T % N != 0:
             raise ConfigError(
                 f"training window T={T} must be a multiple of the schedule "
@@ -213,14 +218,9 @@ def _build_schedule(
     if cfg.schedule_mode == "example442":
         return make_example_schedule_442()
     if cfg.schedule_mode == "imported":
-        sched = _load_imported_schedule(cfg.schedule_path, scn.Ttr)
-        if sched.K != scn.K:
-            raise ConfigError(
-                f"imported schedule covers {sched.K} users, scenario has {scn.K}"
-            )
-        return sched
+        return _load_imported_schedule(cfg.schedule_path, scn.Ttr, scn.K)
     N = _schedule_length(cfg, scn.Ttr, scn.K)
-    return make_random_schedule(scn.K, scn.Ttr, N, scn.grouping(), rng)
+    return make_random_schedule(scn.K, scn.Ttr, N, scn.num_cells, rng)
 
 
 def _estimate_adaptive(
@@ -241,6 +241,7 @@ def _estimate_covariances(
     cfg: ExperimentConfig,
     truth: CovarianceSet,
     B: np.ndarray,
+    c_obs: np.ndarray | None,
     schedule: Schedule,
     sigma_v2: float,
 ) -> np.ndarray | None:
@@ -251,7 +252,6 @@ def _estimate_covariances(
         return genie_covariances(truth).C
     if name == "adaptive":
         return _estimate_adaptive(B, schedule, sigma_v2, cfg.lam)
-    c_obs = estimate_obs_covariances(B, schedule)
     if name == "two_step":
         return two_step_reconstruct(c_obs, schedule, sigma_v2)
     if name == "ml":
@@ -328,9 +328,8 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
     )
 
     truth = generate_covariance_set(scn, cfg.profile, rng_cov)
-    grouping = scn.grouping()
     schedule = _build_schedule(cfg, scn, rng_sched)
-    rank, _ = rank_and_condition(schedule)
+    identifiable = schedule.rank == scn.K
 
     blocks = []
     for t in range(T):
@@ -338,6 +337,9 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
         H = draw_channels(truth, rng_train)
         blocks.append(observe(H, alloc, scn.sigma_v2, rng_train))
     B = squared_rows(blocks)
+    c_obs = None
+    if identifiable and set(cfg.estimators) & set(INVERTS_COMPOUND):
+        c_obs = estimate_obs_covariances(B, schedule)
 
     # evaluation phases are shared by all estimators (common random numbers)
     E = cfg.eval_intervals
@@ -348,18 +350,19 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
         Phi_eval[e] = observe(H_eval[e], schedule.allocations[e % schedule.N],
                               scn.sigma_v2, rng_eval_noise)
 
-    served = grouping.members(0)
+    served = np.arange(scn.users_per_cell)
     overhead = 1.0 - scn.Ttr / cfg.t_coh
     truth_norm = np.linalg.norm(truth.C)
 
     records = []
     for name in cfg.estimators:
-        if name in INVERTS_COMPOUND and rank < scn.K:
+        if name in INVERTS_COMPOUND and not identifiable:
             records.append(Record(axis_value, name, trial, None, None, 0.0,
                                   status=UNIDENTIFIABLE))
             continue
         start = time.perf_counter()
-        C_hat = _estimate_covariances(name, cfg, truth, B, schedule, scn.sigma_v2)
+        C_hat = _estimate_covariances(name, cfg, truth, B, c_obs, schedule,
+                                      scn.sigma_v2)
         runtime_ms = (time.perf_counter() - start) * 1e3 if measure_runtime else 0.0
 
         if C_hat is None:
@@ -443,37 +446,58 @@ def load_result_csv(path: str) -> tuple[Record, ...]:
     return tuple(records)
 
 
-def _finite_float(sec: configparser.SectionProxy, key: str,
-                  fallback: float | None = None) -> float | None:
+def _finite_float(sec: configparser.SectionProxy, key: str) -> float:
     """`getfloat` that also rejects nan and inf, which configparser accepts."""
-    value = sec.getfloat(key, fallback)
-    if value is not None and not np.isfinite(value):
+    value = sec.getfloat(key)
+    if not np.isfinite(value):
         raise ValueError(f"{key} must be a finite number, got {value}")
     return value
 
 
+def _get_int(sec: configparser.SectionProxy, key: str) -> int:
+    return sec.getint(key)
+
+
+# the keys load_experiment_config reads, as configparser lower-cases them;
+# a misspelt one would silently fall back to its default
+_CONFIG_KEYS = {
+    "scenario": ("m", "k", "ttr", "sigma_v2", "num_cells", "users_per_cell",
+                 "seed", "t"),
+    "profile": None,  # keys depend on the kind, see _PROFILES
+    "schedule": ("mode", "n", "path"),
+    "estimation": ("estimators", "lambda", "tol", "max_iter", "ml_scaling"),
+    "sweep": ("axis", "values", "trials"),
+    "link": ("t_coh", "eval_intervals"),
+}
+# profile kind -> (class, getter of each key it reads); absent keys take
+# the class defaults
+_PROFILES = {
+    "uniform": (Uniform, {"power": _finite_float}),
+    "bandlimited": (BandLimited, {"width": _get_int, "power": _finite_float,
+                                  "center": _get_int,
+                                  "dynamic_range_db": _finite_float}),
+    "random_sparse": (RandomSparse, {"support_fraction": _finite_float,
+                                     "total_power": _finite_float}),
+}
+
+
+def _reject_unknown_keys(sec: configparser.SectionProxy, known) -> None:
+    unknown = sorted(set(sec) - set(known))
+    if unknown:
+        raise ConfigError(f"[{sec.name}] unknown key {unknown[0]!r}")
+
+
 def _profile_from_section(sec: configparser.SectionProxy) -> ProfileKind:
     kind = sec.get("kind", "uniform").strip().lower()
+    if kind not in _PROFILES:
+        raise ConfigError(f"[profile] kind must be one of {', '.join(_PROFILES)}, "
+                          f"got {kind!r}")
+    cls, getters = _PROFILES[kind]
+    _reject_unknown_keys(sec, ("kind", *getters))
     try:
-        if kind == "uniform":
-            return Uniform(power=_finite_float(sec, "power", 1.0))
-        if kind == "bandlimited":
-            center = sec.getint("center") if "center" in sec else None
-            return BandLimited(
-                width=sec.getint("width"),
-                power=_finite_float(sec, "power", 1.0),
-                center=center,
-                dynamic_range_db=_finite_float(sec, "dynamic_range_db", 20.0),
-            )
-        if kind == "random_sparse":
-            return RandomSparse(
-                support_fraction=_finite_float(sec, "support_fraction"),
-                total_power=_finite_float(sec, "total_power", 1.0),
-            )
+        return cls(**{key: get(sec, key) for key, get in getters.items() if key in sec})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[profile] invalid field: {exc}") from exc
-    raise ConfigError(f"[profile] kind must be uniform, bandlimited or "
-                      f"random_sparse, got {kind!r}")
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
@@ -486,6 +510,11 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    for section in cp.sections():
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        if _CONFIG_KEYS[section] is not None:
+            _reject_unknown_keys(cp[section], _CONFIG_KEYS[section])
 
     def need(section: str) -> configparser.SectionProxy:
         if not cp.has_section(section):
@@ -502,7 +531,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
-    get_int = lambda s, k: s.getint(k)
+    get_int = _get_int
     get_float = _finite_float
     get_str = lambda s, k: s.get(k).strip()
 

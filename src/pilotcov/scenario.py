@@ -18,7 +18,6 @@ from .errors import InvalidProfileError
 __all__ = [
     "ScenarioConfig",
     "CovarianceSet",
-    "UserGrouping",
     "Uniform",
     "BandLimited",
     "RandomSparse",
@@ -39,6 +38,9 @@ class ScenarioConfig:
     num_cells:      number of cells contributing users
     users_per_cell: users per cell; num_cells * users_per_cell == K
     seed:           base RNG seed for everything derived from this scenario
+
+    Cells are contiguous blocks of users: user k is in cell
+    k // users_per_cell, and cell 0 is the served cell.
     """
 
     M: int
@@ -61,56 +63,12 @@ class ScenarioConfig:
         if self.num_cells < 1:
             raise ValueError(f"num_cells must be >= 1, got {self.num_cells}")
         if self.users_per_cell is None:
-            if self.K % self.num_cells != 0:
-                raise ValueError(
-                    f"K={self.K} is not divisible by num_cells={self.num_cells}"
-                )
             object.__setattr__(self, "users_per_cell", self.K // self.num_cells)
         if self.num_cells * self.users_per_cell != self.K:
             raise ValueError(
-                f"num_cells * users_per_cell = "
-                f"{self.num_cells * self.users_per_cell} != K = {self.K}"
+                f"K={self.K} users do not split into {self.num_cells} cells "
+                f"of {self.users_per_cell}"
             )
-
-    def grouping(self) -> "UserGrouping":
-        """Contiguous cell assignment: users [0, K_C) in cell 0 and so on."""
-        return UserGrouping.contiguous(self.num_cells, self.users_per_cell)
-
-
-@dataclass(frozen=True)
-class UserGrouping:
-    """Cell membership of every user (balanced cells)."""
-
-    cell_of_user: np.ndarray
-
-    def __post_init__(self) -> None:
-        cells = np.asarray(self.cell_of_user, dtype=int)
-        object.__setattr__(self, "cell_of_user", cells)
-        if cells.ndim != 1 or cells.size == 0:
-            raise ValueError("cell_of_user must be a non-empty 1-D vector")
-        counts = np.bincount(cells, minlength=cells.max() + 1)
-        if cells.min() < 0 or np.any(counts != counts[0]):
-            raise ValueError("every cell must contain the same number of users")
-
-    @classmethod
-    def contiguous(cls, num_cells: int, users_per_cell: int) -> "UserGrouping":
-        return cls(np.repeat(np.arange(num_cells), users_per_cell))
-
-    @property
-    def num_users(self) -> int:
-        return self.cell_of_user.size
-
-    @property
-    def num_cells(self) -> int:
-        return int(self.cell_of_user.max()) + 1
-
-    @property
-    def users_per_cell(self) -> int:
-        return self.num_users // self.num_cells
-
-    def members(self, cell: int) -> np.ndarray:
-        """Indices of the users in `cell`."""
-        return np.flatnonzero(self.cell_of_user == cell)
 
 
 @dataclass(frozen=True)
@@ -149,6 +107,10 @@ class Uniform:
 
     power: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.power < 0:
+            raise InvalidProfileError(f"power must be >= 0, got {self.power}")
+
 
 @dataclass(frozen=True)
 class BandLimited:
@@ -166,6 +128,14 @@ class BandLimited:
     center: int | None = None
     dynamic_range_db: float = 20.0
 
+    def __post_init__(self) -> None:
+        if self.width < 1:
+            raise InvalidProfileError(f"width must be >= 1, got {self.width}")
+        if self.power <= 0:
+            raise InvalidProfileError(f"power must be > 0, got {self.power}")
+        if self.dynamic_range_db < 0:
+            raise InvalidProfileError("dynamic_range_db must be >= 0")
+
 
 @dataclass(frozen=True)
 class RandomSparse:
@@ -174,6 +144,14 @@ class RandomSparse:
 
     support_fraction: float
     total_power: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.support_fraction <= 1.0:
+            raise InvalidProfileError(
+                f"support_fraction must be in (0, 1], got {self.support_fraction}"
+            )
+        if self.total_power <= 0:
+            raise InvalidProfileError(f"total_power must be > 0, got {self.total_power}")
 
 
 ProfileKind = Union[Uniform, BandLimited, RandomSparse]
@@ -200,19 +178,11 @@ def generate_covariance_set(
     """
     M, K = config.M, config.K
     if isinstance(profile, Uniform):
-        if profile.power < 0:
-            raise InvalidProfileError(f"power must be >= 0, got {profile.power}")
         return CovarianceSet(np.full((M, K), float(profile.power)))
 
     if isinstance(profile, BandLimited):
-        if not 1 <= profile.width <= M:
-            raise InvalidProfileError(
-                f"width must be in [1, M={M}], got {profile.width}"
-            )
-        if profile.power <= 0:
-            raise InvalidProfileError(f"power must be > 0, got {profile.power}")
-        if profile.dynamic_range_db < 0:
-            raise InvalidProfileError("dynamic_range_db must be >= 0")
+        if profile.width > M:
+            raise InvalidProfileError(f"width must be in [1, M={M}], got {profile.width}")
         C = np.zeros((M, K))
         for k in range(K):
             center = (
@@ -225,14 +195,6 @@ def generate_covariance_set(
         return CovarianceSet(C)
 
     if isinstance(profile, RandomSparse):
-        if not 0.0 < profile.support_fraction <= 1.0:
-            raise InvalidProfileError(
-                f"support_fraction must be in (0, 1], got {profile.support_fraction}"
-            )
-        if profile.total_power <= 0:
-            raise InvalidProfileError(
-                f"total_power must be > 0, got {profile.total_power}"
-            )
         n_nz = max(1, round(profile.support_fraction * M))
         C = np.zeros((M, K))
         for k in range(K):

@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IdentifiabilityError, InfeasibleConstraintError, SingularSystemError
-from .scenario import UserGrouping
+
+_MAX_REDRAWS = 100
 
 __all__ = [
     "Allocation",
     "Schedule",
     "min_schedule_length",
+    "check_random_schedule",
     "make_random_schedule",
     "make_example_schedule_442",
     "rank_and_condition",
@@ -70,10 +72,13 @@ class Allocation:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Ordered sequence of allocations plus their horizontal concatenation."""
+    """Ordered sequence of allocations plus their horizontal concatenation,
+    with its `rank_and_condition` computed once; identifiable if rank == K."""
 
     allocations: tuple[Allocation, ...]
     compound: np.ndarray = field(init=False)
+    rank: int = field(init=False)
+    cond: float = field(init=False)
 
     def __post_init__(self) -> None:
         allocs = tuple(self.allocations)
@@ -86,6 +91,9 @@ class Schedule:
         object.__setattr__(
             self, "compound", np.hstack([a.assignment for a in allocs])
         )
+        rank, cond = rank_and_condition(self)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "cond", cond)
 
     @property
     def K(self) -> int:
@@ -119,67 +127,71 @@ def min_schedule_length(K: int, Ttr: int) -> int:
     return math.ceil((K - 1) / (Ttr - 1))
 
 
+def check_random_schedule(K: int, Ttr: int, N: int, num_cells: int,
+                          require_full_rank: bool | None = None) -> bool:
+    """Refuse inputs no random schedule of `make_random_schedule` can
+    satisfy, and return whether its draws must be full rank (default: N
+    is at least the minimum schedule length)."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if num_cells < 1 or K % num_cells != 0:
+        raise ValueError(f"K={K} users cannot be split into {num_cells} equal cells")
+    users_per_cell = K // num_cells
+    if users_per_cell > Ttr:
+        raise InfeasibleConstraintError(
+            f"{users_per_cell} users per cell cannot use distinct "
+            f"pilots when only Ttr={Ttr} pilots are available"
+        )
+    if require_full_rank is None:
+        require_full_rank = Ttr >= 2 and N >= min_schedule_length(K, Ttr)
+    if require_full_rank and num_cells >= 2 and users_per_cell == Ttr:
+        # each cell then uses every pilot exactly once per interval, so
+        # differences of cell indicators annihilate every allocation and
+        # the compound rank is capped at K - (num_cells - 1)
+        raise IdentifiabilityError(
+            f"with {users_per_cell} users per cell and Ttr={Ttr} "
+            f"every cell occupies all pilots each interval; the compound "
+            f"rank can never reach K={K}"
+        )
+    return require_full_rank
+
+
 def _draw_allocation(
-    K: int, Ttr: int, grouping: UserGrouping, rng: np.random.Generator
+    K: int, Ttr: int, num_cells: int, rng: np.random.Generator
 ) -> Allocation:
-    pilots = np.empty(K, dtype=int)
-    for cell in range(grouping.num_cells):
-        members = grouping.members(cell)
-        # uniform random injection: members of one cell get distinct pilots
-        pilots[members] = rng.permutation(Ttr)[: members.size]
-    return Allocation.from_pilot_indices(pilots, Ttr)
+    # uniform random injection, cell by cell: members of one cell get
+    # distinct pilots
+    pilots = [rng.permutation(Ttr)[: K // num_cells] for _ in range(num_cells)]
+    return Allocation.from_pilot_indices(np.concatenate(pilots), Ttr)
 
 
 def make_random_schedule(
     K: int,
     Ttr: int,
     N: int,
-    grouping: UserGrouping,
+    num_cells: int,
     rng: np.random.Generator,
     *,
-    max_redraws: int = 100,
     require_full_rank: bool | None = None,
 ) -> Schedule:
     """Draw N random allocations with same-cell users on distinct pilots.
 
-    When `require_full_rank` (default: N is at least the minimum schedule
-    length), rank-deficient draws are rejected and redrawn up to
-    `max_redraws` times before raising.  Pass `require_full_rank=False`
-    to obtain a single unfiltered draw, e.g. to measure how often random
-    schedules happen to be identifiable.
+    Cells are contiguous blocks of K // num_cells users; K must split
+    evenly.  When `require_full_rank` (default: N is at least the minimum
+    schedule length), rank-deficient draws are rejected and redrawn up to
+    100 times before raising.  Pass `require_full_rank=False` to obtain a
+    single unfiltered draw, e.g. to measure how often random schedules
+    happen to be identifiable.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if grouping.num_users != K:
-        raise ValueError(f"grouping covers {grouping.num_users} users, expected {K}")
-    if grouping.users_per_cell > Ttr:
-        raise InfeasibleConstraintError(
-            f"{grouping.users_per_cell} users per cell cannot use distinct "
-            f"pilots when only Ttr={Ttr} pilots are available"
-        )
-    if require_full_rank is None:
-        require_full_rank = Ttr >= 2 and N >= min_schedule_length(K, Ttr)
-    if require_full_rank and grouping.num_cells >= 2 and grouping.users_per_cell == Ttr:
-        # each cell then uses every pilot exactly once per interval, so
-        # differences of cell indicators annihilate every allocation and
-        # the compound rank is capped at K - (num_cells - 1)
-        raise IdentifiabilityError(
-            f"with {grouping.users_per_cell} users per cell and Ttr={Ttr} "
-            f"every cell occupies all pilots each interval; the compound "
-            f"rank can never reach K={K}"
-        )
-
-    for _ in range(max_redraws + 1):
+    require_full_rank = check_random_schedule(K, Ttr, N, num_cells, require_full_rank)
+    for _ in range(_MAX_REDRAWS + 1):
         schedule = Schedule(
-            tuple(_draw_allocation(K, Ttr, grouping, rng) for _ in range(N))
+            tuple(_draw_allocation(K, Ttr, num_cells, rng) for _ in range(N))
         )
-        if not require_full_rank:
-            return schedule
-        rank, _ = rank_and_condition(schedule)
-        if rank == K:
+        if not require_full_rank or schedule.rank == K:
             return schedule
     raise IdentifiabilityError(
-        f"no full-rank schedule found in {max_redraws + 1} draws "
+        f"no full-rank schedule found in {_MAX_REDRAWS + 1} draws "
         f"(K={K}, Ttr={Ttr}, N={N})"
     )
 

@@ -17,7 +17,6 @@ from pilotcov import (
     CovarianceSet,
     ExperimentConfig,
     ScenarioConfig,
-    UserGrouping,
     adaptive_update,
     draw_channels,
     estimate_all_rows_ml,
@@ -123,8 +122,7 @@ def test_gradient_against_finite_differences():
         Ttr = int(rng.integers(2, min(K, 5) + 1))
         N = int(rng.integers(2, 5))
         reps = int(rng.integers(1, max(2, 60 // (N * Ttr)) + 1))
-        grouping = UserGrouping.contiguous(K, 1)
-        sched = make_random_schedule(K, Ttr, N, grouping, rng,
+        sched = make_random_schedule(K, Ttr, N, K, rng,
                                      require_full_rank=False)
         Pi = np.tile(sched.compound, (1, reps))
         s2 = rng.uniform(0.2, 1.0)
@@ -171,8 +169,7 @@ def test_stationarity_of_converged_interior_points():
     for _ in range(50):
         K = int(rng.integers(4, 9))
         Ttr = int(rng.integers(3, min(K, 6) + 1))
-        grouping = UserGrouping.contiguous(K, 1)
-        sched = make_random_schedule(K, Ttr, 4, grouping, rng)
+        sched = make_random_schedule(K, Ttr, 4, K, rng)
         reps = int(rng.integers(20, 60))
         Pi = np.tile(sched.compound, (1, reps))
         c_true = rng.uniform(0.5, 1.5, size=K)
@@ -201,8 +198,7 @@ def test_consistency_in_window_length():
         errs = []
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
-            grouping = UserGrouping.contiguous(4, 2)
-            sched = make_random_schedule(K, Ttr, N, grouping, rng)
+            sched = make_random_schedule(K, Ttr, N, 4, rng)
             scn = ScenarioConfig(M=M, K=K, Ttr=Ttr, sigma_v2=sigma_v2,
                                  num_cells=4, users_per_cell=2, seed=seed)
             C = generate_covariance_set(
@@ -226,8 +222,7 @@ def test_adaptive_matches_batch_reconstruction():
     start = time.perf_counter()
     rng = np.random.default_rng(25)
     M, K, Ttr, N, S = 4, 6, 4, 4, 50
-    grouping = UserGrouping.contiguous(2, 3)
-    sched = make_random_schedule(K, Ttr, N, grouping, rng)
+    sched = make_random_schedule(K, Ttr, N, 2, rng)
     C = rng.random((M, K)) + 0.2
     sigma_v2 = 0.3
     B = _simulate_training(C, sched, sigma_v2, S, rng)
@@ -259,8 +254,7 @@ def test_rank_bound_over_random_schedules():
     while checked < 200:
         K, Ttr, cells = grids[checked % len(grids)]
         N = int(rng.integers(1, 6))
-        grouping = UserGrouping.contiguous(cells, K // cells)
-        sched = make_random_schedule(K, Ttr, N, grouping, rng,
+        sched = make_random_schedule(K, Ttr, N, cells, rng,
                                      require_full_rank=False)
         rank, _ = rank_and_condition(sched)
         if rank > Ttr + (N - 1) * (Ttr - 1):
@@ -277,13 +271,12 @@ def test_rank_bound_over_random_schedules():
 def test_identifiability_threshold():
     start = time.perf_counter()
     K, Ttr = 70, 11
-    grouping = UserGrouping.contiguous(7, 10)
     hits = {}
     for N in (6, 7, 9):
         full = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            sched = make_random_schedule(K, Ttr, N, grouping, rng,
+            sched = make_random_schedule(K, Ttr, N, 7, rng,
                                          require_full_rank=False)
             rank, _ = rank_and_condition(sched)
             full += rank == K
@@ -381,9 +374,8 @@ def test_mmse_estimation_never_worse_than_ls():
         cov = generate_covariance_set(
             scn, BandLimited(width=8, power=1.0, dynamic_range_db=20.0), rng
         )
-        grouping = scn.grouping()
-        sched = make_random_schedule(scn.K, scn.Ttr, 5, grouping, rng)
-        served = grouping.members(0)
+        sched = make_random_schedule(scn.K, scn.Ttr, 5, scn.num_cells, rng)
+        served = np.arange(scn.users_per_cell)
         se_mmse = np.zeros(served.size)
         se_ls = np.zeros(served.size)
         for e in range(200):

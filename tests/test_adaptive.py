@@ -6,7 +6,6 @@ from pilotcov import (
     Allocation,
     AdaptiveState,
     CovarianceSet,
-    UserGrouping,
     adaptive_update,
     draw_channels,
     estimate_obs_covariances,
@@ -91,8 +90,7 @@ class TestBatchEquivalence:
         # the two-step reconstruction of the slot sample means
         rng = np.random.default_rng(0)
         K, Ttr, N, S = 6, 4, 4, 50
-        grouping = UserGrouping.contiguous(2, 3)
-        sched = make_random_schedule(K, Ttr, N, grouping, rng)
+        sched = make_random_schedule(K, Ttr, N, 2, rng)
         C = rng.random((3, K)) + 0.2
         sigma_v2 = 0.3
         B = _training_blocks(C, sched, sigma_v2, S, rng)
@@ -118,8 +116,7 @@ class TestNoiseFreeFixedPoint:
         # weights, because every accumulated equation is consistent
         rng = np.random.default_rng(1)
         K, Ttr, N = 5, 3, 4
-        grouping = UserGrouping.contiguous(5, 1)
-        sched = make_random_schedule(K, Ttr, N, grouping, rng)
+        sched = make_random_schedule(K, Ttr, N, 5, rng)
         c_true = rng.uniform(0.5, 2.0, size=K)
         sigma_v2 = 0.4
         lam = 0.9
@@ -162,9 +159,7 @@ def _per_row_estimate(B, schedule, sigma_v2, lam):
 def _sparse_problem(rng, M, K, Ttr, N, T, cells):
     """A schedule and squared observations for T intervals whose true
     variances are zero for about a third of the (antenna, user) pairs."""
-    sched = make_random_schedule(
-        K, Ttr, N, UserGrouping.contiguous(cells, K // cells), rng
-    )
+    sched = make_random_schedule(K, Ttr, N, cells, rng)
     C = rng.uniform(0.05, 2.0, size=(M, K)) * (rng.random((M, K)) > 0.3)
     sigma_v2 = 0.1
     B = _training_blocks(C, sched, sigma_v2, T // N, rng)

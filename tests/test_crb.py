@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from pilotcov import (
     CovarianceSet,
-    UserGrouping,
     draw_channels,
     estimate_obs_covariances,
     make_random_schedule,
@@ -43,7 +42,7 @@ def designs(draw):
     N = draw(st.integers(1, 3)) + min_schedule_length(K, Ttr)
     S = draw(st.integers(1, 100))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sched = make_random_schedule(K, Ttr, N, UserGrouping.contiguous(K, 1), rng)
+    sched = make_random_schedule(K, Ttr, N, K, rng)
     c = rng.uniform(0.1, 2.0, size=K)
     sigma_v2 = rng.uniform(0.05, 1.0)
     d = rng.uniform(0.1, 10.0, size=N * Ttr)
@@ -83,7 +82,7 @@ def test_two_step_mse_matches_its_closed_form():
     # M antenna rows share one variance vector and are independent replicas
     rng = np.random.default_rng(2024)
     K, Ttr, N, S, M, sigma_v2 = 6, 3, 5, 60, 2000, 0.5
-    sched = make_random_schedule(K, Ttr, N, UserGrouping.contiguous(3, 2), rng)
+    sched = make_random_schedule(K, Ttr, N, 3, rng)
     c = np.array([1.0, 0.5, 2.0, 0.8, 1.5, 0.3])
     cov = CovarianceSet(np.tile(c, (M, 1)))
     blocks = [observe(draw_channels(cov, rng), sched.allocations[t % N], sigma_v2, rng)

@@ -8,7 +8,6 @@ from pilotcov import (
     IdentifiabilityError,
     Schedule,
     SingularSystemError,
-    UserGrouping,
     draw_channels,
     estimate_all_rows_ml,
     estimate_obs_covariances,
@@ -38,8 +37,7 @@ def _simulate(C, schedule, sigma_v2, repeats, rng):
 
 def _random_instance(rng, K=6, Ttr=3, N=4, repeats=10, sigma_v2=0.5):
     """A random (b_m, Pi, sigma) row problem with positive dense truth."""
-    grouping = UserGrouping.contiguous(K // 2, 2)
-    schedule = make_random_schedule(K, Ttr, N, grouping, rng)
+    schedule = make_random_schedule(K, Ttr, N, K // 2, rng)
     Pi = np.tile(schedule.compound, (1, repeats))
     c_true = rng.uniform(0.5, 1.5, size=K)
     powers = Pi.T @ c_true + sigma_v2
@@ -177,8 +175,7 @@ class TestSharedScalingEstimate:
         # algebraic core: Pi^T D (Pi D Pi^T)^{-1} right-inverts Pi for any
         # positive diagonal D, independently of the estimator code path
         rng = np.random.default_rng(4)
-        grouping = UserGrouping.contiguous(3, 2)
-        sched = make_random_schedule(6, 4, 4, grouping, rng)
+        sched = make_random_schedule(6, 4, 4, 3, rng)
         Pi = sched.compound
         for _ in range(10):
             C = rng.random((5, 6))
@@ -230,8 +227,8 @@ class TestLLFGradient:
             Ttr = int(rng.integers(2, min(K, 4) + 1))
             N = int(rng.integers(2, 5))
             reps = int(rng.integers(1, max(2, 60 // (N * Ttr)) + 1))
-            grouping = UserGrouping.contiguous(K, 1)  # unconstrained pilots
-            sched = make_random_schedule(K, Ttr, N, grouping, rng,
+            # unconstrained pilots
+            sched = make_random_schedule(K, Ttr, N, K, rng,
                                          require_full_rank=False)
             Pi = np.tile(sched.compound, (1, reps))
             s2 = rng.uniform(0.2, 1.0)

@@ -9,7 +9,6 @@ from pilotcov import (
     Record,
     ScenarioConfig,
     Uniform,
-    UserGrouping,
     emit_csv,
     load_experiment_config,
     load_result_csv,
@@ -353,6 +352,39 @@ class TestCLI:
         if edits:
             assert cli_main(["validate", str(path)]) == 1
 
+    BANDLIMITED = "kind = bandlimited\nwidth = 4\npower = 1.0\ndynamic_range_db = 10.0\n"
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("width = 4", "width = 0", "width"),
+        ("width = 4", "width = 9", "width"),
+        ("power = 1.0", "power = -1", "power"),
+        (BANDLIMITED, "kind = uniform\npower = -1\n", "power"),
+        (BANDLIMITED, "kind = random_sparse\nsupport_fraction = 1.5\n",
+         "support_fraction"),
+        ("width = 4\n", "", "width"),
+        (BANDLIMITED, "kind = random_sparse\ntotal_power = 1.0\n", "support_fraction"),
+        ("max_iter = 100", "max_iter = 100\nml_scalling = shared", "ml_scalling"),
+        ("[link]", "[output]\nformat = csv\n\n[link]", "[output]"),
+        ("width = 4", "width = 4\nsupport_fraction = 0.5", "support_fraction"),
+        ("Ttr = 4", "Ttr = 3", "every cell occupies all pilots"),
+        ("mode = random\nN = 5", "mode = imported\npath = {sched}", "covers 4 users"),
+    ], ids=["width-0", "width-above-M", "bandlimited-power-negative",
+            "uniform-power-negative", "support-fraction-above-1", "width-missing",
+            "support-fraction-missing", "misspelt-key", "unknown-section",
+            "key-of-other-kind", "cells-saturate-pilots", "imported-K-mismatch"])
+    def test_config_refused_at_validate(self, old, new, named, tmp_path, capsys):
+        sched = tmp_path / "four_users.txt"
+        sched.write_text("0 1 2 3\n1 2 3 0\n")
+        assert old in DESK_CFG
+        path = tmp_path / "refused.cfg"
+        path.write_text(DESK_CFG.replace(old, new.format(sched=sched)))
+        for argv in (["validate", str(path)],
+                     ["run", str(path), "--out", str(tmp_path / "o.csv")]):
+            assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and named in err
+            assert "Traceback" not in err
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", "--help"])
@@ -405,6 +437,39 @@ class TestCLI:
         assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("estimators, averages", [
+    (("genie", "ml", "two_step", "ls"), 1),
+    (("adaptive", "ls"), 0),
+], ids=["inverting", "adaptive-only"])
+def test_unit_ranks_each_schedule_and_averages_slots_once(estimators, averages,
+                                                         monkeypatch):
+    import pilotcov
+    from pilotcov import Schedule, experiment, schedule
+
+    calls = {"schedules": 0, "ranks": 0, "averages": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Schedule, "__post_init__",
+                        counting("schedules", Schedule.__post_init__))
+    # every module binding, so a rank check made anywhere is counted
+    rank = counting("ranks", schedule.rank_and_condition)
+    for module in (schedule, experiment, pilotcov.estimators, pilotcov.cli):
+        monkeypatch.setattr(module, "rank_and_condition", rank, raising=False)
+    monkeypatch.setattr(experiment, "estimate_obs_covariances",
+                        counting("averages", experiment.estimate_obs_covariances))
+    cfg = _tiny_config(estimators=estimators, trials=2)
+    run_experiment(cfg)
+    units = len(cfg.sweep_values) * cfg.trials
+    assert calls["schedules"] >= units
+    assert calls["ranks"] == calls["schedules"]
+    assert calls["averages"] == averages * units
+
+
 def test_genie_beats_ls_in_most_seeds():
     cfg = _tiny_config(
         estimators=("genie", "ls"), sweep_values=(20,), trials=10,
@@ -418,11 +483,10 @@ def test_genie_beats_ls_in_most_seeds():
 
 
 def test_imported_schedule_mode(tmp_path):
-    from pilotcov import UserGrouping, make_random_schedule, save_schedule
+    from pilotcov import make_random_schedule, save_schedule
 
     rng = np.random.default_rng(0)
-    grouping = UserGrouping.contiguous(2, 3)
-    sched = make_random_schedule(6, 4, 5, grouping, rng)
+    sched = make_random_schedule(6, 4, 5, 2, rng)
     path = tmp_path / "sched.txt"
     save_schedule(sched, str(path))
     cfg = _tiny_config(
@@ -474,8 +538,7 @@ def test_serving_estimates_match_per_user_loop(with_cov):
             Allocation.from_pilot_indices(np.concatenate(
                 [rng.permutation(Ttr)[:per_cell] for _ in range(cells)]), Ttr)
             for _ in range(n))
-        served = UserGrouping.contiguous(cells, per_cell).members(
-            int(rng.integers(cells)))
+        served = per_cell * int(rng.integers(cells)) + np.arange(per_cell)
         Phi = rng.standard_normal((n, M, Ttr)) + 1j * rng.standard_normal((n, M, Ttr))
         C_used = rng.uniform(0.0, 2.0, size=(M, cells * per_cell)) if with_cov else None
         sigma_v2 = rng.uniform(0.05, 1.0)
@@ -506,14 +569,13 @@ def _evaluate_rates_loop(H, Phi, schedule, served, C_used, sigma_v2, overhead):
 def test_pass_evaluation_matches_per_interval_loop(with_cov, E):
     rng = np.random.default_rng(12)
     M, K, Ttr, N, sigma_v2, overhead = 9, 6, 4, 5, 0.2, 0.95
-    grouping = UserGrouping.contiguous(2, 3)
-    schedule = make_random_schedule(K, Ttr, N, grouping, rng)
+    schedule = make_random_schedule(K, Ttr, N, 2, rng)
     H = rng.standard_normal((E, M, K)) + 1j * rng.standard_normal((E, M, K))
     Phi = np.stack([H[e] @ schedule.allocations[e % N].assignment for e in range(E)])
     Phi += np.sqrt(sigma_v2 / 2) * (rng.standard_normal(Phi.shape)
                                     + 1j * rng.standard_normal(Phi.shape))
     C_used = rng.uniform(0.1, 2.0, size=(M, K)) if with_cov else None
-    served = grouping.members(1)
+    served = np.arange(3, 6)
     rates = _evaluate_rates(H, Phi, schedule, served, C_used, sigma_v2, overhead)
     np.testing.assert_allclose(
         rates,

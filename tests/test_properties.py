@@ -30,7 +30,6 @@ from pilotcov import (
     AdaptiveState,
     Allocation,
     Schedule,
-    UserGrouping,
     adaptive_update,
     estimate_all_rows_ml,
     estimate_obs_covariances,
@@ -57,7 +56,7 @@ def problems(draw):
     N = draw(st.integers(1, 3)) + min_schedule_length(K, Ttr)
     M = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sched = make_random_schedule(K, Ttr, N, UserGrouping.contiguous(K, 1), rng)
+    sched = make_random_schedule(K, Ttr, N, K, rng)
     sigma_v2 = rng.uniform(0.05, 1.0)
     C = rng.uniform(0.1, 2.0, size=(M, K))
     b = (C @ sched.compound + sigma_v2) * rng.uniform(0.5, 1.5, size=(M, N * Ttr))
@@ -97,10 +96,11 @@ def test_user_permutation_equivariance(problem, random):
 def test_rank_respects_structural_bound(cells, per_cell, Ttr, N, seed):
     Ttr = max(Ttr, per_cell)
     K = cells * per_cell
-    sched = make_random_schedule(K, Ttr, N, UserGrouping.contiguous(cells, per_cell),
+    sched = make_random_schedule(K, Ttr, N, cells,
                                  np.random.default_rng(seed), require_full_rank=False)
     rank, _ = rank_and_condition(sched)
     assert 1 <= rank <= min(K, Ttr + (N - 1) * (Ttr - 1))
+    assert (sched.rank, sched.cond) == rank_and_condition(sched)
 
 
 @st.composite
@@ -113,7 +113,7 @@ def windows(draw):
     M = draw(st.integers(1, 4))
     S = draw(st.integers(1, 50))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sched = make_random_schedule(K, Ttr, N, UserGrouping.contiguous(K, 1), rng)
+    sched = make_random_schedule(K, Ttr, N, K, rng)
     sigma_v2 = rng.uniform(0.05, 1.0)
     C = rng.uniform(0.1, 2.0, size=(M, K))
     powers = np.tile(C @ sched.compound + sigma_v2, (1, S))

@@ -8,7 +8,6 @@ from pilotcov import (
     RandomSparse,
     ScenarioConfig,
     Uniform,
-    UserGrouping,
     generate_covariance_set,
     genie_covariances,
 )
@@ -40,18 +39,6 @@ class TestScenarioConfig:
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ValueError):
             _config(**kw)
-
-
-class TestUserGrouping:
-    def test_contiguous_membership(self):
-        g = UserGrouping.contiguous(3, 2)
-        assert g.num_users == 6
-        assert g.num_cells == 3
-        np.testing.assert_array_equal(g.members(1), [2, 3])
-
-    def test_unbalanced_rejected(self):
-        with pytest.raises(ValueError):
-            UserGrouping(np.array([0, 0, 1]))
 
 
 class TestCovarianceSet:

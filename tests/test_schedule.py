@@ -7,7 +7,6 @@ from pilotcov import (
     InfeasibleConstraintError,
     Schedule,
     SingularSystemError,
-    UserGrouping,
     load_schedule,
     make_example_schedule_442,
     make_random_schedule,
@@ -77,9 +76,8 @@ class TestRankAndCondition:
     def test_structural_bound_below_user_count(self):
         # K=6, Ttr=3, N=2: rank can reach at most 3 + 2 = 5 < 6
         rng = np.random.default_rng(0)
-        grouping = UserGrouping.contiguous(3, 2)
         for _ in range(20):
-            sched = make_random_schedule(6, 3, 2, grouping, rng,
+            sched = make_random_schedule(6, 3, 2, 3, rng,
                                          require_full_rank=False)
             rank, _ = rank_and_condition(sched)
             assert rank <= 5
@@ -87,9 +85,8 @@ class TestRankAndCondition:
     def test_rank_bound_over_random_grid(self):
         rng = np.random.default_rng(1)
         for K, Ttr, cells in [(6, 3, 3), (8, 4, 2), (12, 5, 3), (10, 4, 5)]:
-            grouping = UserGrouping.contiguous(cells, K // cells)
             for N in (1, 2, 4):
-                sched = make_random_schedule(K, Ttr, N, grouping, rng,
+                sched = make_random_schedule(K, Ttr, N, cells, rng,
                                              require_full_rank=False)
                 rank, _ = rank_and_condition(sched)
                 assert rank <= Ttr + (N - 1) * (Ttr - 1)
@@ -107,8 +104,7 @@ class TestRankAndCondition:
 class TestRandomSchedule:
     def test_single_cell_full_pilots_gives_permutation(self):
         rng = np.random.default_rng(2)
-        grouping = UserGrouping.contiguous(1, 4)
-        sched = make_random_schedule(4, 4, 1, grouping, rng)
+        sched = make_random_schedule(4, 4, 1, 1, rng)
         A = sched.allocations[0].assignment
         np.testing.assert_array_equal(A.sum(axis=0), np.ones(4))
         np.testing.assert_array_equal(A.sum(axis=1), np.ones(4))
@@ -117,49 +113,47 @@ class TestRandomSchedule:
         # two cells of two users, two pilots: each pilot carries one user
         # per cell, so both column sums are 2 in every interval
         rng = np.random.default_rng(3)
-        grouping = UserGrouping.contiguous(2, 2)
-        sched = make_random_schedule(4, 2, 3, grouping, rng,
+        sched = make_random_schedule(4, 2, 3, 2, rng,
                                      require_full_rank=False)
         for alloc in sched.allocations:
             np.testing.assert_array_equal(alloc.assignment.sum(axis=0), [2, 2])
 
     def test_same_cell_users_get_distinct_pilots(self):
         rng = np.random.default_rng(4)
-        grouping = UserGrouping.contiguous(3, 4)
-        sched = make_random_schedule(12, 5, 6, grouping, rng)
+        sched = make_random_schedule(12, 5, 6, 3, rng)
         for alloc in sched.allocations:
             pilots = alloc.pilot_of_user
             for cell in range(3):
-                cell_pilots = pilots[grouping.members(cell)]
+                cell_pilots = pilots[4 * cell : 4 * (cell + 1)]
                 assert len(set(cell_pilots)) == 4
             # all users served: the interval's columns sum to K in total
             assert alloc.assignment.sum() == 12
 
     def test_full_rank_enforced_by_default(self):
         rng = np.random.default_rng(5)
-        grouping = UserGrouping.contiguous(7, 10)
-        sched = make_random_schedule(70, 11, 9, grouping, rng)
+        sched = make_random_schedule(70, 11, 9, 7, rng)
         rank, _ = rank_and_condition(sched)
         assert rank == 70
 
     def test_too_many_users_per_cell_rejected(self):
-        grouping = UserGrouping.contiguous(2, 4)
         with pytest.raises(InfeasibleConstraintError):
-            make_random_schedule(8, 3, 5, grouping, np.random.default_rng(0))
+            make_random_schedule(8, 3, 5, 2, np.random.default_rng(0))
+
+    def test_users_not_splitting_into_cells_rejected(self):
+        with pytest.raises(ValueError):
+            make_random_schedule(7, 4, 3, 2, np.random.default_rng(0))
 
     def test_cell_saturating_pilots_never_identifiable(self):
         # when every cell occupies all pilots, differences of cell
         # indicators annihilate every allocation
-        grouping = UserGrouping.contiguous(2, 3)
         with pytest.raises(IdentifiabilityError):
-            make_random_schedule(6, 3, 10, grouping, np.random.default_rng(0))
+            make_random_schedule(6, 3, 10, 2, np.random.default_rng(0))
 
 
 class TestScheduleIO:
     def test_roundtrip_preserves_compound(self, tmp_path):
         rng = np.random.default_rng(6)
-        grouping = UserGrouping.contiguous(2, 3)
-        sched = make_random_schedule(6, 4, 3, grouping, rng)
+        sched = make_random_schedule(6, 4, 3, 2, rng)
         path = tmp_path / "sched.txt"
         save_schedule(sched, str(path))
         loaded = load_schedule(str(path), Ttr=4)
