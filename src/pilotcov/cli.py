@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, IdentifiabilityError, PilotCovError
 from .experiment import emit_csv, load_experiment_config, run_experiment
 from .schedule import (
+    default_schedule_length,
     load_schedule,
     make_random_schedule,
     min_schedule_length,
@@ -90,7 +91,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     if args.schedule_command == "generate":
         K, Ttr = args.users, args.pilots
         try:
-            N = args.length if args.length is not None else min_schedule_length(K, Ttr) + 2
+            N = args.length if args.length is not None else default_schedule_length(K, Ttr)
             schedule = make_random_schedule(
                 K, Ttr, N, args.cells, np.random.default_rng(args.seed)
             )

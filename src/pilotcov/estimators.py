@@ -2,10 +2,11 @@
 
 With diagonal covariances the rows of the observation matrix are mutually
 independent, so each antenna m poses an independent estimation problem
-for the length-K variance vector c_m.  ML solves the rows one at a time;
-the adaptive estimator solves all of them at once, as a stack of K x K
-normal equations per interval; two-step and shared scaling share one
-K x K system across the rows.
+for the length-K variance vector c_m.  ML solves the rows one at a time,
+one K x K Cholesky solve per iteration and one stacked LLF evaluation per
+backtrack; the adaptive estimator solves all of them at once, as a stack
+of K x K normal equations per interval; two-step and shared scaling share
+one K x K system across the rows.
 
 Implemented estimators:
   * two-step reconstruction: per-slot sample variances, then a right
@@ -23,7 +24,8 @@ Pi D (b - sigma_v2) with a different diagonal slot weighting D: two-step
 uses D = I, ML re-weights D at every iterate, shared scaling uses one D
 for all antennas and the adaptive estimator accumulates Pi D Pi^T over
 intervals.  All of them go through `_solve_normal`, and the D = I solve
-is `shared_scaling_estimate` with D = None.
+is `shared_scaling_estimate` with D = None.  A single K x K system goes
+straight to LAPACK's Cholesky routines, a stack to scipy's batched solve.
 
 The batch estimators take per-slot statistics: the slot means b over the
 S passes of a window (`estimate_obs_covariances`) with the compound
@@ -39,11 +41,13 @@ one flag per antenna row for per-row ML, one bool for shared scaling.
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import IdentifiabilityError, SingularSystemError
 from .schedule import Allocation, Schedule
@@ -91,6 +95,12 @@ def estimate_obs_covariances(B: np.ndarray, schedule: Schedule) -> np.ndarray:
     return B.reshape(M, total // block, block).mean(axis=1)
 
 
+_POTRF, _POCON, _POTRS, _LANGE = scipy.linalg.lapack.get_lapack_funcs(
+    ("potrf", "pocon", "potrs", "lange"), dtype=np.float64
+)
+_EPS = np.finfo(np.float64).eps
+
+
 def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the normal equations G c = rhs for G = Pi D Pi^T.
 
@@ -99,19 +109,50 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     (..., K, K) takes one right-hand side per slice, (..., K).  The two
     cases are told apart by G.ndim: rhs shapes (K, M) and (M, K) coincide
     when M == K.
+
+    A single G is solved by LAPACK directly: upper Cholesky (potrf), its
+    reciprocal condition number (pocon) and the triangular solves (potrs).
+    These are the calls, and therefore the bits, of
+    `scipy.linalg.solve(G, rhs, assume_a="pos")`, without its per-call
+    overhead, and with its checks: non-finite input raises ValueError, an
+    indefinite G raises SingularSystemError and an ill-conditioned one
+    warns `scipy.linalg.LinAlgWarning`.  A stack goes to scipy's batched
+    solve.
     """
-    try:
-        if G.ndim == 2:
-            return scipy.linalg.solve(G, rhs, assume_a="pos")
-        # stacked right-hand sides must be (..., K, NRHS) matrices
-        return scipy.linalg.solve(G, rhs[..., None], assume_a="pos")[..., 0]
-    except np.linalg.LinAlgError as exc:
-        # for a stack, scipy's message may name the wrong slice
-        detail = (f"at least one of {G[..., 0, 0].size} stacked systems"
-                  if G.ndim > 2 else str(exc))
+    if G.ndim > 2:
+        try:
+            # stacked right-hand sides must be (..., K, NRHS) matrices
+            return scipy.linalg.solve(G, rhs[..., None], assume_a="pos")[..., 0]
+        except np.linalg.LinAlgError as exc:
+            # scipy's message may name the wrong slice
+            raise SingularSystemError(
+                "weighted normal equations are singular or indefinite: at "
+                f"least one of {G[..., 0, 0].size} stacked systems"
+            ) from exc
+    if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
+        raise ValueError("normal equations must not contain infs or NaNs")
+    if G.shape == (1, 1):
+        # scipy divides a 1 x 1 system instead of factoring it
+        if not G[0, 0] > 0:
+            raise SingularSystemError(
+                "weighted normal equations are singular or indefinite: "
+                "the 1 x 1 system is not positive"
+            )
+        return rhs / G[0, 0]
+    U, info = _POTRF(G)
+    if info > 0:
         raise SingularSystemError(
-            f"weighted normal equations are singular or indefinite: {detail}"
-        ) from exc
+            "weighted normal equations are singular or indefinite: the "
+            f"leading minor of order {info} is not positive"
+        )
+    rcond, _ = _POCON(U, _LANGE("1", G))
+    if not rcond >= _EPS:
+        warnings.warn(
+            f"ill-conditioned normal equations (rcond={rcond:.6g}): the "
+            "solution may not be accurate", scipy.linalg.LinAlgWarning, stacklevel=2,
+        )
+    x, _ = _POTRS(U, rhs if rhs.ndim == 2 else rhs[:, None])
+    return x if rhs.ndim == 2 else x[:, 0]
 
 
 def two_step_reconstruct(
@@ -168,20 +209,26 @@ def shared_scaling_estimate(
 
 
 def _slot_powers(c_m: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
-    return Pi.T @ c_m + sigma_v2
+    # written as a stack of matrix-vector products, so every row of a stack
+    # (..., K) rounds as Pi^T @ c_m does for that row alone
+    return (Pi.T @ c_m[..., None])[..., 0] + sigma_v2
 
 
 def negative_llf(
     c_m: np.ndarray, b_m: np.ndarray, Pi: np.ndarray, sigma_v2: float
-) -> float:
+) -> float | np.ndarray:
     """Negative log-likelihood of one antenna row's squared observations.
 
     sum_i [ b_i / p_i + log p_i ] with slot powers p_i = pi_i^T c_m + sigma_v2.
+    c_m is one variance vector (K,), giving a float, or a stack of them
+    (..., K), giving one value per vector, each bit for bit the value of
+    its own call.  A nonpositive slot power anywhere raises ValueError.
     """
     powers = _slot_powers(np.asarray(c_m, float), np.asarray(Pi, float), sigma_v2)
-    if np.any(powers <= 0):
+    if (powers <= 0).any():
         raise ValueError("all slot powers must be strictly positive")
-    return float(np.sum(b_m / powers + np.log(powers)))
+    values = (b_m / powers + np.log(powers)).sum(axis=-1)
+    return float(values) if values.ndim == 0 else values
 
 
 def llf_gradient(
@@ -190,7 +237,7 @@ def llf_gradient(
     """Gradient of `negative_llf` with respect to the variance vector."""
     Pi = np.asarray(Pi, dtype=float)
     powers = _slot_powers(np.asarray(c_m, float), Pi, sigma_v2)
-    if np.any(powers <= 0):
+    if (powers <= 0).any():
         raise ValueError("all slot powers must be strictly positive")
     return Pi @ ((powers - b_m) / powers**2)
 
@@ -200,6 +247,9 @@ def _safe_llf(c_m: np.ndarray, b_m: np.ndarray, Pi: np.ndarray, sigma_v2: float)
         return negative_llf(c_m, b_m, Pi, sigma_v2)
     except ValueError:
         return np.inf
+
+
+_HALVINGS = 10
 
 
 def ml_fixed_point(
@@ -215,9 +265,11 @@ def ml_fixed_point(
     Each step solves the weighted normal equations with slot weights
     d_i = 1 / slot_power_i^2 frozen at the previous iterate, then clamps
     the result to the nonnegative orthant.  If the LLF increases, the step
-    is halved toward the previous iterate (up to 10 times); the cost is
-    neither convex nor quasi-convex, so this only safeguards against
-    divergence without moving the fixed points.
+    is halved toward the previous iterate up to 10 times and the first
+    halving that does not increase it is taken; one stacked `negative_llf`
+    call scores all ten.  The cost is neither convex nor quasi-convex, so
+    this only safeguards against divergence without moving the fixed
+    points.
 
     Convergence requires the step criterion ||c_new - c_old||_inf <=
     tol * (1 + ||c_old||_inf) and, at interior iterates, a certified
@@ -226,7 +278,8 @@ def ml_fixed_point(
     b_m is normally one row of slot means with Pi the compound allocation;
     the gradient certificate is then per pass of the schedule and does not
     depend on the window length.  Raw squared observations with Pi tiled S
-    times have the same minimisers but an S times larger gradient.
+    times have the same minimisers but an S times larger gradient.  The
+    noise power sigma_v2 must be >= 0.
     """
     Pi = np.asarray(Pi, dtype=float)
     b_m = np.asarray(b_m, dtype=float)
@@ -236,6 +289,8 @@ def ml_fixed_point(
             f"b_m must hold one observation per slot ({Pi.shape[1]}), "
             f"got shape {b_m.shape}"
         )
+    if not sigma_v2 >= 0:
+        raise ValueError(f"sigma_v2 must be >= 0, got {sigma_v2}")
     if init is None:
         # warm start from the unweighted (two-step) solution
         c = shared_scaling_estimate(b_m[None, :], Pi, None, sigma_v2)[0]
@@ -244,42 +299,47 @@ def ml_fixed_point(
         if c.shape != (K,) or np.any(c < 0):
             raise ValueError("init must be a nonnegative length-K vector")
 
+    residual = b_m - sigma_v2
     obj = _safe_llf(c, b_m, Pi, sigma_v2)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         powers = _slot_powers(c, Pi, sigma_v2)
-        if np.any(powers <= 0) or not np.all(np.isfinite(powers)):
+        if not (powers > 0).all() or not np.isfinite(powers).all():
             raise SingularSystemError(
                 "slot powers vanished; weights 1/power^2 are undefined"
             )
         d = powers**-2
-        c_new = np.maximum(
-            _solve_normal((Pi * d) @ Pi.T, Pi @ (d * (b_m - sigma_v2))), 0.0
-        )
+        c_new = np.maximum(_solve_normal((Pi * d) @ Pi.T, Pi @ (d * residual)), 0.0)
         obj_new = _safe_llf(c_new, b_m, Pi, sigma_v2)
         if obj_new > obj:
             # backtrack toward the previous iterate while it helps; when no
             # halving descends, take the full step anyway: the clamped fixed
             # point may sit slightly uphill of the path minimum, and the map
-            # stays bounded for positive noise power
-            cand, obj_cand, accepted = c_new, obj_new, False
-            for _ in range(10):
-                cand = 0.5 * (cand + c)
-                obj_cand = _safe_llf(cand, b_m, Pi, sigma_v2)
-                if obj_cand <= obj:
-                    c_new, obj_new, accepted = cand, obj_cand, True
-                    break
-            if not accepted and not np.isfinite(obj_new):
-                # all candidates leave the LLF domain: stall out honestly
+            # stays bounded for positive noise power.  The halvings follow
+            # the recursion, not the closed form c + 2^-j (c_new - c), which
+            # rounds differently.  Each keeps at least half of c's slot
+            # powers (c_new >= 0, sigma_v2 >= 0), so one stacked LLF call
+            # scores them all inside the LLF domain.
+            halvings = np.empty((_HALVINGS, K))
+            cand = c_new
+            for j in range(_HALVINGS):
+                cand = halvings[j] = 0.5 * (cand + c)
+            values = negative_llf(halvings, b_m, Pi, sigma_v2)
+            descends = np.flatnonzero(values <= obj)
+            if descends.size:
+                c_new, obj_new = halvings[descends[0]], float(values[descends[0]])
+            elif not np.isfinite(obj_new):
+                # the full step leaves the LLF domain and no halving
+                # descends: stall out honestly at the previous iterate
                 break
 
-        step_ok = np.max(np.abs(c_new - c)) <= tol * (1.0 + np.max(np.abs(c)))
+        step_ok = np.abs(c_new - c).max() <= tol * (1.0 + c.max())  # c >= 0
         c, obj = c_new, obj_new
         if step_ok:
-            if np.all(c > 0):
+            if (c > 0).all():
                 # interior iterate: certify stationarity before stopping
-                if np.max(np.abs(llf_gradient(c, b_m, Pi, sigma_v2))) <= 10 * tol:
+                if np.abs(llf_gradient(c, b_m, Pi, sigma_v2)).max() <= 10 * tol:
                     converged = True
                     break
             else:

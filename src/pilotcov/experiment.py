@@ -44,10 +44,10 @@ from .schedule import (
     Allocation,
     Schedule,
     check_random_schedule,
+    default_schedule_length,
     load_schedule,
     make_example_schedule_442,
     make_random_schedule,
-    min_schedule_length,
 )
 
 __all__ = [
@@ -77,7 +77,7 @@ class ExperimentConfig:
     scenario: ScenarioConfig
     profile: ProfileKind
     schedule_mode: str = "random"          # random | example442 | imported
-    schedule_n: int | None = None          # random mode; None -> min length + 2
+    schedule_n: int | None = None          # random mode; None -> default_schedule_length
     schedule_path: str | None = None       # imported mode
     estimators: tuple[str, ...] = ("genie", "ls")
     sweep_axis: str = "T"
@@ -114,7 +114,7 @@ def _schedule_length(cfg: ExperimentConfig, Ttr: int, K: int) -> int:
     if cfg.schedule_n is not None:
         return cfg.schedule_n
     try:
-        return min_schedule_length(K, Ttr) + 2
+        return default_schedule_length(K, Ttr)
     except IdentifiabilityError as exc:
         raise ConfigError(f"[schedule] {exc}") from exc
 

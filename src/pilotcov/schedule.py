@@ -23,6 +23,7 @@ __all__ = [
     "Allocation",
     "Schedule",
     "min_schedule_length",
+    "default_schedule_length",
     "check_random_schedule",
     "make_random_schedule",
     "make_example_schedule_442",
@@ -125,6 +126,12 @@ def min_schedule_length(K: int, Ttr: int) -> int:
             "compound allocation has rank 1; at least two pilots are needed"
         )
     return math.ceil((K - 1) / (Ttr - 1))
+
+
+def default_schedule_length(K: int, Ttr: int) -> int:
+    """Schedule length used when none is given, by `schedule generate` and
+    by a sweep config without N: two allocations more than the minimum."""
+    return min_schedule_length(K, Ttr) + 2
 
 
 def check_random_schedule(K: int, Ttr: int, N: int, num_cells: int,

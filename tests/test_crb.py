@@ -12,6 +12,10 @@ covariance A^T diag(p^2 / S) A equals the CRB for D = p^-2 at the truth
 and lies above it in PSD order for every other positive D (Gauss–Markov).
 For two-step (D = I) it is G^-1 Pi diag(p^2 / S) Pi^T G^-1, G = Pi Pi^T,
 which a Monte-Carlo run through the channel simulator must reproduce.
+
+ML re-weights with D = p^-2 at its own estimate; for an interior truth
+and many passes it is efficient (Kay, ch. 7), so its MSE per user
+approaches the CRB while two-step's stays above it.
 """
 
 import numpy as np
@@ -20,8 +24,12 @@ from hypothesis import strategies as st
 
 from pilotcov import (
     CovarianceSet,
+    ScenarioConfig,
+    Uniform,
     draw_channels,
+    estimate_all_rows_ml,
     estimate_obs_covariances,
+    generate_covariance_set,
     make_random_schedule,
     min_schedule_length,
     observe,
@@ -97,3 +105,31 @@ def test_two_step_mse_matches_its_closed_form():
     std_err = sq_err.std(axis=0, ddof=1) / np.sqrt(M)
     assert np.all(np.abs(sq_err.mean(axis=0) - predicted) <= 4 * std_err), (
         sq_err.mean(axis=0), predicted, std_err)
+
+
+def test_interior_ml_rows_attain_the_crb():
+    # the uniform profile gives every antenna row the same interior truth,
+    # so the M rows are independent replicas of one ML problem
+    rng = np.random.default_rng(0)
+    K, Ttr, N, S, M, sigma_v2 = 6, 3, 5, 200, 2000, 0.5
+    scn = ScenarioConfig(M=M, K=K, Ttr=Ttr, sigma_v2=sigma_v2, num_cells=3,
+                         users_per_cell=2, seed=0)
+    cov = generate_covariance_set(scn, Uniform(1.0), rng)
+    sched = make_random_schedule(K, Ttr, N, 3, rng)
+    blocks = [observe(draw_channels(cov, rng), sched.allocations[t % N], sigma_v2, rng)
+              for t in range(S * N)]
+    b = estimate_obs_covariances(squared_rows(blocks), sched)
+    C_hat, converged = estimate_all_rows_ml(b, sched.compound, sigma_v2)
+    assert np.all(converged) and np.all(C_hat > 0)
+
+    Pi, c = sched.compound, cov.C[0]
+    p = Pi.T @ c + sigma_v2
+    crb = np.diag(np.linalg.inv(S * (Pi * p**-2) @ Pi.T))
+    sq_err = (C_hat - c) ** 2
+    std_err = sq_err.std(axis=0, ddof=1) / np.sqrt(M)
+    assert np.all(np.abs(sq_err.mean(axis=0) - crb) <= 4 * std_err), (
+        sq_err.mean(axis=0) / crb, std_err / crb)
+    assert abs(sq_err.mean(axis=0).sum() / crb.sum() - 1) <= 0.05
+    # the same draws put two-step well above the bound
+    two_step = two_step_reconstruct(b, sched, sigma_v2, clamp=False)
+    assert ((two_step - c) ** 2).mean(axis=0).sum() / crb.sum() >= 1.1

@@ -2,6 +2,9 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotcov import (
     CovarianceSet,
@@ -43,6 +46,65 @@ def _random_instance(rng, K=6, Ttr=3, N=4, repeats=10, sigma_v2=0.5):
     powers = Pi.T @ c_true + sigma_v2
     b = powers * rng.exponential(1.0, size=Pi.shape[1])
     return b, Pi, sigma_v2, c_true
+
+
+def ml_fixed_point_one_at_a_time(b_m, Pi, sigma_v2, init, tol=1e-8, max_iter=200):
+    """Oracle: the ML fixed point as first written, with one LLF evaluation
+    per halving and scipy's solve.  Returns (c_hat, iterations, converged,
+    taken), `taken` holding the index of the halving each accepted
+    backtrack took."""
+
+    def llf(c):
+        powers = Pi.T @ c + sigma_v2
+        if np.any(powers <= 0):
+            return np.inf
+        return float(np.sum(b_m / powers + np.log(powers)))
+
+    c, taken = init.copy(), []
+    obj = llf(c)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        d = (Pi.T @ c + sigma_v2) ** -2
+        G, rhs = (Pi * d) @ Pi.T, Pi @ (d * (b_m - sigma_v2))
+        c_new = np.maximum(scipy.linalg.solve(G, rhs, assume_a="pos"), 0.0)
+        obj_new = llf(c_new)
+        if obj_new > obj:
+            cand, accepted = c_new, False
+            for j in range(10):
+                cand = 0.5 * (cand + c)
+                obj_cand = llf(cand)
+                if obj_cand <= obj:
+                    c_new, obj_new, accepted = cand, obj_cand, True
+                    taken.append(j)
+                    break
+            if not accepted and not np.isfinite(obj_new):
+                break
+        step_ok = np.max(np.abs(c_new - c)) <= tol * (1.0 + np.max(np.abs(c)))
+        c, obj = c_new, obj_new
+        if step_ok:
+            if np.all(c > 0):
+                powers = Pi.T @ c + sigma_v2
+                grad = Pi @ ((powers - b_m) / powers**2)
+                if np.max(np.abs(grad)) <= 10 * tol:
+                    converged = True
+                    break
+            else:
+                converged = True
+                break
+    return c, iterations, converged, taken
+
+
+def _desk_row(seed, truth, S, sigma_v2=0.1):
+    """One antenna row at the desk geometry (K=12, Ttr=5, N=5, 3 cells):
+    slot means of S passes, drawn as Gamma(S, p / S), the mean of S
+    exponential squared observations."""
+    rng = np.random.default_rng(seed)
+    Pi = make_random_schedule(12, 5, 5, 3, rng).compound
+    c = {"uniform": np.ones(12),
+         "sparse": rng.uniform(0.0, 1.0, 12) * (rng.random(12) < 0.5)}[truth]
+    b = rng.gamma(S, (Pi.T @ c + sigma_v2) / S)
+    return b, Pi, sigma_v2
 
 
 class TestEstimateObsCovariances:
@@ -97,6 +159,47 @@ class TestEstimateObsCovariances:
 def test_one_column_per_slot_required(estimate):
     with pytest.raises(ValueError, match="per slot"):
         estimate(np.ones((3, 1)), make_example_schedule_442())
+
+
+
+@st.composite
+def spd_systems(draw):
+    """A Gram matrix G = X diag(d) X^T (K x K, K = 1..70) with one
+    right-hand side (K,) or several (K, M)."""
+    K = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((K, K + draw(st.integers(0, K))))
+    G = (X * rng.uniform(0.1, 10.0, X.shape[1])) @ X.T
+    ncols = draw(st.none() | st.integers(1, 8))
+    rhs = rng.standard_normal(K if ncols is None else (K, ncols))
+    return G, rhs
+
+
+class TestSolveNormal:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(spd_systems())
+    def test_bits_equal_scipy_positive_definite_solve(self, system):
+        G, rhs = system
+        assert np.array_equal(_solve_normal(G, rhs),
+                              scipy.linalg.solve(G, rhs, assume_a="pos"))
+
+    @pytest.mark.parametrize("G", [np.diag([1.0, -1.0]), np.ones((3, 3)),
+                                   np.array([[-2.0]])],
+                             ids=["indefinite", "rank-one", "negative-1x1"])
+    def test_singular_or_indefinite_rejected(self, G):
+        with pytest.raises(SingularSystemError, match="singular or indefinite"):
+            _solve_normal(G, np.ones(G.shape[0]))
+
+    def test_ill_conditioned_system_warns(self):
+        with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
+            _solve_normal(np.diag([1.0, 1e-17]), np.ones(2))
+
+    @pytest.mark.parametrize("bad", ["G", "rhs"])
+    def test_non_finite_input_rejected(self, bad):
+        G, rhs = np.eye(3), np.ones(3)
+        {"G": G, "rhs": rhs}[bad][1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_normal(G, rhs)
 
 
 class TestTwoStepReconstruct:
@@ -210,6 +313,19 @@ class TestNegativeLLF:
         with pytest.raises(ValueError):
             negative_llf(np.zeros(1), np.ones(2), np.ones((1, 2)), 0.0)
 
+    def test_stack_gives_each_rows_value_bit_for_bit(self):
+        rng = np.random.default_rng(18)
+        b, Pi, s2, _ = _random_instance(rng)
+        stack = rng.uniform(0.0, 2.0, size=(2, 5, Pi.shape[0]))
+        values = negative_llf(stack, b, Pi, s2)
+        assert values.shape == (2, 5)
+        for idx in np.ndindex(2, 5):
+            single = negative_llf(stack[idx], b, Pi, s2)
+            assert type(single) is float and values[idx] == single
+        stack[1, 3] = -10.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            negative_llf(stack, b, Pi, s2)
+
 
 class TestLLFGradient:
     def test_vanishes_at_exact_residuals(self):
@@ -296,10 +412,54 @@ class TestMLFixedPoint:
         with pytest.raises(ValueError):
             ml_fixed_point(np.ones(4), np.ones((1, 4)), 0.1, init=np.array([-1.0]))
 
+    def test_negative_noise_power_rejected(self):
+        # halvings of a step stay in the LLF domain only for sigma_v2 >= 0
+        with pytest.raises(ValueError, match="sigma_v2"):
+            ml_fixed_point(np.ones(4), np.ones((1, 4)), -0.1)
+
     def test_rank_deficient_system_raises(self):
         Pi = np.ones((2, 6))  # two identical user rows
         with pytest.raises(SingularSystemError):
             ml_fixed_point(np.ones(6), Pi, 0.1)
+
+
+class TestMLMatchesOneAtATime:
+    """One stacked LLF call per backtrack takes the halving the
+    one-at-a-time loop takes, so every result is the same bit for bit."""
+
+    @pytest.mark.parametrize("truth, S, seed, max_iter, stop", [
+        ("uniform", 24, 0, 200, "interior"),
+        ("uniform", 6, 23, 200, "boundary"),
+        ("sparse", 12, 0, 200, "boundary"),
+        ("uniform", 6, 23, 10, "max_iter"),
+    ], ids=["interior-certificate", "boundary", "sparse-boundary", "max-iter"])
+    def test_backtracking_matches_oracle(self, truth, S, seed, max_iter, stop):
+        b, Pi, s2 = _desk_row(seed, truth, S)
+        init = shared_scaling_estimate(b[None, :], Pi, None, s2)[0]
+        c, iterations, converged, taken = ml_fixed_point_one_at_a_time(
+            b, Pi, s2, init, max_iter=max_iter)
+        assert taken, "the case must accept at least one halving"
+        assert {"interior": converged and np.all(c > 0),
+                "boundary": converged and not np.all(c > 0),
+                "max_iter": not converged and iterations == max_iter}[stop]
+        res = ml_fixed_point(b, Pi, s2, max_iter=max_iter)
+        assert np.array_equal(res.c_hat, c)
+        assert (res.iterations, res.converged) == (iterations, converged)
+
+    def test_rows_of_a_sweep_match_oracle(self):
+        rng = np.random.default_rng(19)
+        sched = make_random_schedule(12, 5, 5, 3, rng)
+        C = rng.uniform(0.0, 1.0, (16, 12)) * (rng.random((16, 12)) < 0.5)
+        b = estimate_obs_covariances(_simulate(C, sched, 0.1, 12, rng), sched)
+        C_hat, flags = estimate_all_rows_ml(b, sched.compound, 0.1)
+        init = shared_scaling_estimate(b, sched.compound, None, 0.1)
+        taken = 0
+        for m in range(16):
+            c, _, converged, halvings = ml_fixed_point_one_at_a_time(
+                b[m], sched.compound, 0.1, init[m])
+            assert np.array_equal(C_hat[m], c) and flags[m] == converged
+            taken += len(halvings)
+        assert taken > 0
 
 
 class TestEstimateAllRowsML:

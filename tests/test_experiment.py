@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,8 @@ from pilotcov import (
     uplink_sum_rate,
 )
 from pilotcov.cli import main as cli_main
-from pilotcov.experiment import _evaluate_rates, _serving_estimates
+from pilotcov.experiment import _evaluate_rates, _schedule_length, _serving_estimates
+from pilotcov.schedule import default_schedule_length
 
 DESK_CFG = """
 [scenario]
@@ -301,6 +304,18 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "identifiable=yes" in out
 
+    def test_default_schedule_length_shared_by_cli_and_sweep(self, tmp_path, capsys):
+        # `schedule generate` without --length, a config without N
+        assert cli_main(["schedule", "generate", "--users", "6", "--pilots", "4",
+                         "--cells", "2"]) == 0
+        printed = int(re.search(r"\bN=(\d+)", capsys.readouterr().out).group(1))
+        path = tmp_path / "no_n.cfg"
+        path.write_text(DESK_CFG.replace("N = 5\n", "")
+                        .replace("values = 10, 20", "values = 8, 16"))
+        cfg = load_experiment_config(str(path))
+        assert cfg.schedule_n is None
+        assert printed == _schedule_length(cfg, 4, 6) == default_schedule_length(6, 4)
+
     def test_seed_base_changes_output(self, desk_config, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         cli_main(["run", desk_config, "--out", str(a)])
@@ -468,6 +483,33 @@ def test_unit_ranks_each_schedule_and_averages_slots_once(estimators, averages,
     assert calls["schedules"] >= units
     assert calls["ranks"] == calls["schedules"]
     assert calls["averages"] == averages * units
+
+
+def test_ml_scores_each_backtrack_with_one_llf_call(monkeypatch):
+    # per ML row: one LLF call at the start, then per iteration one for the
+    # full step and at most one for all halvings of a backtrack
+    from pilotcov import estimators
+
+    llf, fixed_point = estimators.negative_llf, estimators.ml_fixed_point
+    llf_calls, per_row = [0], []
+
+    def counting_llf(*args, **kwargs):
+        llf_calls[0] += 1
+        return llf(*args, **kwargs)
+
+    def counted_fixed_point(*args, **kwargs):
+        before = llf_calls[0]
+        result = fixed_point(*args, **kwargs)
+        per_row.append((llf_calls[0] - before, result.iterations))
+        return result
+
+    monkeypatch.setattr(estimators, "negative_llf", counting_llf)
+    monkeypatch.setattr(estimators, "ml_fixed_point", counted_fixed_point)
+    run_experiment(_tiny_config(estimators=("ml",), trials=2))
+    assert per_row
+    assert any(calls > 1 + iterations for calls, iterations in per_row), \
+        "no row backtracked"
+    assert all(calls <= 1 + 2 * iterations for calls, iterations in per_row), per_row
 
 
 def test_genie_beats_ls_in_most_seeds():
