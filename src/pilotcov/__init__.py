@@ -41,7 +41,6 @@ from .linklevel import (
 )
 from .scenario import (
     BandLimited,
-    CovarianceSet,
     RandomSparse,
     ScenarioConfig,
     Uniform,

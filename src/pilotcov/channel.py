@@ -5,10 +5,11 @@ signal with the orthonormal pilots leaves one observation column per
 pilot, equal to the sum of the channel vectors of the users assigned to
 that pilot plus white noise.
 
-Everything is a plain array: a channel draw H is (M, K) complex with one
-column per user, a training observation Phi is (M, Ttr) complex with one
-column per pilot, and the squared observations B of T intervals are
-(M, T * Ttr) real, column t * Ttr + p belonging to pilot p of interval t.
+Everything is a plain array: the ground-truth variances C are (M, K) real,
+a channel draw H is (M, K) complex with one column per user, a training
+observation Phi is (M, Ttr) complex with one column per pilot, and the
+squared observations B of T intervals are (M, T * Ttr) real, column
+t * Ttr + p belonging to pilot p of interval t.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .scenario import CovarianceSet
 from .schedule import Allocation
 
 __all__ = [
@@ -27,16 +27,15 @@ __all__ = [
 ]
 
 
-def draw_channels(cov: CovarianceSet, rng: np.random.Generator) -> np.ndarray:
-    """One circularly-symmetric complex Gaussian channel draw per user.
+def draw_channels(C: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One circularly-symmetric complex Gaussian channel draw per user from
+    the (M, K) variances C.
 
     Real and imaginary parts are independent N(0, C[m,k]/2), so the
     per-entry power is exactly C[m,k].
     """
-    scale = np.sqrt(cov.C / 2.0)
-    return scale * (
-        rng.standard_normal(cov.C.shape) + 1j * rng.standard_normal(cov.C.shape)
-    )
+    scale = np.sqrt(C / 2.0)
+    return scale * (rng.standard_normal(C.shape) + 1j * rng.standard_normal(C.shape))
 
 
 def observe(

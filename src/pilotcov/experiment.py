@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import configparser
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .estimators import (
 from .linklevel import ls_channel_estimate, mmse_channel_estimate, rzf_filter, uplink_sum_rate
 from .scenario import (
     BandLimited,
-    CovarianceSet,
     ProfileKind,
     RandomSparse,
     ScenarioConfig,
@@ -76,12 +75,12 @@ class ExperimentConfig:
 
     scenario: ScenarioConfig
     profile: ProfileKind
+    sweep_values: tuple[int, ...]
     schedule_mode: str = "random"          # random | example442 | imported
     schedule_n: int | None = None          # random mode; None -> default_schedule_length
     schedule_path: str | None = None       # imported mode
     estimators: tuple[str, ...] = ("genie", "ls")
     sweep_axis: str = "T"
-    sweep_values: tuple[int, ...] = (60,)
     trials: int = 1
     T: int = 60                            # training window when sweeping Ttr
     t_coh: int = 200                       # coherence block length (channel uses)
@@ -142,6 +141,11 @@ def validate_experiment_config(cfg: ExperimentConfig) -> None:
             f"[estimation] estimators must be a non-empty subset of "
             f"{ESTIMATOR_NAMES}, got {cfg.estimators}"
         )
+    for key, entries in (("[sweep] values", cfg.sweep_values),
+                         ("[estimation] estimators", cfg.estimators)):
+        repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+        if repeated:
+            raise ConfigError(f"{key} repeat {repeated[0]!r}: each would run twice")
     if not 0.0 < cfg.lam <= 1.0:
         raise ConfigError("[estimation] lambda must be in (0, 1]")
     if not (np.isfinite(cfg.tol) and cfg.tol > 0) or cfg.max_iter < 1:
@@ -239,7 +243,7 @@ def _estimate_adaptive(
 def _estimate_covariances(
     name: str,
     cfg: ExperimentConfig,
-    truth: CovarianceSet,
+    truth: np.ndarray,
     B: np.ndarray,
     c_obs: np.ndarray | None,
     schedule: Schedule,
@@ -249,7 +253,7 @@ def _estimate_covariances(
     if name == "ls":
         return None
     if name == "genie":
-        return genie_covariances(truth).C
+        return genie_covariances(truth)
     if name == "adaptive":
         return _estimate_adaptive(B, schedule, sigma_v2, cfg.lam)
     if name == "two_step":
@@ -352,7 +356,7 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
 
     served = np.arange(scn.users_per_cell)
     overhead = 1.0 - scn.Ttr / cfg.t_coh
-    truth_norm = np.linalg.norm(truth.C)
+    truth_norm = np.linalg.norm(truth)
 
     records = []
     for name in cfg.estimators:
@@ -370,9 +374,9 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
         elif not np.all(np.isfinite(C_hat)):
             raise ValueError(f"{name} estimate contains non-finite entries")
         elif truth_norm == 0.0:
-            cov_rmse = float(np.linalg.norm(C_hat - truth.C))
+            cov_rmse = float(np.linalg.norm(C_hat - truth))
         else:
-            cov_rmse = float(np.linalg.norm(C_hat - truth.C) / truth_norm)
+            cov_rmse = float(np.linalg.norm(C_hat - truth) / truth_norm)
 
         rates = _evaluate_rates(H_eval, Phi_eval, schedule, served, C_hat,
                                 scn.sigma_v2, overhead)
@@ -388,8 +392,8 @@ def run_experiment(
 ) -> tuple[Record, ...]:
     """Run the full sweep and return its records.  Output is deterministic
     given the config (with `measure_runtime=False`, the default, runtime_ms
-    is reported as 0 so emitted CSV bytes are reproducible)."""
-    validate_experiment_config(cfg)
+    is reported as 0 so emitted CSV bytes are reproducible).  The config
+    was validated when it was built."""
     return tuple(
         r
         for v in cfg.sweep_values
@@ -446,62 +450,99 @@ def load_result_csv(path: str) -> tuple[Record, ...]:
     return tuple(records)
 
 
-def _finite_float(sec: configparser.SectionProxy, key: str) -> float:
-    """`getfloat` that also rejects nan and inf, which configparser accepts."""
-    value = sec.getfloat(key)
+def _finite_float(text: str) -> float:
+    """`float` that also rejects nan and inf."""
+    value = float(text)
     if not np.isfinite(value):
-        raise ValueError(f"{key} must be a finite number, got {value}")
+        raise ValueError(f"must be a finite number, got {value}")
     return value
 
 
-def _get_int(sec: configparser.SectionProxy, key: str) -> int:
-    return sec.getint(key)
+def _list_of(parse):
+    return lambda text: tuple(parse(tok) for tok in text.split(",") if tok.strip())
 
 
-# the keys load_experiment_config reads, as configparser lower-cases them;
-# a misspelt one would silently fall back to its default
-_CONFIG_KEYS = {
-    "scenario": ("m", "k", "ttr", "sigma_v2", "num_cells", "users_per_cell",
-                 "seed", "t"),
-    "profile": None,  # keys depend on the kind, see _PROFILES
-    "schedule": ("mode", "n", "path"),
-    "estimation": ("estimators", "lambda", "tol", "max_iter", "ml_scaling"),
-    "sweep": ("axis", "values", "trials"),
-    "link": ("t_coh", "eval_intervals"),
+# section -> key as documented -> (field of ScenarioConfig or
+# ExperimentConfig, parser of its text); keys match in any case, as
+# configparser lower-cases them
+_SECTIONS = {
+    "scenario": {"M": ("M", int), "K": ("K", int), "Ttr": ("Ttr", int),
+                 "sigma_v2": ("sigma_v2", _finite_float),
+                 "num_cells": ("num_cells", int),
+                 "users_per_cell": ("users_per_cell", int),
+                 "seed": ("seed", int), "T": ("T", int)},
+    "schedule": {"mode": ("schedule_mode", str.strip), "N": ("schedule_n", int),
+                 "path": ("schedule_path", str.strip)},
+    "estimation": {"estimators": ("estimators", _list_of(str.strip)),
+                   "lambda": ("lam", _finite_float), "tol": ("tol", _finite_float),
+                   "max_iter": ("max_iter", int),
+                   "ml_scaling": ("ml_scaling", str.strip)},
+    "sweep": {"axis": ("sweep_axis", str.strip),
+              "values": ("sweep_values", _list_of(int)), "trials": ("trials", int)},
+    "link": {"T_coh": ("t_coh", int), "eval_intervals": ("eval_intervals", int)},
 }
-# profile kind -> (class, getter of each key it reads); absent keys take
-# the class defaults
+# [profile] kind -> (class, key -> (field, parser) of the keys it reads)
 _PROFILES = {
-    "uniform": (Uniform, {"power": _finite_float}),
-    "bandlimited": (BandLimited, {"width": _get_int, "power": _finite_float,
-                                  "center": _get_int,
-                                  "dynamic_range_db": _finite_float}),
-    "random_sparse": (RandomSparse, {"support_fraction": _finite_float,
-                                     "total_power": _finite_float}),
+    "uniform": (Uniform, {"power": ("power", _finite_float)}),
+    "bandlimited": (BandLimited, {"width": ("width", int),
+                                  "power": ("power", _finite_float),
+                                  "center": ("center", int),
+                                  "dynamic_range_db": ("dynamic_range_db", _finite_float)}),
+    "random_sparse": (RandomSparse,
+                      {"support_fraction": ("support_fraction", _finite_float),
+                       "total_power": ("total_power", _finite_float)}),
+}
+# field -> key as documented, to name a required key the file leaves out
+_KEY_OF = {
+    field: f"[{section}] {key}"
+    for section, keys in [*_SECTIONS.items(),
+                          *(("profile", keys) for _, keys in _PROFILES.values())]
+    for key, (field, _) in keys.items()
 }
 
 
-def _reject_unknown_keys(sec: configparser.SectionProxy, known) -> None:
-    unknown = sorted(set(sec) - set(known))
+def _read_section(sec: configparser.SectionProxy, keys: dict) -> dict:
+    """field -> parsed value of each key the section sets."""
+    documented = {key.lower(): key for key in keys}
+    unknown = sorted(set(sec) - set(documented))
     if unknown:
         raise ConfigError(f"[{sec.name}] unknown key {unknown[0]!r}")
+    values = {}
+    for name in sec:
+        key = documented[name]
+        field, parse = keys[key]
+        try:
+            values[field] = parse(sec[name])
+        except ValueError as exc:
+            raise ConfigError(f"[{sec.name}] {key}: {exc}") from exc
+    return values
 
 
-def _profile_from_section(sec: configparser.SectionProxy) -> ProfileKind:
-    kind = sec.get("kind", "uniform").strip().lower()
-    if kind not in _PROFILES:
-        raise ConfigError(f"[profile] kind must be one of {', '.join(_PROFILES)}, "
-                          f"got {kind!r}")
-    cls, getters = _PROFILES[kind]
-    _reject_unknown_keys(sec, ("kind", *getters))
+def _build(cls, values: dict, section: str | None = None):
+    """cls from the values read for its fields: a field the file leaves out
+    takes its default, and a field without a default is required.  A
+    ValueError of cls is reported under `section`; ExperimentConfig raises
+    ConfigError itself."""
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(f"{_KEY_OF[f.name]} is required")
     try:
-        return cls(**{key: get(sec, key) for key, get in getters.items() if key in sec})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[profile] invalid field: {exc}") from exc
+        return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    """Parse the key = value configuration file format."""
+    """Parse the key = value configuration file format.
+
+    Every key is read through `_SECTIONS` (and `_PROFILES` for the kind
+    of [profile]).  A key the file leaves out is not passed, so it takes
+    the dataclass default; the keys of fields without a default
+    ([scenario] M, K, Ttr, sigma_v2, [sweep] values and the width or
+    support_fraction of a profile) and the [profile] section are required.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -511,71 +552,23 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     for section in cp.sections():
-        if section not in _CONFIG_KEYS:
+        if section not in _SECTIONS and section != "profile":
             raise ConfigError(f"unknown section [{section}]")
-        if _CONFIG_KEYS[section] is not None:
-            _reject_unknown_keys(cp[section], _CONFIG_KEYS[section])
 
-    def need(section: str) -> configparser.SectionProxy:
-        if not cp.has_section(section):
-            raise ConfigError(f"missing [{section}] section in {path}")
-        return cp[section]
+    values = {}
+    for section, keys in _SECTIONS.items():
+        if cp.has_section(section):
+            values.update(_read_section(cp[section], keys))
+    scenario = _build(ScenarioConfig, values, "scenario")
 
-    def field(section: str, key: str, getter, default=None, required=False):
-        if not cp.has_section(section) or key not in cp[section]:
-            if required:
-                raise ConfigError(f"[{section}] {key} is required")
-            return default
-        try:
-            return getter(cp[section], key)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from exc
-
-    get_int = _get_int
-    get_float = _finite_float
-    get_str = lambda s, k: s.get(k).strip()
-
-    try:
-        scenario = ScenarioConfig(
-            M=field("scenario", "M", get_int, required=True),
-            K=field("scenario", "K", get_int, required=True),
-            Ttr=field("scenario", "Ttr", get_int, required=True),
-            sigma_v2=field("scenario", "sigma_v2", get_float, required=True),
-            num_cells=field("scenario", "num_cells", get_int, 1),
-            users_per_cell=field("scenario", "users_per_cell", get_int, None),
-            seed=field("scenario", "seed", get_int, 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[scenario] {exc}") from exc
-
-    profile = _profile_from_section(need("profile"))
-
-    estimators = tuple(
-        tok.strip()
-        for tok in field("estimation", "estimators", get_str, "genie, ls").split(",")
-        if tok.strip()
-    )
-    values_raw = field("sweep", "values", get_str, required=True)
-    try:
-        sweep_values = tuple(int(tok.strip()) for tok in values_raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"[sweep] values: {exc}") from exc
-
-    return ExperimentConfig(
-        scenario=scenario,
-        profile=profile,
-        schedule_mode=field("schedule", "mode", get_str, "random"),
-        schedule_n=field("schedule", "N", get_int, None),
-        schedule_path=field("schedule", "path", get_str, None),
-        estimators=estimators,
-        sweep_axis=field("sweep", "axis", get_str, "T"),
-        sweep_values=sweep_values,
-        trials=field("sweep", "trials", get_int, 1),
-        T=field("scenario", "T", get_int, 60),
-        t_coh=field("link", "T_coh", get_int, 200),
-        eval_intervals=field("link", "eval_intervals", get_int, 10),
-        lam=field("estimation", "lambda", get_float, 0.99),
-        tol=field("estimation", "tol", get_float, 1e-8),
-        max_iter=field("estimation", "max_iter", get_int, 200),
-        ml_scaling=field("estimation", "ml_scaling", get_str, "per_row"),
-    )
+    if not cp.has_section("profile"):
+        raise ConfigError(f"missing [profile] section in {path}")
+    sec = cp["profile"]
+    kind = sec.get("kind", "uniform").strip().lower()
+    if kind not in _PROFILES:
+        raise ConfigError(f"[profile] kind must be one of {', '.join(_PROFILES)}, "
+                          f"got {kind!r}")
+    cls, keys = _PROFILES[kind]
+    # `kind` names no field of the profile, so _build passes it over
+    profile = _build(cls, _read_section(sec, {"kind": ("kind", str), **keys}), "profile")
+    return _build(ExperimentConfig, {**values, "scenario": scenario, "profile": profile})

@@ -2,8 +2,10 @@
 
 The base station estimates the channel statistics of all K users (own cell
 plus interferers) on M antennas.  All covariance matrices are diagonal, so
-the ground truth is fully described by an M x K matrix of per-antenna,
-per-user variances.
+the ground truth is a plain (M, K) array C of per-antenna, per-user
+variances: C[m, k] is the variance of the channel coefficient of user k at
+antenna m.  It is only ever drawn from a profile, whose fields are checked
+when it is built.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .errors import InvalidProfileError
 
 __all__ = [
     "ScenarioConfig",
-    "CovarianceSet",
     "Uniform",
     "BandLimited",
     "RandomSparse",
@@ -69,36 +70,6 @@ class ScenarioConfig:
                 f"K={self.K} users do not split into {self.num_cells} cells "
                 f"of {self.users_per_cell}"
             )
-
-
-@dataclass(frozen=True)
-class CovarianceSet:
-    """Diagonals of all user covariance matrices, stacked as columns.
-
-    C[m, k] is the variance of the channel coefficient of user k at
-    antenna m.  An all-zero column is permitted only for explicitly
-    constructed edge cases; the generators never produce one.
-    """
-
-    C: np.ndarray
-
-    def __post_init__(self) -> None:
-        C = np.asarray(self.C, dtype=float)
-        object.__setattr__(self, "C", C)
-        if C.ndim != 2:
-            raise ValueError(f"C must be 2-D (M x K), got shape {C.shape}")
-        if not np.all(np.isfinite(C)):
-            raise ValueError("C must be finite")
-        if np.any(C < 0):
-            raise ValueError("C must be entry-wise nonnegative")
-
-    @property
-    def M(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.C.shape[1]
 
 
 @dataclass(frozen=True)
@@ -170,15 +141,15 @@ def _bandlimited_column(
 
 def generate_covariance_set(
     config: ScenarioConfig, profile: ProfileKind, rng: np.random.Generator
-) -> CovarianceSet:
-    """Draw the ground-truth M x K variance matrix for all users.
+) -> np.ndarray:
+    """Draw the ground-truth (M, K) variance matrix for all users.
 
     Deterministic given (config, profile, rng state).  Column sums of the
     BandLimited and RandomSparse profiles equal the drawn per-user powers.
     """
     M, K = config.M, config.K
     if isinstance(profile, Uniform):
-        return CovarianceSet(np.full((M, K), float(profile.power)))
+        return np.full((M, K), float(profile.power))
 
     if isinstance(profile, BandLimited):
         if profile.width > M:
@@ -192,7 +163,7 @@ def generate_covariance_set(
                 -rng.uniform(0.0, profile.dynamic_range_db) / 10.0
             )
             C[:, k] = _bandlimited_column(M, profile.width, center, power_k)
-        return CovarianceSet(C)
+        return C
 
     if isinstance(profile, RandomSparse):
         n_nz = max(1, round(profile.support_fraction * M))
@@ -201,11 +172,11 @@ def generate_covariance_set(
             support = rng.choice(M, size=n_nz, replace=False)
             weights = rng.random(n_nz) + 1e-12
             C[support, k] = weights / weights.sum() * profile.total_power
-        return CovarianceSet(C)
+        return C
 
     raise InvalidProfileError(f"unknown profile kind: {profile!r}")
 
 
-def genie_covariances(cov: CovarianceSet) -> CovarianceSet:
-    """Genie baseline: hand the true covariances straight through."""
-    return CovarianceSet(cov.C.copy())
+def genie_covariances(C: np.ndarray) -> np.ndarray:
+    """Genie baseline: a copy of the true (M, K) variances."""
+    return C.copy()

@@ -14,7 +14,6 @@ import numpy as np
 from pilotcov import (
     AdaptiveState,
     BandLimited,
-    CovarianceSet,
     ExperimentConfig,
     ScenarioConfig,
     adaptive_update,
@@ -47,11 +46,10 @@ def _criterion(name: str, ok: bool, elapsed: float, limit: float, detail: str = 
 
 
 def _simulate_training(C, schedule, sigma_v2, passes, rng):
-    cov = CovarianceSet(C)
     blocks = []
     for t in range(passes * schedule.N):
         alloc = schedule.allocations[t % schedule.N]
-        blocks.append(observe(draw_channels(cov, rng), alloc, sigma_v2, rng))
+        blocks.append(observe(draw_channels(C, rng), alloc, sigma_v2, rng))
     return squared_rows(blocks)
 
 
@@ -203,7 +201,7 @@ def test_consistency_in_window_length():
                                  num_cells=4, users_per_cell=2, seed=seed)
             C = generate_covariance_set(
                 scn, BandLimited(width=6, power=1.0), rng
-            ).C
+            )
             B = _simulate_training(C, sched, sigma_v2, T // N, rng)
             est = estimate_all_rows_ml(
                 B, np.tile(sched.compound, (1, T // N)), sigma_v2
@@ -386,8 +384,8 @@ def test_mmse_estimation_never_worse_than_ls():
             for j, k in enumerate(served):
                 col = Phi[:, pilots[k]]
                 sharing = alloc.assignment[:, pilots[k]] == 1
-                c_obs = cov.C[:, sharing].sum(axis=1) + scn.sigma_v2
-                hm = mmse_channel_estimate(col, cov.C[:, k], c_obs)
+                c_obs = cov[:, sharing].sum(axis=1) + scn.sigma_v2
+                hm = mmse_channel_estimate(col, cov[:, k], c_obs)
                 h = chan[:, k]
                 se_mmse[j] += np.sum(np.abs(hm - h) ** 2)
                 se_ls[j] += np.sum(np.abs(ls_channel_estimate(col) - h) ** 2)

@@ -5,7 +5,6 @@ import scipy.linalg
 from pilotcov import (
     Allocation,
     AdaptiveState,
-    CovarianceSet,
     adaptive_update,
     draw_channels,
     estimate_obs_covariances,
@@ -75,11 +74,10 @@ class TestSingleUpdate:
 
 
 def _training_blocks(C, schedule, sigma_v2, passes, rng):
-    cov = CovarianceSet(C)
     blocks = []
     for t in range(passes * schedule.N):
         alloc = schedule.allocations[t % schedule.N]
-        blocks.append(observe(draw_channels(cov, rng), alloc, sigma_v2, rng))
+        blocks.append(observe(draw_channels(C, rng), alloc, sigma_v2, rng))
     return squared_rows(blocks)
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from pilotcov import (
     Allocation,
-    CovarianceSet,
     draw_channels,
     make_example_schedule_442,
     observe,
@@ -13,13 +12,13 @@ from pilotcov import (
 
 class TestDrawChannels:
     def test_zero_variance_gives_zero_channel(self):
-        cov = CovarianceSet(np.zeros((4, 3)))
+        cov = np.zeros((4, 3))
         chan = draw_channels(cov, np.random.default_rng(0))
         np.testing.assert_array_equal(chan, np.zeros((4, 3)))
 
     def test_sample_variance_matches_target(self):
         rng = np.random.default_rng(1)
-        cov = CovarianceSet(np.ones((1, 1)))
+        cov = np.ones((1, 1))
         draws = np.array([draw_channels(cov, rng)[0, 0] for _ in range(100_000)])
         var = np.mean(np.abs(draws) ** 2)
         assert 0.98 <= var <= 1.02
@@ -27,7 +26,7 @@ class TestDrawChannels:
 
     def test_real_imag_parts_balanced(self):
         rng = np.random.default_rng(2)
-        cov = CovarianceSet(np.full((1, 1), 4.0))
+        cov = np.full((1, 1), 4.0)
         draws = np.array([draw_channels(cov, rng)[0, 0] for _ in range(50_000)])
         assert abs(np.var(draws.real) - 2.0) < 0.1
         assert abs(np.var(draws.imag) - 2.0) < 0.1
@@ -36,7 +35,7 @@ class TestDrawChannels:
 class TestObserve:
     def test_noise_free_single_user_passthrough(self):
         rng = np.random.default_rng(3)
-        cov = CovarianceSet(np.ones((5, 1)))
+        cov = np.ones((5, 1))
         chan = draw_channels(cov, rng)
         alloc = Allocation(np.ones((1, 1)))
         block = observe(chan, alloc, 0.0, rng)
@@ -44,7 +43,7 @@ class TestObserve:
 
     def test_noise_free_contamination_sums_channels(self):
         rng = np.random.default_rng(4)
-        cov = CovarianceSet(np.ones((3, 4)))
+        cov = np.ones((3, 4))
         chan = draw_channels(cov, rng)
         alloc = make_example_schedule_442().allocations[0]
         block = observe(chan, alloc, 0.0, rng)
@@ -54,12 +53,11 @@ class TestObserve:
     def test_slot_variance_matches_shared_power_plus_noise(self):
         rng = np.random.default_rng(5)
         C = np.array([[0.8, 1.5, 0.3]])
-        cov = CovarianceSet(C)
         alloc = Allocation.from_pilot_indices(np.array([0, 0, 1]), 2)
         sigma_v2 = 0.25
         samples = np.empty((100_000, 2), dtype=complex)
         for t in range(samples.shape[0]):
-            chan = draw_channels(cov, rng)
+            chan = draw_channels(C, rng)
             samples[t] = observe(chan, alloc, sigma_v2, rng)[0]
         measured = np.mean(np.abs(samples) ** 2, axis=0)
         expected = np.array([0.8 + 1.5 + sigma_v2, 0.3 + sigma_v2])
@@ -67,7 +65,7 @@ class TestObserve:
 
     def test_intervals_mutually_independent(self):
         rng = np.random.default_rng(6)
-        cov = CovarianceSet(np.ones((1, 2)))
+        cov = np.ones((1, 2))
         alloc = Allocation.from_pilot_indices(np.array([0, 0]), 1)
         obs = np.array(
             [observe(draw_channels(cov, rng), alloc, 0.1, rng)[0, 0]
@@ -80,7 +78,7 @@ class TestObserve:
         assert abs(cross) < 3.0 * power / np.sqrt(n)
 
     def test_dimension_mismatch_rejected(self):
-        chan = draw_channels(CovarianceSet(np.ones((2, 3))), np.random.default_rng(0))
+        chan = draw_channels(np.ones((2, 3)), np.random.default_rng(0))
         alloc = Allocation(np.eye(2))
         with pytest.raises(ValueError):
             observe(chan, alloc, 0.1, np.random.default_rng(0))
@@ -119,7 +117,7 @@ def test_same_interval_slots_uncorrelated():
     # one pilot per user means two slots of one interval never share a
     # user, so their cross-correlation vanishes
     rng = np.random.default_rng(8)
-    cov = CovarianceSet(np.ones((1, 2)))
+    cov = np.ones((1, 2))
     alloc = Allocation.from_pilot_indices(np.array([0, 1]), 2)
     n = 50_000
     obs = np.empty((n, 2), dtype=complex)

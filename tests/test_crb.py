@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotcov import (
-    CovarianceSet,
     ScenarioConfig,
     Uniform,
     draw_channels,
@@ -92,7 +91,7 @@ def test_two_step_mse_matches_its_closed_form():
     K, Ttr, N, S, M, sigma_v2 = 6, 3, 5, 60, 2000, 0.5
     sched = make_random_schedule(K, Ttr, N, 3, rng)
     c = np.array([1.0, 0.5, 2.0, 0.8, 1.5, 0.3])
-    cov = CovarianceSet(np.tile(c, (M, 1)))
+    cov = np.tile(c, (M, 1))
     blocks = [observe(draw_channels(cov, rng), sched.allocations[t % N], sigma_v2, rng)
               for t in range(S * N)]
     b = estimate_obs_covariances(squared_rows(blocks), sched)
@@ -122,7 +121,7 @@ def test_interior_ml_rows_attain_the_crb():
     C_hat, converged = estimate_all_rows_ml(b, sched.compound, sigma_v2)
     assert np.all(converged) and np.all(C_hat > 0)
 
-    Pi, c = sched.compound, cov.C[0]
+    Pi, c = sched.compound, cov[0]
     p = Pi.T @ c + sigma_v2
     crb = np.diag(np.linalg.inv(S * (Pi * p**-2) @ Pi.T))
     sq_err = (C_hat - c) ** 2

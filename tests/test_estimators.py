@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotcov import (
-    CovarianceSet,
     IdentifiabilityError,
     Schedule,
     SingularSystemError,
@@ -30,11 +29,10 @@ from pilotcov.estimators import _solve_normal
 
 def _simulate(C, schedule, sigma_v2, repeats, rng):
     """Training observations for `repeats` passes of the schedule."""
-    cov = CovarianceSet(C)
     blocks = []
     for t in range(repeats * schedule.N):
         alloc = schedule.allocations[t % schedule.N]
-        blocks.append(observe(draw_channels(cov, rng), alloc, sigma_v2, rng))
+        blocks.append(observe(draw_channels(C, rng), alloc, sigma_v2, rng))
     return squared_rows(blocks)
 
 

@@ -1,4 +1,6 @@
+import configparser
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,13 @@ eval_intervals = 4
 """
 
 
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED_IN_CONFIGS = sorted(
+    path for folder in ("configs", "perfbench/workloads", "tests/data")
+    for path in (ROOT / folder).glob("*.cfg")
+)
+
+
 @pytest.fixture
 def desk_config(tmp_path):
     path = tmp_path / "desk.cfg"
@@ -97,11 +106,44 @@ class TestConfigLoading:
         assert cfg.sweep_values == (10, 20)
         assert cfg.t_coh == 100
 
-    def test_missing_section_named_in_error(self, tmp_path):
+    @pytest.mark.parametrize("cut, named", [
+        ("M = 8\n", "[scenario] M"),
+        ("K = 6\n", "[scenario] K"),
+        ("Ttr = 4\n", "[scenario] Ttr"),
+        ("sigma_v2 = 0.2\n", "[scenario] sigma_v2"),
+        ("values = 10, 20\n", "[sweep] values"),
+        ("[profile]\nkind = bandlimited\nwidth = 4\npower = 1.0\n"
+         "dynamic_range_db = 10.0\n", "[profile]"),
+    ], ids=["M", "K", "Ttr", "sigma_v2", "values", "profile"])
+    def test_missing_section_named_in_error(self, cut, named, tmp_path):
+        assert cut in DESK_CFG
         path = tmp_path / "broken.cfg"
-        path.write_text("[scenario]\nM = 4\n")
-        with pytest.raises(ConfigError, match=r"\[scenario\] K"):
+        path.write_text(DESK_CFG.replace(cut, ""))
+        with pytest.raises(ConfigError, match=re.escape(named)):
             load_experiment_config(path)
+
+    def test_file_defaults_are_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "required_only.cfg"
+        path.write_text("[scenario]\nM = 8\nK = 4\nTtr = 4\nsigma_v2 = 0.2\n\n"
+                        "[profile]\n\n[sweep]\nvalues = 60\n")
+        assert load_experiment_config(path) == ExperimentConfig(
+            scenario=ScenarioConfig(M=8, K=4, Ttr=4, sigma_v2=0.2),
+            profile=Uniform(),
+            sweep_values=(60,),
+        )
+
+    @pytest.mark.parametrize("path", CHECKED_IN_CONFIGS,
+                             ids=[str(p.relative_to(ROOT)) for p in CHECKED_IN_CONFIGS])
+    def test_checked_in_config_survives_configparser_rewrite(self, path, tmp_path):
+        # a configparser read and write lower-cases the keys and drops the
+        # comments, as the benchmark does for its check and unit sweeps
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        cp.read(path, encoding="utf-8")
+        rewritten = tmp_path / path.name
+        with open(rewritten, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        assert "ttr = " in rewritten.read_text()
+        assert load_experiment_config(rewritten) == load_experiment_config(path)
 
     def test_bad_field_named_in_error(self, tmp_path):
         path = tmp_path / "broken.cfg"
@@ -383,10 +425,14 @@ class TestCLI:
         ("width = 4", "width = 4\nsupport_fraction = 0.5", "support_fraction"),
         ("Ttr = 4", "Ttr = 3", "every cell occupies all pilots"),
         ("mode = random\nN = 5", "mode = imported\npath = {sched}", "covers 4 users"),
+        ("values = 10, 20", "values = 10, 10", "values repeat 10"),
+        ("estimators = genie, ls", "estimators = genie, genie, ls",
+         "estimators repeat 'genie'"),
     ], ids=["width-0", "width-above-M", "bandlimited-power-negative",
             "uniform-power-negative", "support-fraction-above-1", "width-missing",
             "support-fraction-missing", "misspelt-key", "unknown-section",
-            "key-of-other-kind", "cells-saturate-pilots", "imported-K-mismatch"])
+            "key-of-other-kind", "cells-saturate-pilots", "imported-K-mismatch",
+            "repeated-sweep-value", "repeated-estimator"])
     def test_config_refused_at_validate(self, old, new, named, tmp_path, capsys):
         sched = tmp_path / "four_users.txt"
         sched.write_text("0 1 2 3\n1 2 3 0\n")

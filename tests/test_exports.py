@@ -18,6 +18,7 @@ def test_every_name_in_all_exists(name):
     assert missing == []
 
 
-@pytest.mark.parametrize("name", ["ObsCovEstimate", "CovEstimate", "ExperimentResult"])
+@pytest.mark.parametrize("name", ["ObsCovEstimate", "CovEstimate", "ExperimentResult",
+                                  "CovarianceSet"])
 def test_result_wrappers_are_gone(name):
     assert not hasattr(pilotcov, name)

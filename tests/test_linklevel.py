@@ -4,7 +4,6 @@ import scipy.linalg
 
 from pilotcov import (
     Allocation,
-    CovarianceSet,
     draw_channels,
     ls_channel_estimate,
     mmse_channel_estimate,
@@ -73,7 +72,7 @@ class TestMMSEChannelEstimate:
             c1 = rng_master.uniform(0.2, 2.0, size=M)
             c2 = rng_master.uniform(0.2, 2.0, size=M)
             s2 = 0.4
-            cov = CovarianceSet(np.stack([c1, c2], axis=1))
+            cov = np.stack([c1, c2], axis=1)
             alloc = Allocation.from_pilot_indices(np.array([0, 0]), 1)
             se_mmse = se_ls = 0.0
             for _ in range(200):
@@ -98,7 +97,7 @@ class TestLSChannelEstimate:
 
     def test_noise_free_lone_user_is_exact(self):
         rng = np.random.default_rng(3)
-        cov = CovarianceSet(np.ones((4, 1)))
+        cov = np.ones((4, 1))
         chan = draw_channels(cov, rng)
         phi = observe(chan, Allocation(np.ones((1, 1))), 0.0, rng)[:, 0]
         np.testing.assert_allclose(ls_channel_estimate(phi), chan[:, 0])

@@ -3,7 +3,6 @@ import pytest
 
 from pilotcov import (
     BandLimited,
-    CovarianceSet,
     InvalidProfileError,
     RandomSparse,
     ScenarioConfig,
@@ -41,21 +40,11 @@ class TestScenarioConfig:
             _config(**kw)
 
 
-class TestCovarianceSet:
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            CovarianceSet(np.array([[1.0, -0.1]]))
-
-    def test_zero_matrix_allowed(self):
-        # explicitly constructed degenerate sets are legal edge cases
-        CovarianceSet(np.zeros((3, 2)))
-
-
 class TestUniformProfile:
     def test_constant_profile(self):
         rng = np.random.default_rng(0)
         out = generate_covariance_set(_config(M=4, K=2), Uniform(power=1.0), rng)
-        np.testing.assert_array_equal(out.C, np.ones((4, 2)))
+        np.testing.assert_array_equal(out, np.ones((4, 2)))
 
 
 class TestBandLimitedProfile:
@@ -65,8 +54,8 @@ class TestBandLimitedProfile:
         out = generate_covariance_set(
             cfg, BandLimited(width=8, power=2.0, dynamic_range_db=0.0), rng
         )
-        assert np.all(out.C > 0)
-        np.testing.assert_allclose(out.C.sum(axis=0), 2.0, rtol=1e-9)
+        assert np.all(out > 0)
+        np.testing.assert_allclose(out.sum(axis=0), 2.0, rtol=1e-9)
 
     def test_fixed_center_columns_identical(self):
         cfg = _config(M=16, K=3, num_cells=1)
@@ -75,8 +64,8 @@ class TestBandLimitedProfile:
             cfg, BandLimited(width=5, center=4, dynamic_range_db=0.0), rng
         )
         for k in range(1, 3):
-            np.testing.assert_allclose(out.C[:, k], out.C[:, 0])
-        assert np.count_nonzero(out.C[:, 0]) == 5
+            np.testing.assert_allclose(out[:, k], out[:, 0])
+        assert np.count_nonzero(out[:, 0]) == 5
 
     def test_column_power_within_dynamic_range(self):
         cfg = _config(M=16, K=40, num_cells=4)
@@ -84,7 +73,7 @@ class TestBandLimitedProfile:
         out = generate_covariance_set(
             cfg, BandLimited(width=6, power=1.0, dynamic_range_db=20.0), rng
         )
-        sums = out.C.sum(axis=0)
+        sums = out.sum(axis=0)
         assert np.all(sums <= 1.0 + 1e-9)
         assert np.all(sums >= 0.01 - 1e-9)
 
@@ -94,7 +83,7 @@ class TestBandLimitedProfile:
         out = generate_covariance_set(
             cfg, BandLimited(width=4, center=0, dynamic_range_db=0.0), rng
         )
-        support = np.flatnonzero(out.C[:, 0])
+        support = np.flatnonzero(out[:, 0])
         assert set(support) == {0, 1, 6, 7}
 
     def test_width_exceeding_array_rejected(self):
@@ -110,8 +99,8 @@ class TestRandomSparseProfile:
         rng = np.random.default_rng(5)
         out = generate_covariance_set(cfg, RandomSparse(0.25, total_power=4.0), rng)
         for k in range(4):
-            assert np.count_nonzero(out.C[:, k]) == 2
-        np.testing.assert_allclose(out.C.sum(axis=0), 4.0, rtol=1e-9)
+            assert np.count_nonzero(out[:, k]) == 2
+        np.testing.assert_allclose(out.sum(axis=0), 4.0, rtol=1e-9)
 
     @pytest.mark.parametrize("fraction", [0.0, -0.2, 1.5])
     def test_invalid_fraction_rejected(self, fraction):
@@ -126,22 +115,21 @@ def test_generation_deterministic_given_seed():
     profile = BandLimited(width=4)
     a = generate_covariance_set(cfg, profile, np.random.default_rng(42))
     b = generate_covariance_set(cfg, profile, np.random.default_rng(42))
-    np.testing.assert_array_equal(a.C, b.C)
+    np.testing.assert_array_equal(a, b)
 
 
 class TestGenie:
     def test_identity(self):
         C = np.random.default_rng(0).random((5, 3))
-        out = genie_covariances(CovarianceSet(C))
-        np.testing.assert_array_equal(out.C, C)
+        out = genie_covariances(C)
+        np.testing.assert_array_equal(out, C)
 
     def test_zero_matrix(self):
-        out = genie_covariances(CovarianceSet(np.zeros((2, 2))))
-        np.testing.assert_array_equal(out.C, np.zeros((2, 2)))
+        out = genie_covariances(np.zeros((2, 2)))
+        np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
     def test_output_is_independent_copy(self):
         C = np.ones((2, 2))
-        cov = CovarianceSet(C)
-        out = genie_covariances(cov)
-        assert out.C is not cov.C
-        np.testing.assert_array_equal(out.C, cov.C)
+        out = genie_covariances(C)
+        assert out is not C
+        np.testing.assert_array_equal(out, C)
