@@ -48,7 +48,6 @@ from .scenario import (
     genie_covariances,
 )
 from .schedule import (
-    Allocation,
     Schedule,
     load_schedule,
     make_example_schedule_442,

@@ -6,7 +6,8 @@ pilot, equal to the sum of the channel vectors of the users assigned to
 that pilot plus white noise.
 
 Everything is a plain array: the ground-truth variances C are (M, K) real,
-a channel draw H is (M, K) complex with one column per user, a training
+a channel draw H is (M, K) complex with one column per user, an interval's
+allocation A = schedule.allocations[n] is (K, Ttr) one-hot, a training
 observation Phi is (M, Ttr) complex with one column per pilot, and the
 squared observations B of T intervals are (M, T * Ttr) real, column
 t * Ttr + p belonging to pilot p of interval t.
@@ -17,8 +18,6 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-
-from .schedule import Allocation
 
 __all__ = [
     "draw_channels",
@@ -40,22 +39,23 @@ def draw_channels(C: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def observe(
     H: np.ndarray,
-    alloc: Allocation,
+    A: np.ndarray,
     sigma_v2: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Training observations Phi = H * allocation + noise for one interval."""
-    if H.shape[1] != alloc.K:
+    """Training observations Phi = H A + noise for one interval under the
+    (K, Ttr) one-hot allocation A."""
+    if H.shape[1] != A.shape[0]:
         raise ValueError(
-            f"channel has {H.shape[1]} users but allocation has {alloc.K}"
+            f"channel has {H.shape[1]} users but allocation has {A.shape[0]}"
         )
     if sigma_v2 < 0:
         raise ValueError(f"sigma_v2 must be >= 0, got {sigma_v2}")
-    M, Ttr = H.shape[0], alloc.Ttr
+    M, Ttr = H.shape[0], A.shape[1]
     noise = np.sqrt(sigma_v2 / 2.0) * (
         rng.standard_normal((M, Ttr)) + 1j * rng.standard_normal((M, Ttr))
     )
-    return H @ alloc.assignment + noise
+    return H @ A + noise
 
 
 def squared_rows(blocks: Iterable[np.ndarray]) -> np.ndarray:

@@ -106,13 +106,16 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
     try:
         schedule = load_schedule(args.file, Ttr=args.pilots)
+        min_length = min_schedule_length(schedule.K, schedule.Ttr)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"schedule file {args.file}: {exc}") from exc
+    except IdentifiabilityError:
+        min_length = None  # no schedule length helps a single pilot
     full = "yes" if schedule.rank == schedule.K else "NO"
     print(f"K={schedule.K} Ttr={schedule.Ttr} N={schedule.N}")
     print(f"rank={schedule.rank} condition={schedule.cond:.6g} identifiable={full}")
-    if schedule.Ttr >= 2:
-        print(f"minimum schedule length={min_schedule_length(schedule.K, schedule.Ttr)}")
+    if min_length is not None:
+        print(f"minimum schedule length={min_length}")
     return 0
 
 

@@ -50,7 +50,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from .errors import IdentifiabilityError, SingularSystemError
-from .schedule import Allocation, Schedule
+from .schedule import Schedule
 
 __all__ = [
     "AdaptiveState",
@@ -451,7 +451,7 @@ class AdaptiveState:
 
 def adaptive_update(
     state: AdaptiveState,
-    alloc: Allocation,
+    A: np.ndarray,
     b: np.ndarray,
     sigma_v2: float,
     *,
@@ -459,6 +459,7 @@ def adaptive_update(
 ) -> AdaptiveState:
     """One interval of the adaptive estimator, for every row of the state.
 
+    A is the interval's (K, Ttr) one-hot allocation, `schedule.allocations[n]`;
     b (..., Ttr) holds each row's squared observations of the interval;
     its leading shape must be the state's.  Slot weights come from the
     current variance estimate, d_p = 1 / (pi_p^T c_hat + sigma_v2)^2; both
@@ -470,14 +471,13 @@ def adaptive_update(
     least squares), which is mainly useful for equivalence checks against
     the batch reconstruction.
     """
-    A = alloc.assignment
     b = np.asarray(b, dtype=float)
     rows = state.psi.shape[:-1]
     if A.shape[0] != state.K:
         raise ValueError(f"allocation has K={A.shape[0]}, state has K={state.K}")
-    if b.shape != rows + (alloc.Ttr,):
+    if b.shape != rows + (A.shape[1],):
         raise ValueError(
-            f"need one squared observation per pilot ({alloc.Ttr}) for each "
+            f"need one squared observation per pilot ({A.shape[1]}) for each "
             f"row of the state {rows}, got shape {b.shape}"
         )
 

@@ -40,7 +40,6 @@ from .scenario import (
     generate_covariance_set,
 )
 from .schedule import (
-    Allocation,
     Schedule,
     check_random_schedule,
     default_schedule_length,
@@ -107,7 +106,7 @@ def _load_imported_schedule(path: str, Ttr: int, K: int) -> Schedule:
 
 def _schedule_length(cfg: ExperimentConfig, Ttr: int, K: int) -> int:
     if cfg.schedule_mode == "example442":
-        return 3
+        return make_example_schedule_442().N
     if cfg.schedule_mode == "imported":
         return _load_imported_schedule(cfg.schedule_path, Ttr, K).N
     if cfg.schedule_n is not None:
@@ -133,6 +132,11 @@ def validate_experiment_config(cfg: ExperimentConfig) -> None:
         )
     if cfg.schedule_mode == "imported" and not cfg.schedule_path:
         raise ConfigError("[schedule] path is required for imported mode")
+    for key, value, mode in (("path", cfg.schedule_path, "imported"),
+                             ("N", cfg.schedule_n, "random")):
+        if value is not None and cfg.schedule_mode != mode:
+            raise ConfigError(f"[schedule] {key} is read only in {mode} mode, "
+                              f"not in {cfg.schedule_mode} mode")
     if cfg.schedule_n is not None and cfg.schedule_n < 1:
         raise ConfigError("[schedule] N must be >= 1")
     unknown = set(cfg.estimators) - set(ESTIMATOR_NAMES)
@@ -268,19 +272,21 @@ def _estimate_covariances(
 
 def _serving_estimates(
     Phi: np.ndarray,
-    allocs: tuple[Allocation, ...],
+    schedule: Schedule,
     served: np.ndarray,
     C_used: np.ndarray | None,
     sigma_v2: float,
 ) -> np.ndarray:
     """Channel estimates (n, M, K_served) of the served users from n
-    training phases Phi (n, M, Ttr), phase i observed under allocs[i];
-    MMSE divides by the slot variances C Pi + sigma_v2, LS needs no C_used."""
-    pilots = np.stack([a.pilot_of_user[served] for a in allocs])[:, None, :]
+    training phases Phi (n, M, Ttr), phase i observed under allocation i
+    of the schedule; MMSE divides by the slot variances C Pi + sigma_v2,
+    LS needs no C_used."""
+    n = Phi.shape[0]
+    pilots = schedule.pilots[:n, served][:, None, :]
     obs = np.take_along_axis(Phi, pilots, axis=2)
     if C_used is None:
         return ls_channel_estimate(obs)
-    slot_var = np.stack([C_used @ a.assignment for a in allocs]) + sigma_v2
+    slot_var = C_used @ schedule.allocations[:n] + sigma_v2
     return mmse_channel_estimate(
         obs, C_used[:, served], np.take_along_axis(slot_var, pilots, axis=2)
     )
@@ -303,8 +309,7 @@ def _evaluate_rates(
     rates = np.empty(E)
     for start in range(0, E, N):
         stop = min(start + N, E)
-        H_hat = _serving_estimates(Phi[start:stop], schedule.allocations[:stop - start],
-                                   served, C_used, sigma_v2)
+        H_hat = _serving_estimates(Phi[start:stop], schedule, served, C_used, sigma_v2)
         W = rzf_filter(H_hat, sigma_v2)
         rates[start:stop] = uplink_sum_rate(
             W, H[start:stop], sigma_v2, served=served, overhead=overhead

@@ -1,11 +1,12 @@
-"""Pilot allocation schedules and their identifiability properties.
+"""Pilot schedules and their identifiability properties.
 
-A single allocation assigns each of the K users one of Ttr orthonormal
-pilots (a one-hot K x Ttr matrix).  Reusing the same allocation in every
-coherence interval makes the variance-reconstruction problem ill-posed;
-iterating through a schedule of distinct allocations makes the compound
-(horizontally stacked) allocation matrix full row rank and the problem
-well-conditioned.
+A schedule is one integer array: pilots[n, k] is the pilot (one of Ttr
+orthonormal sequences) of user k in coherence interval n.  The one-hot
+allocation of interval n is the K x Ttr matrix np.eye(Ttr)[pilots[n]].
+Reusing the same allocation in every coherence interval makes the
+variance-reconstruction problem ill-posed; iterating through a schedule
+of distinct allocations makes the compound (horizontally stacked)
+allocation matrix full row rank and the problem well-conditioned.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import IdentifiabilityError, InfeasibleConstraintError, SingularSys
 _MAX_REDRAWS = 100
 
 __all__ = [
-    "Allocation",
     "Schedule",
     "min_schedule_length",
     "default_schedule_length",
@@ -34,79 +34,46 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Allocation:
-    """One-hot pilot assignment for a single coherence interval."""
-
-    assignment: np.ndarray  # (K, Ttr) with entries in {0, 1}
-
-    def __post_init__(self) -> None:
-        A = np.asarray(self.assignment, dtype=float)
-        object.__setattr__(self, "assignment", A)
-        if A.ndim != 2:
-            raise ValueError(f"assignment must be 2-D (K x Ttr), got {A.shape}")
-        if not np.all((A == 0) | (A == 1)):
-            raise ValueError("assignment entries must be 0 or 1")
-        if not np.all(A.sum(axis=1) == 1):
-            raise ValueError("every user must be assigned exactly one pilot")
-
-    @classmethod
-    def from_pilot_indices(cls, pilots: np.ndarray, Ttr: int) -> "Allocation":
-        pilots = np.asarray(pilots, dtype=int)
-        if np.any(pilots < 0) or np.any(pilots >= Ttr):
-            raise ValueError(f"pilot indices must lie in [0, {Ttr})")
-        A = np.zeros((pilots.size, Ttr))
-        A[np.arange(pilots.size), pilots] = 1.0
-        return cls(A)
-
-    @property
-    def K(self) -> int:
-        return self.assignment.shape[0]
-
-    @property
-    def Ttr(self) -> int:
-        return self.assignment.shape[1]
-
-    @property
-    def pilot_of_user(self) -> np.ndarray:
-        return np.argmax(self.assignment, axis=1)
-
-
-@dataclass(frozen=True)
 class Schedule:
-    """Ordered sequence of allocations plus their horizontal concatenation,
-    with its `rank_and_condition` computed once; identifiable if rank == K."""
+    """The (N, K) pilot indices of a schedule over Ttr pilots.
 
-    allocations: tuple[Allocation, ...]
-    compound: np.ndarray = field(init=False)
+    Derived once, at construction: the one-hot `allocations` (N, K, Ttr),
+    their horizontal concatenation `compound` (K, N * Ttr) and its
+    `rank_and_condition`; identifiable if rank == K.
+    """
+
+    pilots: np.ndarray  # (N, K) integers in [0, Ttr)
+    Ttr: int
+    allocations: np.ndarray = field(init=False, repr=False)
+    compound: np.ndarray = field(init=False, repr=False)
     rank: int = field(init=False)
     cond: float = field(init=False)
 
     def __post_init__(self) -> None:
-        allocs = tuple(self.allocations)
-        if not allocs:
-            raise ValueError("schedule must contain at least one allocation")
-        shapes = {(a.K, a.Ttr) for a in allocs}
-        if len(shapes) != 1:
-            raise ValueError("all allocations must share the same (K, Ttr)")
-        object.__setattr__(self, "allocations", allocs)
-        object.__setattr__(
-            self, "compound", np.hstack([a.assignment for a in allocs])
-        )
+        pilots = np.array(self.pilots)
+        if pilots.ndim != 2 or pilots.size == 0:
+            raise ValueError(
+                f"pilots must be a non-empty 2-D array, got shape {pilots.shape}")
+        if not np.issubdtype(pilots.dtype, np.integer):
+            raise ValueError(f"pilot indices must be integers, got dtype {pilots.dtype}")
+        if np.any(pilots < 0) or np.any(pilots >= self.Ttr):
+            raise ValueError(f"pilot indices must lie in [0, {self.Ttr})")
+        object.__setattr__(self, "pilots", pilots)
+        # a contiguous array, not a strided view of compound: a product with
+        # allocations[n] then takes the BLAS path of a plain (K, Ttr) matrix
+        object.__setattr__(self, "allocations", np.eye(self.Ttr)[pilots])
+        object.__setattr__(self, "compound", np.hstack(self.allocations))
         rank, cond = rank_and_condition(self)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "cond", cond)
 
     @property
     def K(self) -> int:
-        return self.allocations[0].K
-
-    @property
-    def Ttr(self) -> int:
-        return self.allocations[0].Ttr
+        return self.pilots.shape[1]
 
     @property
     def N(self) -> int:
-        return len(self.allocations)
+        return self.pilots.shape[0]
 
 
 def min_schedule_length(K: int, Ttr: int) -> int:
@@ -163,15 +130,6 @@ def check_random_schedule(K: int, Ttr: int, N: int, num_cells: int,
     return require_full_rank
 
 
-def _draw_allocation(
-    K: int, Ttr: int, num_cells: int, rng: np.random.Generator
-) -> Allocation:
-    # uniform random injection, cell by cell: members of one cell get
-    # distinct pilots
-    pilots = [rng.permutation(Ttr)[: K // num_cells] for _ in range(num_cells)]
-    return Allocation.from_pilot_indices(np.concatenate(pilots), Ttr)
-
-
 def make_random_schedule(
     K: int,
     Ttr: int,
@@ -192,9 +150,11 @@ def make_random_schedule(
     """
     require_full_rank = check_random_schedule(K, Ttr, N, num_cells, require_full_rank)
     for _ in range(_MAX_REDRAWS + 1):
-        schedule = Schedule(
-            tuple(_draw_allocation(K, Ttr, num_cells, rng) for _ in range(N))
-        )
+        # uniform random injection, interval by interval and cell by cell:
+        # members of one cell get distinct pilots
+        cells = [rng.permutation(Ttr)[: K // num_cells]
+                 for _ in range(N) for _ in range(num_cells)]
+        schedule = Schedule(np.reshape(cells, (N, K)), Ttr)
         if not require_full_rank or schedule.rank == K:
             return schedule
     raise IdentifiabilityError(
@@ -208,10 +168,7 @@ def make_example_schedule_442() -> Schedule:
 
     Its compound matrix has rank 4 and condition number sqrt(3).
     """
-    pi1 = [[1, 0], [1, 0], [0, 1], [0, 1]]
-    pi2 = [[1, 0], [0, 1], [1, 0], [0, 1]]
-    pi3 = [[1, 0], [0, 1], [0, 1], [1, 0]]
-    return Schedule(tuple(Allocation(np.array(p, dtype=float)) for p in (pi1, pi2, pi3)))
+    return Schedule(np.array([[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]), 2)
 
 
 def rank_and_condition(schedule: Schedule) -> tuple[int, float]:
@@ -240,10 +197,7 @@ def rank_and_condition(schedule: Schedule) -> tuple[int, float]:
 
 def save_schedule(schedule: Schedule, path: str) -> None:
     """Write one line per interval: K space-separated pilot indices (0-based)."""
-    lines = [
-        " ".join(str(p) for p in alloc.pilot_of_user)
-        for alloc in schedule.allocations
-    ]
+    lines = [" ".join(str(p) for p in row) for row in schedule.pilots]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -263,8 +217,5 @@ def load_schedule(path: str, Ttr: int | None = None) -> Schedule:
         raise ValueError(f"empty schedule file: {path}")
     if len({len(r) for r in rows}) != 1:
         raise ValueError("all intervals must list the same number of users")
-    if Ttr is None:
-        Ttr = max(max(r) for r in rows) + 1
-    return Schedule(
-        tuple(Allocation.from_pilot_indices(np.array(r), Ttr) for r in rows)
-    )
+    pilots = np.array(rows)
+    return Schedule(pilots, int(pilots.max()) + 1 if Ttr is None else Ttr)

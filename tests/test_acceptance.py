@@ -380,10 +380,10 @@ def test_mmse_estimation_never_worse_than_ls():
             alloc = sched.allocations[e % sched.N]
             chan = draw_channels(cov, rng)
             Phi = observe(chan, alloc, scn.sigma_v2, rng)
-            pilots = alloc.pilot_of_user
+            pilots = sched.pilots[e % sched.N]
             for j, k in enumerate(served):
                 col = Phi[:, pilots[k]]
-                sharing = alloc.assignment[:, pilots[k]] == 1
+                sharing = alloc[:, pilots[k]] == 1
                 c_obs = cov[:, sharing].sum(axis=1) + scn.sigma_v2
                 hm = mmse_channel_estimate(col, cov[:, k], c_obs)
                 h = chan[:, k]

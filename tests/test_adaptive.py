@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from pilotcov import (
-    Allocation,
     AdaptiveState,
     adaptive_update,
     draw_channels,
@@ -42,7 +41,7 @@ class TestSingleUpdate:
         # from the canonical initialization the slot powers are 1+1=2, so
         # the weights are 1/4 and Xi becomes diag(0.9 + 0.25)
         st = AdaptiveState.initialize(2, lam=0.9)
-        alloc = Allocation(np.eye(2))
+        alloc = np.eye(2)
         b = np.array([3.0, 5.0])
         new = adaptive_update(st, alloc, b, 1.0)
         np.testing.assert_allclose(new.psi, [(3 - 1) / 4, (5 - 1) / 4])
@@ -51,26 +50,26 @@ class TestSingleUpdate:
 
     def test_state_is_not_mutated(self):
         st = AdaptiveState.initialize(2, lam=0.9)
-        adaptive_update(st, Allocation(np.eye(2)), np.array([2.0, 2.0]), 1.0)
+        adaptive_update(st, np.eye(2), np.array([2.0, 2.0]), 1.0)
         np.testing.assert_array_equal(st.Xi, np.eye(2))
         np.testing.assert_array_equal(st.psi, np.zeros(2))
 
     def test_negative_solution_clamped(self):
         st = AdaptiveState.initialize(1, lam=0.9)
-        new = adaptive_update(st, Allocation(np.ones((1, 1))), np.array([0.0]), 1.0)
+        new = adaptive_update(st, np.ones((1, 1)), np.array([0.0]), 1.0)
         assert new.c_hat[0] == 0.0
         assert new.psi[0] < 0
 
     def test_wrong_observation_length_rejected(self):
         st = AdaptiveState.initialize(2, lam=0.9)
         with pytest.raises(ValueError):
-            adaptive_update(st, Allocation(np.eye(2)), np.array([1.0]), 1.0)
+            adaptive_update(st, np.eye(2), np.array([1.0]), 1.0)
         # the leading (row) shapes of state and observations must match
         stacked = AdaptiveState.initialize(2, lam=0.9, shape=(3,))
         for state, b in [(stacked, np.ones((2, 2))), (stacked, np.ones(2)),
                          (stacked, np.ones((1, 3, 2))), (st, np.ones((3, 2)))]:
             with pytest.raises(ValueError):
-                adaptive_update(state, Allocation(np.eye(2)), b, 1.0)
+                adaptive_update(state, np.eye(2), b, 1.0)
 
 
 def _training_blocks(C, schedule, sigma_v2, passes, rng):
@@ -122,7 +121,7 @@ class TestNoiseFreeFixedPoint:
         n = 0
         for _ in range(5):
             for alloc in sched.allocations:
-                b = alloc.assignment.T @ c_true + sigma_v2
+                b = alloc.T @ c_true + sigma_v2
                 st = adaptive_update(st, alloc, b, sigma_v2)
                 n += 1
             c = np.linalg.solve(st.Xi - lam**n * np.eye(K), st.psi)
@@ -147,7 +146,7 @@ def _per_row_estimate(B, schedule, sigma_v2, lam):
         Xi, psi, c_hat = np.eye(K), np.zeros(K), np.ones(K)
         for t in range(B.shape[1] // Ttr):
             Xi, psi, c_hat = _per_row_update(
-                Xi, psi, c_hat, lam, schedule.allocations[t % N].assignment,
+                Xi, psi, c_hat, lam, schedule.allocations[t % N],
                 B[m, t * Ttr : (t + 1) * Ttr], sigma_v2,
             )
         C_hat[m] = c_hat

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pilotcov import (
-    Allocation,
     draw_channels,
     make_example_schedule_442,
     observe,
@@ -37,7 +36,7 @@ class TestObserve:
         rng = np.random.default_rng(3)
         cov = np.ones((5, 1))
         chan = draw_channels(cov, rng)
-        alloc = Allocation(np.ones((1, 1)))
+        alloc = np.ones((1, 1))
         block = observe(chan, alloc, 0.0, rng)
         np.testing.assert_array_equal(block[:, 0], chan[:, 0])
 
@@ -53,7 +52,7 @@ class TestObserve:
     def test_slot_variance_matches_shared_power_plus_noise(self):
         rng = np.random.default_rng(5)
         C = np.array([[0.8, 1.5, 0.3]])
-        alloc = Allocation.from_pilot_indices(np.array([0, 0, 1]), 2)
+        alloc = np.eye(2)[[0, 0, 1]]
         sigma_v2 = 0.25
         samples = np.empty((100_000, 2), dtype=complex)
         for t in range(samples.shape[0]):
@@ -66,7 +65,7 @@ class TestObserve:
     def test_intervals_mutually_independent(self):
         rng = np.random.default_rng(6)
         cov = np.ones((1, 2))
-        alloc = Allocation.from_pilot_indices(np.array([0, 0]), 1)
+        alloc = np.eye(1)[[0, 0]]
         obs = np.array(
             [observe(draw_channels(cov, rng), alloc, 0.1, rng)[0, 0]
              for _ in range(100_000)]
@@ -79,7 +78,7 @@ class TestObserve:
 
     def test_dimension_mismatch_rejected(self):
         chan = draw_channels(np.ones((2, 3)), np.random.default_rng(0))
-        alloc = Allocation(np.eye(2))
+        alloc = np.eye(2)
         with pytest.raises(ValueError):
             observe(chan, alloc, 0.1, np.random.default_rng(0))
 
@@ -118,7 +117,7 @@ def test_same_interval_slots_uncorrelated():
     # user, so their cross-correlation vanishes
     rng = np.random.default_rng(8)
     cov = np.ones((1, 2))
-    alloc = Allocation.from_pilot_indices(np.array([0, 1]), 2)
+    alloc = np.eye(2)[[0, 1]]
     n = 50_000
     obs = np.empty((n, 2), dtype=complex)
     for t in range(n):

@@ -222,8 +222,7 @@ class TestTwoStepReconstruct:
         np.testing.assert_array_equal(est, np.zeros((2, 4)))
 
     def test_rank_deficient_schedule_rejected(self):
-        alloc = make_example_schedule_442().allocations[0]
-        sched = Schedule((alloc, alloc))
+        sched = Schedule(make_example_schedule_442().pilots[[0, 0]], 2)
         with pytest.raises(IdentifiabilityError, match="rank 2"):
             two_step_reconstruct(np.ones((2, 4)), sched, 0.1)
 

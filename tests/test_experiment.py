@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from pilotcov import (
-    Allocation,
     BandLimited,
     ConfigError,
     ExperimentConfig,
     Record,
     ScenarioConfig,
+    Schedule,
     Uniform,
     emit_csv,
     load_experiment_config,
@@ -61,6 +61,12 @@ trials = 3
 T_coh = 100
 eval_intervals = 4
 """
+
+# DESK_CFG at the geometry of the example442 schedule, windows of whole passes
+EXAMPLE442_CFG = (DESK_CFG.replace("K = 6\nTtr = 4", "K = 4\nTtr = 2")
+                  .replace("users_per_cell = 3", "users_per_cell = 2")
+                  .replace("mode = random\nN = 5", "mode = example442")
+                  .replace("values = 10, 20", "values = 9, 18"))
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -373,19 +379,23 @@ class TestCLI:
         ["schedule", "generate", "--users", "12", "--pilots", "5", "--cells", "0"],
         ["schedule", "inspect", "{missing}"],
         ["schedule", "inspect", "{malformed}"],
+        ["schedule", "inspect", "{single_user}"],
     ])
     def test_bad_input_exits_1(self, argv, desk_config, tmp_path, capsys):
         malformed = tmp_path / "malformed.txt"
         malformed.write_text("0 1 x\n")
+        single_user = tmp_path / "single_user.txt"
+        single_user.write_text("0\n1\n")
         paths = {"cfg": desk_config, "missing": str(tmp_path / "missing.txt"),
-                 "malformed": str(malformed)}
+                 "malformed": str(malformed), "single_user": str(single_user)}
         argv = [a.format(**paths) for a in argv]
         try:
             rc = cli_main(argv)
         except SystemExit as exc:
             rc = exc.code
         assert rc == 1
-        assert capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert err and out == ""
 
     @pytest.mark.parametrize("edits, extra", [
         ([("sigma_v2 = 0.2", "sigma_v2 = nan")], []),
@@ -425,6 +435,11 @@ class TestCLI:
         ("width = 4", "width = 4\nsupport_fraction = 0.5", "support_fraction"),
         ("Ttr = 4", "Ttr = 3", "every cell occupies all pilots"),
         ("mode = random\nN = 5", "mode = imported\npath = {sched}", "covers 4 users"),
+        ("mode = random\nN = 5", "mode = imported\npath = {six_users}\nN = 9",
+         "[schedule] N"),
+        (DESK_CFG, EXAMPLE442_CFG.replace("mode = example442",
+                                          "mode = example442\nN = 5\npath = nowhere.txt"),
+         "[schedule] path"),
         ("values = 10, 20", "values = 10, 10", "values repeat 10"),
         ("estimators = genie, ls", "estimators = genie, genie, ls",
          "estimators repeat 'genie'"),
@@ -432,13 +447,17 @@ class TestCLI:
             "uniform-power-negative", "support-fraction-above-1", "width-missing",
             "support-fraction-missing", "misspelt-key", "unknown-section",
             "key-of-other-kind", "cells-saturate-pilots", "imported-K-mismatch",
+            "N-outside-random-mode", "N-and-path-outside-their-modes",
             "repeated-sweep-value", "repeated-estimator"])
     def test_config_refused_at_validate(self, old, new, named, tmp_path, capsys):
         sched = tmp_path / "four_users.txt"
         sched.write_text("0 1 2 3\n1 2 3 0\n")
+        six_users = tmp_path / "six_users.txt"
+        six_users.write_text("0 1 2 3 0 1\n1 2 3 0 1 2\n2 3 0 1 3 0\n"
+                             "3 0 1 2 2 3\n0 2 3 1 3 0\n")
         assert old in DESK_CFG
         path = tmp_path / "refused.cfg"
-        path.write_text(DESK_CFG.replace(old, new.format(sched=sched)))
+        path.write_text(DESK_CFG.replace(old, new.format(sched=sched, six_users=six_users)))
         for argv in (["validate", str(path)],
                      ["run", str(path), "--out", str(tmp_path / "o.csv")]):
             assert cli_main(argv) == 1
@@ -599,16 +618,15 @@ def test_emit_csv_unwritable_path_raises(tmp_path):
         emit_csv(res, str(tmp_path / "missing_dir" / "out.csv"))
 
 
-def _serving_estimates_loop(Phi, alloc, served, C_used, sigma_v2):
+def _serving_estimates_loop(Phi, pilots, served, C_used, sigma_v2):
     """Reference: one served user at a time, its slot variance from a mask."""
     H_hat = np.empty((Phi.shape[0], served.size), dtype=complex)
-    pilots = alloc.pilot_of_user
     for j, k in enumerate(served):
         col = Phi[:, pilots[k]]
         if C_used is None:
             H_hat[:, j] = ls_channel_estimate(col)
         else:
-            sharing = alloc.assignment[:, pilots[k]] == 1
+            sharing = pilots == pilots[k]
             c_obs = C_used[:, sharing].sum(axis=1) + sigma_v2
             H_hat[:, j] = mmse_channel_estimate(col, C_used[:, k], c_obs)
     return H_hat
@@ -622,20 +640,19 @@ def test_serving_estimates_match_per_user_loop(with_cov):
         Ttr, M = int(rng.integers(per_cell, per_cell + 3)), int(rng.integers(1, 9))
         n = int(rng.integers(1, 5))
         # distinct pilots inside each cell, reused across cells
-        allocs = tuple(
-            Allocation.from_pilot_indices(np.concatenate(
-                [rng.permutation(Ttr)[:per_cell] for _ in range(cells)]), Ttr)
-            for _ in range(n))
+        schedule = Schedule(np.stack([
+            np.concatenate([rng.permutation(Ttr)[:per_cell] for _ in range(cells)])
+            for _ in range(n)]), Ttr)
         served = per_cell * int(rng.integers(cells)) + np.arange(per_cell)
         Phi = rng.standard_normal((n, M, Ttr)) + 1j * rng.standard_normal((n, M, Ttr))
         C_used = rng.uniform(0.0, 2.0, size=(M, cells * per_cell)) if with_cov else None
         sigma_v2 = rng.uniform(0.05, 1.0)
-        stacked = _serving_estimates(Phi, allocs, served, C_used, sigma_v2)
+        stacked = _serving_estimates(Phi, schedule, served, C_used, sigma_v2)
         assert stacked.shape == (n, M, served.size)
-        for i, alloc in enumerate(allocs):
+        for i, pilots in enumerate(schedule.pilots):
             np.testing.assert_allclose(
                 stacked[i],
-                _serving_estimates_loop(Phi[i], alloc, served, C_used, sigma_v2),
+                _serving_estimates_loop(Phi[i], pilots, served, C_used, sigma_v2),
                 rtol=1e-12,
             )
 
@@ -645,8 +662,8 @@ def _evaluate_rates_loop(H, Phi, schedule, served, C_used, sigma_v2, overhead):
     per-user serving loop and a single-draw filter and rate."""
     rates = np.empty(H.shape[0])
     for e in range(H.shape[0]):
-        alloc = schedule.allocations[e % schedule.N]
-        H_hat = _serving_estimates_loop(Phi[e], alloc, served, C_used, sigma_v2)
+        H_hat = _serving_estimates_loop(Phi[e], schedule.pilots[e % schedule.N], served,
+                                        C_used, sigma_v2)
         W = rzf_filter(H_hat, sigma_v2)
         rates[e] = uplink_sum_rate(W, H[e], sigma_v2, served=served, overhead=overhead)
     return rates
@@ -659,7 +676,7 @@ def test_pass_evaluation_matches_per_interval_loop(with_cov, E):
     M, K, Ttr, N, sigma_v2, overhead = 9, 6, 4, 5, 0.2, 0.95
     schedule = make_random_schedule(K, Ttr, N, 2, rng)
     H = rng.standard_normal((E, M, K)) + 1j * rng.standard_normal((E, M, K))
-    Phi = np.stack([H[e] @ schedule.allocations[e % N].assignment for e in range(E)])
+    Phi = np.stack([H[e] @ schedule.allocations[e % N] for e in range(E)])
     Phi += np.sqrt(sigma_v2 / 2) * (rng.standard_normal(Phi.shape)
                                     + 1j * rng.standard_normal(Phi.shape))
     C_used = rng.uniform(0.1, 2.0, size=(M, K)) if with_cov else None

@@ -19,6 +19,6 @@ def test_every_name_in_all_exists(name):
 
 
 @pytest.mark.parametrize("name", ["ObsCovEstimate", "CovEstimate", "ExperimentResult",
-                                  "CovarianceSet"])
+                                  "CovarianceSet", "Allocation"])
 def test_result_wrappers_are_gone(name):
     assert not hasattr(pilotcov, name)

@@ -1,10 +1,13 @@
-"""Golden records: rerun two small desk sweeps and compare with the CSVs
-they wrote when committed (seed base 0).
+"""Golden records: rerun four small sweeps and compare with the CSVs they
+wrote when committed (seed base 0).  Two desk sweeps use random schedules
+(per-row and shared-scaling ML), one the example442 schedule, and one
+golden_shared.cfg run on the checked-in golden_imported_schedule.txt.
 
 The CSV keeps 6 significant digits, so rtol=2e-5 allows two units in the
 last digit; refactors that only move rounding stay well inside it.
 """
 
+import configparser
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +23,29 @@ def _by_key(records):
     return {(r.axis_value, r.estimator, r.seed): r for r in records}
 
 
-@pytest.mark.parametrize("scaling", ["per_row", "shared"])
-def test_records_match_golden_csv(scaling, tmp_path):
+def _config(name, tmp_path):
+    # [schedule] path is read relative to the working directory, so the
+    # imported sweep's config is written here with the file's absolute path
+    # rather than checked in
+    if name != "imported":
+        return DATA / f"golden_{name}.cfg"
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read(DATA / "golden_shared.cfg", encoding="utf-8")
+    cp["schedule"] = {"mode": "imported",
+                      "path": str(DATA / "golden_imported_schedule.txt")}
+    path = tmp_path / "golden_imported.cfg"
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    return path
+
+
+@pytest.mark.parametrize("name", ["per_row", "shared", "example442", "imported"])
+def test_records_match_golden_csv(name, tmp_path):
     out = tmp_path / "run.csv"
-    cfg = DATA / f"golden_{scaling}.cfg"
+    cfg = _config(name, tmp_path)
     assert cli_main(["run", str(cfg), "--out", str(out), "--seed-base", "0"]) == 0
     got = _by_key(load_result_csv(out))
-    want = _by_key(load_result_csv(DATA / f"golden_{scaling}.csv"))
+    want = _by_key(load_result_csv(DATA / f"golden_{name}.csv"))
     assert got.keys() == want.keys()
     for key, w in want.items():
         g = got[key]

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from pilotcov import (
     AdaptiveState,
-    Allocation,
     Schedule,
     adaptive_update,
     estimate_all_rows_ml,
@@ -84,7 +83,7 @@ def test_scale_equivariance(problem, a):
 def test_user_permutation_equivariance(problem, random):
     sched, b, sigma_v2, d = problem
     perm = np.array(random.sample(range(sched.K), sched.K))
-    permuted = Schedule(tuple(Allocation(a.assignment[perm]) for a in sched.allocations))
+    permuted = Schedule(sched.pilots[:, perm], sched.Ttr)
     for base, moved in zip(_estimates(sched, b, sigma_v2, d),
                            _estimates(permuted, b, sigma_v2, d)):
         np.testing.assert_allclose(moved, base[:, perm], rtol=RTOL)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pilotcov import (
-    Allocation,
     IdentifiabilityError,
     InfeasibleConstraintError,
     Schedule,
@@ -16,19 +15,26 @@ from pilotcov import (
 )
 
 
-class TestAllocation:
-    def test_rows_must_be_one_hot(self):
-        with pytest.raises(ValueError):
-            Allocation(np.array([[1, 1], [0, 1]]))
-        with pytest.raises(ValueError):
-            Allocation(np.array([[0, 0], [0, 1]]))
-        with pytest.raises(ValueError):
-            Allocation(np.array([[0.5, 0.5], [0, 1]]))
+class TestSchedule:
+    @pytest.mark.parametrize("pilots, match", [
+        (np.array([0, 1, 2]), "non-empty 2-D"),
+        (np.zeros((3, 0), dtype=int), "non-empty 2-D"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), "integers"),
+        (np.array([[0, 1], [-1, 0]]), r"\[0, 3\)"),
+        (np.array([[0, 1], [3, 0]]), r"\[0, 3\)"),
+    ], ids=["one-dimensional", "empty", "float", "below-0", "at-Ttr"])
+    def test_constructor_refusals(self, pilots, match):
+        with pytest.raises(ValueError, match=match):
+            Schedule(pilots, 3)
 
-    def test_from_pilot_indices_roundtrip(self):
-        alloc = Allocation.from_pilot_indices(np.array([2, 0, 1, 2]), 3)
-        np.testing.assert_array_equal(alloc.pilot_of_user, [2, 0, 1, 2])
-        assert alloc.assignment.shape == (4, 3)
+    def test_allocations_and_compound_derive_from_pilots(self):
+        pilots = np.array([[2, 0, 1, 2], [0, 1, 1, 0]])
+        sched = Schedule(pilots, 3)
+        assert (sched.N, sched.K, sched.Ttr) == (2, 4, 3)
+        assert sched.allocations.shape == (2, 4, 3)
+        for n in range(2):
+            np.testing.assert_array_equal(sched.allocations[n], np.eye(3)[pilots[n]])
+        np.testing.assert_array_equal(sched.compound, np.hstack(sched.allocations))
 
 
 class TestMinScheduleLength:
@@ -56,8 +62,7 @@ class TestExampleSchedule442:
             [[1, 0], [0, 1], [0, 1], [1, 0]],
         ]
         assert sched.N == 3
-        for alloc, exp in zip(sched.allocations, expected):
-            np.testing.assert_array_equal(alloc.assignment, np.array(exp))
+        np.testing.assert_array_equal(sched.allocations, np.array(expected))
         assert sched.compound.shape == (4, 6)
 
     def test_rank_and_condition(self):
@@ -68,8 +73,7 @@ class TestExampleSchedule442:
 
 class TestRankAndCondition:
     def test_repeated_allocation_rank_is_pilot_count(self):
-        alloc = Allocation.from_pilot_indices(np.array([0, 1, 2, 0, 1]), 3)
-        sched = Schedule((alloc,) * 4)
+        sched = Schedule(np.tile([0, 1, 2, 0, 1], (4, 1)), 3)
         rank, _ = rank_and_condition(sched)
         assert rank == 3
 
@@ -94,7 +98,7 @@ class TestRankAndCondition:
     def test_rank_above_structural_bound_raises(self, monkeypatch):
         # a broken SVD claiming full rank for K=4, Ttr=2, N=2 (bound 3)
         # must fail loudly, and not through an assert that -O strips
-        sched = Schedule((make_example_schedule_442().allocations[0],) * 2)
+        sched = Schedule(make_example_schedule_442().pilots[[0, 0]], 2)
         monkeypatch.setattr(np.linalg, "svd",
                             lambda A, compute_uv: np.ones(min(A.shape)))
         with pytest.raises(SingularSystemError, match="structural bound 3"):
@@ -105,7 +109,7 @@ class TestRandomSchedule:
     def test_single_cell_full_pilots_gives_permutation(self):
         rng = np.random.default_rng(2)
         sched = make_random_schedule(4, 4, 1, 1, rng)
-        A = sched.allocations[0].assignment
+        A = sched.allocations[0]
         np.testing.assert_array_equal(A.sum(axis=0), np.ones(4))
         np.testing.assert_array_equal(A.sum(axis=1), np.ones(4))
 
@@ -116,18 +120,17 @@ class TestRandomSchedule:
         sched = make_random_schedule(4, 2, 3, 2, rng,
                                      require_full_rank=False)
         for alloc in sched.allocations:
-            np.testing.assert_array_equal(alloc.assignment.sum(axis=0), [2, 2])
+            np.testing.assert_array_equal(alloc.sum(axis=0), [2, 2])
 
     def test_same_cell_users_get_distinct_pilots(self):
         rng = np.random.default_rng(4)
         sched = make_random_schedule(12, 5, 6, 3, rng)
-        for alloc in sched.allocations:
-            pilots = alloc.pilot_of_user
+        for pilots, alloc in zip(sched.pilots, sched.allocations):
             for cell in range(3):
                 cell_pilots = pilots[4 * cell : 4 * (cell + 1)]
                 assert len(set(cell_pilots)) == 4
             # all users served: the interval's columns sum to K in total
-            assert alloc.assignment.sum() == 12
+            assert alloc.sum() == 12
 
     def test_full_rank_enforced_by_default(self):
         rng = np.random.default_rng(5)
@@ -157,6 +160,8 @@ class TestScheduleIO:
         path = tmp_path / "sched.txt"
         save_schedule(sched, str(path))
         loaded = load_schedule(str(path), Ttr=4)
+        np.testing.assert_array_equal(loaded.pilots, sched.pilots)
+        assert loaded.Ttr == sched.Ttr
         np.testing.assert_array_equal(loaded.compound, sched.compound)
 
     def test_text_format_one_line_per_interval(self, tmp_path):
