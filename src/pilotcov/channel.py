@@ -11,6 +11,12 @@ allocation A = schedule.allocations[n] is (K, Ttr) one-hot, a training
 observation Phi is (M, Ttr) complex with one column per pilot, and the
 squared observations B of T intervals are (M, T * Ttr) real, column
 t * Ttr + p belonging to pilot p of interval t.
+
+With diagonal covariances each slot Phi[m, p] is CN(0, (C A)[m,p] +
+sigma_v2), independent across antennas, pilots and intervals.  A sweep's
+training window is therefore drawn directly from the stacked (T, M, Ttr)
+slot variances with `draw_channels`; `observe` forms H A + noise where the
+channel H itself is needed, as in link-level evaluation.
 """
 
 from __future__ import annotations
@@ -27,14 +33,25 @@ __all__ = [
 
 
 def draw_channels(C: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One circularly-symmetric complex Gaussian channel draw per user from
-    the (M, K) variances C.
+    """One circularly-symmetric complex Gaussian draw per entry of the
+    variance array C: the (M, K) ground truth for a channel draw, or a stack
+    of matrices, such as the (T, M, Ttr) slot variances of a training window.
 
-    Real and imaginary parts are independent N(0, C[m,k]/2), so the
-    per-entry power is exactly C[m,k].
+    Real and imaginary parts are independent N(0, C[...]/2), so the
+    per-entry power is exactly C[...].  Matrices are drawn in the order of
+    the leading axes, real part then imaginary part of each, so from one
+    generator state the draw of C[:t] is the first t matrices of the draw of
+    C: training windows of different lengths share their first intervals.
     """
-    scale = np.sqrt(C / 2.0)
-    return scale * (rng.standard_normal(C.shape) + 1j * rng.standard_normal(C.shape))
+    z = rng.standard_normal((*C.shape[:-2], 2, *C.shape[-2:]))
+    # filled in place, z freed before scaling: a training window's draw is
+    # the largest array of a unit, and each temporary raises peak memory
+    out = np.empty(C.shape, dtype=complex)
+    out.real = z[..., 0, :, :]
+    out.imag = z[..., 1, :, :]
+    del z
+    out *= np.sqrt(C / 2.0)
+    return out
 
 
 def observe(
@@ -59,7 +76,8 @@ def observe(
 
 
 def squared_rows(blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """Stack |Phi|^2 of all blocks side by side, preserving block order."""
+    """Stack |Phi|^2 of all blocks side by side, preserving block order;
+    a (T, M, Ttr) array is T blocks."""
     blocks = list(blocks)
     if not blocks:
         raise ValueError("need at least one observation block")

@@ -340,12 +340,12 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
     schedule = _build_schedule(cfg, scn, rng_sched)
     identifiable = schedule.rank == scn.K
 
-    blocks = []
-    for t in range(T):
-        alloc = schedule.allocations[t % schedule.N]
-        H = draw_channels(truth, rng_train)
-        blocks.append(observe(H, alloc, scn.sigma_v2, rng_train))
-    B = squared_rows(blocks)
+    # training draws each slot from its exact law: with diagonal covariances
+    # and a fresh channel per interval, y_p[m] is CN(0, (C A)[m,p] + sigma_v2)
+    # and independent across (m, p, t), and H is never used again in
+    # training, so drawing H A + N would only spend normals on the same law
+    slot_var = truth @ schedule.allocations + scn.sigma_v2  # (N, M, Ttr)
+    B = squared_rows(draw_channels(slot_var[np.arange(T) % schedule.N], rng_train))
     c_obs = None
     if identifiable and set(cfg.estimators) & set(INVERTS_COMPOUND):
         c_obs = estimate_obs_covariances(B, schedule)

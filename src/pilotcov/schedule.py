@@ -33,13 +33,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """The (N, K) pilot indices of a schedule over Ttr pilots.
 
     Derived once, at construction: the one-hot `allocations` (N, K, Ttr),
     their horizontal concatenation `compound` (K, N * Ttr) and its
-    `rank_and_condition`; identifiable if rank == K.
+    `rank_and_condition`; identifiable if rank == K.  Schedules compare and
+    hash by identity: a field-wise `==` on arrays has no truth value.
     """
 
     pilots: np.ndarray  # (N, K) integers in [0, Ttr)

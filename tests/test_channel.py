@@ -30,6 +30,14 @@ class TestDrawChannels:
         assert abs(np.var(draws.real) - 2.0) < 0.1
         assert abs(np.var(draws.imag) - 2.0) < 0.1
 
+    def test_window_prefix_is_shared(self):
+        # a window of t intervals is the first t intervals of a longer one,
+        # so sweep points of one trial along T share their training data
+        var = np.random.default_rng(12).random((6, 3, 2))
+        long = draw_channels(var, np.random.default_rng(13))
+        short = draw_channels(var[:4], np.random.default_rng(13))
+        np.testing.assert_array_equal(short, long[:4])
+
 
 class TestObserve:
     def test_noise_free_single_user_passthrough(self):
@@ -125,3 +133,58 @@ def test_same_interval_slots_uncorrelated():
     cross = np.mean(obs[:, 0] * np.conj(obs[:, 1]))
     power = np.sqrt(np.mean(np.abs(obs[:, 0]) ** 2) * np.mean(np.abs(obs[:, 1]) ** 2))
     assert abs(cross) < 3.0 * power / np.sqrt(n)
+
+
+class TestSlotLaw:
+    """Each training slot y_p[m] is CN(0, v) with v = (C A)[m,p] + sigma_v2,
+    so |y_p[m]|^2 is exponential: mean v, second moment 2 v^2, variances v^2
+    and 20 v^4.  Drawing the slot from that law directly and forming H A + V
+    must agree with it, within 5 standard errors over 20k draws."""
+
+    C = np.array([[0.8, 1.5, 0.3, 2.0],
+                  [0.1, 0.4, 1.2, 0.6]])
+    A = np.eye(2)[[0, 0, 0, 1]]  # users 0-2 share pilot 0, user 3 is alone
+    SIGMA_V2 = 0.25
+    N_DRAWS = 20_000
+
+    def _check_exponential(self, power, v):
+        n = power.shape[0]
+        np.testing.assert_array_less(
+            np.abs(power.mean(axis=0) - v), 5.0 * v / np.sqrt(n))
+        np.testing.assert_array_less(
+            np.abs(np.mean(power**2, axis=0) - 2.0 * v**2),
+            5.0 * np.sqrt(20.0) * v**2 / np.sqrt(n))
+
+    def test_direct_slot_draw(self):
+        v = self.C @ self.A + self.SIGMA_V2
+        stacked = np.broadcast_to(v, (self.N_DRAWS, *v.shape))
+        power = np.abs(draw_channels(stacked, np.random.default_rng(9))) ** 2
+        self._check_exponential(power, v)
+
+    def test_observe_of_channel_draw(self):
+        rng = np.random.default_rng(10)
+        v = self.C @ self.A + self.SIGMA_V2
+        power = np.empty((self.N_DRAWS, *v.shape))
+        for t in range(self.N_DRAWS):
+            H = draw_channels(self.C, rng)
+            power[t] = np.abs(observe(H, self.A, self.SIGMA_V2, rng)) ** 2
+        self._check_exponential(power, v)
+
+    def test_stacked_interval_variances(self):
+        # the (T, M, Ttr) slot variances of a cycled schedule, as a sweep
+        # draws its training window
+        sched = make_example_schedule_442()
+        slot_var = self.C @ sched.allocations + self.SIGMA_V2
+        assert slot_var.shape == (sched.N, 2, sched.Ttr)
+        T = self.N_DRAWS
+        draws = draw_channels(slot_var[np.arange(T) % sched.N],
+                              np.random.default_rng(11))
+        assert draws.shape == (T, 2, sched.Ttr)
+        power = np.abs(draws) ** 2
+        for n in range(sched.N):
+            np.testing.assert_array_less(
+                np.abs(power[n::sched.N].mean(axis=0) - slot_var[n]),
+                5.0 * slot_var[n] / np.sqrt(T // sched.N))
+        B = squared_rows(draws)
+        assert B.shape == (2, T * sched.Ttr)
+        np.testing.assert_array_equal(B[:, sched.Ttr:2 * sched.Ttr], power[1])

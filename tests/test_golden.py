@@ -5,6 +5,19 @@ golden_shared.cfg run on the checked-in golden_imported_schedule.txt.
 
 The CSV keeps 6 significant digits, so rtol=2e-5 allows two units in the
 last digit; refactors that only move rounding stay well inside it.
+
+A change that moves the numbers on purpose (a new RNG stream, say)
+regenerates each CSV with the command this test runs, from the repository
+root, and lists every changed value, old -> new, with the change:
+
+    pilotcov run tests/data/golden_<name>.cfg \
+        --out tests/data/golden_<name>.csv --seed-base 0
+
+for <name> in per_row, shared and example442; for imported, first write
+golden_shared.cfg with its [schedule] section replaced by
+`mode = imported` and `path = <absolute path of
+tests/data/golden_imported_schedule.txt>`, as `_config` below does, and
+run that config with `--out tests/data/golden_imported.csv`.
 """
 
 import configparser

@@ -36,6 +36,12 @@ class TestSchedule:
             np.testing.assert_array_equal(sched.allocations[n], np.eye(3)[pilots[n]])
         np.testing.assert_array_equal(sched.compound, np.hstack(sched.allocations))
 
+    def test_equality_and_hash_do_not_raise(self):
+        a, b = make_example_schedule_442(), make_example_schedule_442()
+        assert a == a
+        assert a != b  # identity, not the array fields
+        assert len({a, b, a}) == 2
+
 
 class TestMinScheduleLength:
     def test_four_users_two_pilots(self):
