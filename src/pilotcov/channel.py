@@ -21,8 +21,6 @@ channel H itself is needed, as in link-level evaluation.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 __all__ = [
@@ -75,12 +73,16 @@ def observe(
     return H @ A + noise
 
 
-def squared_rows(blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """Stack |Phi|^2 of all blocks side by side, preserving block order;
-    a (T, M, Ttr) array is T blocks."""
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("need at least one observation block")
-    if len({Phi.shape[0] for Phi in blocks}) != 1:
-        raise ValueError("all blocks must share the same antenna count")
-    return np.hstack([np.abs(Phi) ** 2 for Phi in blocks])
+def squared_rows(Phi: np.ndarray) -> np.ndarray:
+    """|Phi|^2 of a (T, M, Ttr) stack of observations, or a list of T equal
+    (M, Ttr) blocks, as one (M, T * Ttr) array preserving block order."""
+    Phi = np.asarray(Phi)
+    if Phi.ndim != 3 or Phi.shape[0] == 0:
+        raise ValueError(
+            f"need a non-empty (T, M, Ttr) stack of equal blocks, got shape {Phi.shape}"
+        )
+    # squared in place in the output's (M, T, Ttr) layout: one array, the
+    # size of the result, on top of the draw
+    rows = np.abs(Phi.transpose(1, 0, 2), order="C")
+    rows **= 2
+    return rows.reshape(Phi.shape[1], -1)

@@ -23,9 +23,14 @@ Each of them solves the weighted normal equations (Pi D Pi^T) c =
 Pi D (b - sigma_v2) with a different diagonal slot weighting D: two-step
 uses D = I, ML re-weights D at every iterate, shared scaling uses one D
 for all antennas and the adaptive estimator accumulates Pi D Pi^T over
-intervals.  All of them go through `_solve_normal`, and the D = I solve
-is `shared_scaling_estimate` with D = None.  A single K x K system goes
-straight to LAPACK's Cholesky routines, a stack to scipy's batched solve.
+intervals.  The weights of ML, shared scaling and the adaptive estimator
+are one rule, `_slot_weights`: d_i = 1 / p_i^2 at the slot powers p =
+Pi^T c + sigma_v2 of the current estimate.  Two-step, shared scaling and
+each ML iteration solve through `_weighted_solve`, and the D = I solve is
+`shared_scaling_estimate` with D = None; the adaptive estimator builds
+its own accumulated system.  All of them go through `_solve_normal`: a
+single K x K system goes straight to LAPACK's Cholesky routines, a stack
+to scipy's batched solve.
 
 The batch estimators take per-slot statistics: the slot means b over the
 S passes of a window (`estimate_obs_covariances`) with the compound
@@ -155,6 +160,12 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x if rhs.ndim == 2 else x[:, 0]
 
 
+def _weighted_solve(Pi: np.ndarray, d: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Solve (Pi D Pi^T) X = Pi D R for slot weights d (S,) and slot-major
+    right-hand sides R (S, M), one column per antenna row; X is (K, M)."""
+    return _solve_normal((Pi * d) @ Pi.T, Pi @ (d[:, None] * R))
+
+
 def two_step_reconstruct(
     c_obs: np.ndarray,
     schedule: Schedule,
@@ -203,8 +214,7 @@ def shared_scaling_estimate(
         raise ValueError(f"D must be a length-{Pi.shape[1]} weight vector")
     if np.any(d <= 0) or not np.all(np.isfinite(d)):
         raise ValueError("D must be strictly positive and finite")
-    rhs = Pi @ (d[:, None] * (B_mean - sigma_v2).T)  # (K, M)
-    C = _solve_normal((Pi * d) @ Pi.T, rhs).T
+    C = _weighted_solve(Pi, d, (B_mean - sigma_v2).T).T
     return np.maximum(C, 0.0) if clamp else C
 
 
@@ -212,6 +222,17 @@ def _slot_powers(c_m: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray
     # written as a stack of matrix-vector products, so every row of a stack
     # (..., K) rounds as Pi^T @ c_m does for that row alone
     return (Pi.T @ c_m[..., None])[..., 0] + sigma_v2
+
+
+def _slot_weights(c: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
+    """Slot weights d = 1 / p^2 at the slot powers p = Pi^T c + sigma_v2,
+    one per slot of each variance vector c (..., K)."""
+    powers = _slot_powers(c, Pi, sigma_v2)
+    if not ((powers > 0).all() and np.isfinite(powers).all()):
+        raise SingularSystemError(
+            "slot powers vanished; weights 1/power^2 are undefined"
+        )
+    return powers**-2
 
 
 def negative_llf(
@@ -299,18 +320,13 @@ def ml_fixed_point(
         if c.shape != (K,) or np.any(c < 0):
             raise ValueError("init must be a nonnegative length-K vector")
 
-    residual = b_m - sigma_v2
+    residual = (b_m - sigma_v2)[:, None]
     obj = _safe_llf(c, b_m, Pi, sigma_v2)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        powers = _slot_powers(c, Pi, sigma_v2)
-        if not (powers > 0).all() or not np.isfinite(powers).all():
-            raise SingularSystemError(
-                "slot powers vanished; weights 1/power^2 are undefined"
-            )
-        d = powers**-2
-        c_new = np.maximum(_solve_normal((Pi * d) @ Pi.T, Pi @ (d * residual)), 0.0)
+        d = _slot_weights(c, Pi, sigma_v2)
+        c_new = np.maximum(_weighted_solve(Pi, d, residual)[:, 0], 0.0)
         obj_new = _safe_llf(c_new, b_m, Pi, sigma_v2)
         if obj_new > obj:
             # backtrack toward the previous iterate while it helps; when no
@@ -400,11 +416,10 @@ def shared_scaling_fixed_point(
     Bm = np.asarray(B, dtype=float)
     Pi = np.asarray(Pi, dtype=float)
     C = shared_scaling_estimate(Bm, Pi, None, sigma_v2)
+    residual = (Bm - sigma_v2).T
     for _ in range(max_iter):
-        powers = Pi.T @ C.mean(axis=0) + sigma_v2
-        if np.any(powers <= 0):
-            raise SingularSystemError("average slot powers vanished")
-        C_new = shared_scaling_estimate(Bm, Pi, powers**-2, sigma_v2)
+        d = _slot_weights(C.mean(axis=0), Pi, sigma_v2)
+        C_new = np.maximum(_weighted_solve(Pi, d, residual).T, 0.0)
         done = np.max(np.abs(C_new - C)) <= tol * (1.0 + np.max(np.abs(C)))
         C = C_new
         if done:
@@ -483,13 +498,7 @@ def adaptive_update(
 
     # the matrix-vector products (A @ v[..., None])[..., 0] round as in a
     # single-row update, so a stack gives each row's result bit for bit
-    if unit_scaling:
-        d = np.ones(b.shape)
-    else:
-        slot_power = (A.T @ state.c_hat[..., None])[..., 0] + sigma_v2
-        if np.any(slot_power <= 0) or not np.all(np.isfinite(slot_power)):
-            raise SingularSystemError("slot powers vanished in adaptive update")
-        d = slot_power**-2
+    d = np.ones(b.shape) if unit_scaling else _slot_weights(state.c_hat, A, sigma_v2)
 
     psi = state.lam * state.psi + (A @ (d * (b - sigma_v2))[..., None])[..., 0]
     Xi = state.lam * state.Xi + (A * d[..., None, :]) @ A.T

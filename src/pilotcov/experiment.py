@@ -270,28 +270,6 @@ def _estimate_covariances(
     raise ConfigError(f"unknown estimator {name!r}")
 
 
-def _serving_estimates(
-    Phi: np.ndarray,
-    schedule: Schedule,
-    served: np.ndarray,
-    C_used: np.ndarray | None,
-    sigma_v2: float,
-) -> np.ndarray:
-    """Channel estimates (n, M, K_served) of the served users from n
-    training phases Phi (n, M, Ttr), phase i observed under allocation i
-    of the schedule; MMSE divides by the slot variances C Pi + sigma_v2,
-    LS needs no C_used."""
-    n = Phi.shape[0]
-    pilots = schedule.pilots[:n, served][:, None, :]
-    obs = np.take_along_axis(Phi, pilots, axis=2)
-    if C_used is None:
-        return ls_channel_estimate(obs)
-    slot_var = C_used @ schedule.allocations[:n] + sigma_v2
-    return mmse_channel_estimate(
-        obs, C_used[:, served], np.take_along_axis(slot_var, pilots, axis=2)
-    )
-
-
 def _evaluate_rates(
     H: np.ndarray,
     Phi: np.ndarray,
@@ -303,17 +281,23 @@ def _evaluate_rates(
 ) -> np.ndarray:
     """Sum-rate of each evaluation interval, (E,), from its channels H
     (E, M, K) and training phase Phi (E, M, Ttr) taken under allocation
-    e % N.  Each schedule pass of N intervals is one stacked estimate,
-    filter and rate evaluation; the last pass may be partial."""
-    E, N = H.shape[0], schedule.N
-    rates = np.empty(E)
-    for start in range(0, E, N):
-        stop = min(start + N, E)
-        H_hat = _serving_estimates(Phi[start:stop], schedule, served, C_used, sigma_v2)
+    e % N.  The intervals e = n (mod N) share allocation n, so they share
+    the served users' pilots and, for MMSE, the slot variances C_used A_n +
+    sigma_v2; each allocation is one stacked estimate, filter and rate
+    evaluation.  LS needs no C_used."""
+    N = schedule.N
+    rates = np.empty(H.shape[0])
+    for n in range(min(N, H.shape[0])):
+        pilots = schedule.pilots[n, served]
+        obs = Phi[n::N][..., pilots]
+        if C_used is None:
+            H_hat = ls_channel_estimate(obs)
+        else:
+            slot_var = C_used @ schedule.allocations[n] + sigma_v2
+            H_hat = mmse_channel_estimate(obs, C_used[:, served], slot_var[:, pilots])
         W = rzf_filter(H_hat, sigma_v2)
-        rates[start:stop] = uplink_sum_rate(
-            W, H[start:stop], sigma_v2, served=served, overhead=overhead
-        )
+        rates[n::N] = uplink_sum_rate(W, H[n::N], sigma_v2, served=served,
+                                      overhead=overhead)
     return rates
 
 

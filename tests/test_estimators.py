@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotcov import (
+    AdaptiveState,
     IdentifiabilityError,
     Schedule,
     SingularSystemError,
+    adaptive_update,
     draw_channels,
     estimate_all_rows_ml,
     estimate_obs_covariances,
@@ -536,6 +538,53 @@ class TestSharedScalingFixedPoint:
             C_hat, converged = shared_scaling_fixed_point(B, Pi, 0.3, max_iter=1)
         assert converged is False and C_hat.shape == (4, 4)
         assert "did not converge in 1 iterations" in caplog.text
+
+
+class TestOneWeightedSolve:
+    """ML and shared scaling take their steps through the weighted solve of
+    `shared_scaling_estimate`, so one iteration of each is that solve at the
+    iteration's weights, bit for bit."""
+
+    def test_ml_step_is_the_shared_solve_at_its_weights(self):
+        b, Pi, s2 = _desk_row(0, "uniform", 24)
+        c0 = shared_scaling_estimate(b[None, :], Pi, None, s2)[0]
+        res = ml_fixed_point(b, Pi, s2, init=c0, max_iter=1)
+        # a descending step is taken whole, with no halving
+        assert negative_llf(res.c_hat, b, Pi, s2) <= negative_llf(c0, b, Pi, s2)
+        d = (Pi.T @ c0 + s2) ** -2
+        assert np.array_equal(res.c_hat, shared_scaling_estimate(b[None], Pi, d, s2)[0])
+
+    def test_shared_step_is_the_shared_solve_at_mean_weights(self):
+        rng = np.random.default_rng(21)
+        sched = make_random_schedule(12, 5, 5, 3, rng)
+        C = rng.uniform(0.0, 1.0, (16, 12))
+        b = estimate_obs_covariances(_simulate(C, sched, 0.1, 6, rng), sched)
+        Pi = sched.compound
+        C_hat, _ = shared_scaling_fixed_point(b, Pi, 0.1, max_iter=1)
+        c_mean = shared_scaling_estimate(b, Pi, None, 0.1).mean(axis=0)
+        d = (Pi.T @ c_mean + 0.1) ** -2
+        assert np.array_equal(C_hat, shared_scaling_estimate(b, Pi, d, 0.1))
+
+
+class TestVanishedSlotPowers:
+    """With no noise, a zero iterate has zero slot powers and no weights
+    1 / power^2: each weighted estimator raises before dividing."""
+
+    Pi = make_example_schedule_442().compound
+
+    def test_ml(self):
+        with pytest.raises(SingularSystemError, match="slot powers vanished"):
+            ml_fixed_point(np.ones(6), self.Pi, 0.0, init=np.zeros(4))
+
+    def test_shared_scaling(self):
+        with pytest.raises(SingularSystemError, match="slot powers vanished"):
+            shared_scaling_fixed_point(np.zeros((3, 6)), self.Pi, 0.0)
+
+    def test_adaptive(self):
+        state = AdaptiveState(Xi=np.eye(4), psi=np.zeros(4), c_hat=np.zeros(4), lam=0.99)
+        A = make_example_schedule_442().allocations[0]
+        with pytest.raises(SingularSystemError, match="slot powers vanished"):
+            adaptive_update(state, A, np.ones(A.shape[1]), 0.0)
 
 
 class TestConsistencyInT:

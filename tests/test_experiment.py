@@ -24,7 +24,7 @@ from pilotcov import (
     uplink_sum_rate,
 )
 from pilotcov.cli import main as cli_main
-from pilotcov.experiment import _evaluate_rates, _schedule_length, _serving_estimates
+from pilotcov.experiment import _evaluate_rates, _schedule_length
 from pilotcov.schedule import default_schedule_length
 
 DESK_CFG = """
@@ -632,31 +632,6 @@ def _serving_estimates_loop(Phi, pilots, served, C_used, sigma_v2):
     return H_hat
 
 
-@pytest.mark.parametrize("with_cov", [True, False], ids=["mmse", "ls"])
-def test_serving_estimates_match_per_user_loop(with_cov):
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        cells, per_cell = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        Ttr, M = int(rng.integers(per_cell, per_cell + 3)), int(rng.integers(1, 9))
-        n = int(rng.integers(1, 5))
-        # distinct pilots inside each cell, reused across cells
-        schedule = Schedule(np.stack([
-            np.concatenate([rng.permutation(Ttr)[:per_cell] for _ in range(cells)])
-            for _ in range(n)]), Ttr)
-        served = per_cell * int(rng.integers(cells)) + np.arange(per_cell)
-        Phi = rng.standard_normal((n, M, Ttr)) + 1j * rng.standard_normal((n, M, Ttr))
-        C_used = rng.uniform(0.0, 2.0, size=(M, cells * per_cell)) if with_cov else None
-        sigma_v2 = rng.uniform(0.05, 1.0)
-        stacked = _serving_estimates(Phi, schedule, served, C_used, sigma_v2)
-        assert stacked.shape == (n, M, served.size)
-        for i, pilots in enumerate(schedule.pilots):
-            np.testing.assert_allclose(
-                stacked[i],
-                _serving_estimates_loop(Phi[i], pilots, served, C_used, sigma_v2),
-                rtol=1e-12,
-            )
-
-
 def _evaluate_rates_loop(H, Phi, schedule, served, C_used, sigma_v2, overhead):
     """Reference: one evaluation interval at a time, each through the
     per-user serving loop and a single-draw filter and rate."""
@@ -670,8 +645,34 @@ def _evaluate_rates_loop(H, Phi, schedule, served, C_used, sigma_v2, overhead):
 
 
 @pytest.mark.parametrize("with_cov", [True, False], ids=["mmse", "ls"])
-@pytest.mark.parametrize("E", [4, 5, 13], ids=["N-1", "N", "2N+3"])
-def test_pass_evaluation_matches_per_interval_loop(with_cov, E):
+def test_allocation_evaluation_matches_per_user_loop(with_cov):
+    # random geometries: 1-4 cells of 1-4 users, pilots reused across cells,
+    # E intervals over 1-4 allocations
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        cells, per_cell = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        Ttr, M = int(rng.integers(per_cell, per_cell + 3)), int(rng.integers(1, 9))
+        N, E = int(rng.integers(1, 5)), int(rng.integers(1, 10))
+        # distinct pilots inside each cell, reused across cells
+        schedule = Schedule(np.stack([
+            np.concatenate([rng.permutation(Ttr)[:per_cell] for _ in range(cells)])
+            for _ in range(N)]), Ttr)
+        K = cells * per_cell
+        served = per_cell * int(rng.integers(cells)) + np.arange(per_cell)
+        H = rng.standard_normal((E, M, K)) + 1j * rng.standard_normal((E, M, K))
+        Phi = rng.standard_normal((E, M, Ttr)) + 1j * rng.standard_normal((E, M, Ttr))
+        C_used = rng.uniform(0.0, 2.0, size=(M, K)) if with_cov else None
+        sigma_v2, overhead = rng.uniform(0.05, 1.0), rng.uniform(0.5, 1.0)
+        np.testing.assert_allclose(
+            _evaluate_rates(H, Phi, schedule, served, C_used, sigma_v2, overhead),
+            _evaluate_rates_loop(H, Phi, schedule, served, C_used, sigma_v2, overhead),
+            rtol=1e-12,
+        )
+
+
+@pytest.mark.parametrize("with_cov", [True, False], ids=["mmse", "ls"])
+@pytest.mark.parametrize("E", [1, 4, 5, 13], ids=["1", "N-1", "N", "2N+3"])
+def test_allocation_evaluation_matches_per_interval_loop(with_cov, E):
     rng = np.random.default_rng(12)
     M, K, Ttr, N, sigma_v2, overhead = 9, 6, 4, 5, 0.2, 0.95
     schedule = make_random_schedule(K, Ttr, N, 2, rng)

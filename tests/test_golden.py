@@ -1,7 +1,9 @@
-"""Golden records: rerun four small sweeps and compare with the CSVs they
-wrote when committed (seed base 0).  Two desk sweeps use random schedules
-(per-row and shared-scaling ML), one the example442 schedule, and one
-golden_shared.cfg run on the checked-in golden_imported_schedule.txt.
+"""Golden records: rerun five small sweeps and compare with the CSVs they
+wrote when committed (seed base 0).  Two desk sweeps over T use random
+schedules (per-row and shared-scaling ML), one the example442 schedule,
+one golden_shared.cfg run on the checked-in golden_imported_schedule.txt,
+and one sweeps Ttr with a partial last evaluation pass (42 intervals of a
+5-allocation schedule).
 
 The CSV keeps 6 significant digits, so rtol=2e-5 allows two units in the
 last digit; refactors that only move rounding stay well inside it.
@@ -13,7 +15,7 @@ root, and lists every changed value, old -> new, with the change:
     pilotcov run tests/data/golden_<name>.cfg \
         --out tests/data/golden_<name>.csv --seed-base 0
 
-for <name> in per_row, shared and example442; for imported, first write
+for <name> in per_row, shared, example442 and ttr; for imported, first write
 golden_shared.cfg with its [schedule] section replaced by
 `mode = imported` and `path = <absolute path of
 tests/data/golden_imported_schedule.txt>`, as `_config` below does, and
@@ -52,7 +54,7 @@ def _config(name, tmp_path):
     return path
 
 
-@pytest.mark.parametrize("name", ["per_row", "shared", "example442", "imported"])
+@pytest.mark.parametrize("name", ["per_row", "shared", "example442", "imported", "ttr"])
 def test_records_match_golden_csv(name, tmp_path):
     out = tmp_path / "run.csv"
     cfg = _config(name, tmp_path)
