@@ -12,6 +12,7 @@ file), 2 runtime/numerical error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -35,6 +36,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _output_path(path: str) -> str:
+    """A path in an existing directory, refused before a sweep runs."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise argparse.ArgumentTypeError(f"directory of {path} does not exist")
+    return path
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pilotcov",
@@ -44,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a sweep experiment")
     run_p.add_argument("config", help="experiment config file (key = value sections)")
-    run_p.add_argument("--out", default="results.csv", help="output CSV path")
+    run_p.add_argument("--out", type=_output_path, default="results.csv",
+                       help="output CSV path, in an existing directory")
     run_p.add_argument("--seed-base", type=int, default=None,
                        help="override the RNG seed base")
     run_p.add_argument("--timing", action="store_true",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import configparser
 import time
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -89,32 +89,13 @@ class ExperimentConfig:
     max_iter: int = 200
     ml_scaling: str = "per_row"            # per_row | shared
     seed_base: int = 0
+    # sweep value -> its (scenario, T, N, schedule), see _sweep_point
+    points: dict[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         validate_experiment_config(self)
-
-
-def _load_imported_schedule(path: str, Ttr: int, K: int) -> Schedule:
-    try:
-        sched = load_schedule(path, Ttr=Ttr)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"[schedule] path {path}: {exc}") from exc
-    if sched.K != K:
-        raise ConfigError(f"[schedule] path {path} covers {sched.K} users, not K={K}")
-    return sched
-
-
-def _schedule_length(cfg: ExperimentConfig, Ttr: int, K: int) -> int:
-    if cfg.schedule_mode == "example442":
-        return make_example_schedule_442().N
-    if cfg.schedule_mode == "imported":
-        return _load_imported_schedule(cfg.schedule_path, Ttr, K).N
-    if cfg.schedule_n is not None:
-        return cfg.schedule_n
-    try:
-        return default_schedule_length(K, Ttr)
-    except IdentifiabilityError as exc:
-        raise ConfigError(f"[schedule] {exc}") from exc
+        object.__setattr__(self, "points",
+                           {v: _sweep_point(self, v) for v in self.sweep_values})
 
 
 def validate_experiment_config(cfg: ExperimentConfig) -> None:
@@ -137,8 +118,6 @@ def validate_experiment_config(cfg: ExperimentConfig) -> None:
         if value is not None and cfg.schedule_mode != mode:
             raise ConfigError(f"[schedule] {key} is read only in {mode} mode, "
                               f"not in {cfg.schedule_mode} mode")
-    if cfg.schedule_n is not None and cfg.schedule_n < 1:
-        raise ConfigError("[schedule] N must be >= 1")
     unknown = set(cfg.estimators) - set(ESTIMATOR_NAMES)
     if unknown or not cfg.estimators:
         raise ConfigError(
@@ -169,35 +148,53 @@ def validate_experiment_config(cfg: ExperimentConfig) -> None:
             "needs strictly positive, finite slot variances"
         )
 
-    scn = cfg.scenario
-    if isinstance(cfg.profile, BandLimited) and cfg.profile.width > scn.M:
-        raise ConfigError(f"[profile] width {cfg.profile.width} exceeds M={scn.M}")
-    for v in cfg.sweep_values:
-        Ttr = v if cfg.sweep_axis == "Ttr" else scn.Ttr
-        T = cfg.T if cfg.sweep_axis == "Ttr" else v
-        if not 1 <= Ttr <= scn.K:
-            raise ConfigError(f"swept Ttr={Ttr} outside [1, K={scn.K}]")
-        if Ttr >= cfg.t_coh:
-            raise ConfigError(
-                f"[link] T_coh={cfg.t_coh} must exceed Ttr={Ttr}, otherwise "
-                f"no channel uses remain for data"
-            )
-        if cfg.schedule_mode == "example442" and (scn.K != 4 or Ttr != 2):
-            raise ConfigError(
-                "[schedule] example442 requires K=4 and Ttr=2 "
-                f"(got K={scn.K}, Ttr={Ttr})"
-            )
-        N = _schedule_length(cfg, Ttr, scn.K)
+    if isinstance(cfg.profile, BandLimited) and cfg.profile.width > cfg.scenario.M:
+        raise ConfigError(f"[profile] width {cfg.profile.width} exceeds "
+                          f"M={cfg.scenario.M}")
+
+
+def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple:
+    """(scenario, T, N, schedule) of one sweep value, built with the
+    constructors its units use so that their own checks refuse what no
+    unit could run.  schedule is the example442 or imported schedule, or
+    None in random mode, where each unit draws its own."""
+    scn, T = cfg.scenario, value
+    if cfg.sweep_axis == "Ttr":
+        try:
+            scn = replace(scn, Ttr=value)
+        except ValueError as exc:
+            raise ConfigError(f"[sweep] value {value}: {exc}") from exc
+        T = cfg.T
+    K, Ttr = scn.K, scn.Ttr
+    if Ttr >= cfg.t_coh:
+        raise ConfigError(
+            f"[link] T_coh={cfg.t_coh} must exceed Ttr={Ttr}, otherwise "
+            f"no channel uses remain for data"
+        )
+    schedule = None
+    try:
         if cfg.schedule_mode == "random":
-            try:
-                check_random_schedule(scn.K, Ttr, N, scn.num_cells)
-            except (ValueError, IdentifiabilityError) as exc:
-                raise ConfigError(f"[schedule] {exc}") from exc
-        if T % N != 0:
-            raise ConfigError(
-                f"training window T={T} must be a multiple of the schedule "
-                f"length N={N} so slot statistics see whole passes"
-            )
+            N = (default_schedule_length(K, Ttr) if cfg.schedule_n is None
+                 else cfg.schedule_n)
+            check_random_schedule(K, Ttr, N, scn.num_cells)
+        else:
+            schedule = (make_example_schedule_442() if cfg.schedule_mode == "example442"
+                        else load_schedule(cfg.schedule_path, Ttr=Ttr))
+            N = schedule.N
+    except (OSError, ValueError, IdentifiabilityError) as exc:
+        source = f"path {cfg.schedule_path}: " if cfg.schedule_path else ""
+        raise ConfigError(f"[schedule] {source}{exc}") from exc
+    if schedule is not None and (schedule.K, schedule.Ttr) != (K, Ttr):
+        raise ConfigError(
+            f"[schedule] the {cfg.schedule_mode} schedule covers {schedule.K} users "
+            f"on {schedule.Ttr} pilots, not K={K} on Ttr={Ttr}"
+        )
+    if T < 1 or T % N != 0:
+        raise ConfigError(
+            f"training window T={T} must be a positive multiple of the schedule "
+            f"length N={N} so slot statistics see whole passes"
+        )
+    return scn, T, N, schedule
 
 
 @dataclass(frozen=True)
@@ -216,19 +213,6 @@ class Record:
     cov_rmse: float | None
     runtime_ms: float
     status: str = "ok"
-
-
-def _build_schedule(
-    cfg: ExperimentConfig,
-    scn: ScenarioConfig,
-    rng: np.random.Generator,
-) -> Schedule:
-    if cfg.schedule_mode == "example442":
-        return make_example_schedule_442()
-    if cfg.schedule_mode == "imported":
-        return _load_imported_schedule(cfg.schedule_path, scn.Ttr, scn.K)
-    N = _schedule_length(cfg, scn.Ttr, scn.K)
-    return make_random_schedule(scn.K, scn.Ttr, N, scn.num_cells, rng)
 
 
 def _estimate_adaptive(
@@ -303,12 +287,7 @@ def _evaluate_rates(
 
 def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
               measure_runtime: bool) -> list[Record]:
-    scn = cfg.scenario
-    if cfg.sweep_axis == "Ttr":
-        scn = replace(scn, Ttr=axis_value)
-        T = cfg.T
-    else:
-        T = axis_value
+    scn, T, N, schedule = cfg.points[axis_value]
 
     # the axis value is deliberately left out of the seed material: sweep
     # points then share the ground truth, schedule draw and evaluation
@@ -321,7 +300,8 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
     )
 
     truth = generate_covariance_set(scn, cfg.profile, rng_cov)
-    schedule = _build_schedule(cfg, scn, rng_sched)
+    if schedule is None:
+        schedule = make_random_schedule(scn.K, scn.Ttr, N, scn.num_cells, rng_sched)
     identifiable = schedule.rank == scn.K
 
     # training draws each slot from its exact law: with diagonal covariances
@@ -509,11 +489,11 @@ def _read_section(sec: configparser.SectionProxy, keys: dict) -> dict:
 
 def _build(cls, values: dict, section: str | None = None):
     """cls from the values read for its fields: a field the file leaves out
-    takes its default, and a field without a default is required.  A
-    ValueError of cls is reported under `section`; ExperimentConfig raises
-    ConfigError itself."""
+    takes its default, and a field without a default is required (fields
+    derived at construction are not read).  A ValueError of cls is
+    reported under `section`; ExperimentConfig raises ConfigError itself."""
     for f in fields(cls):
-        if f.default is MISSING and f.name not in values:
+        if f.init and f.default is MISSING and f.name not in values:
             raise ConfigError(f"{_KEY_OF[f.name]} is required")
     try:
         return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})

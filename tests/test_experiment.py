@@ -24,7 +24,7 @@ from pilotcov import (
     uplink_sum_rate,
 )
 from pilotcov.cli import main as cli_main
-from pilotcov.experiment import _evaluate_rates, _schedule_length
+from pilotcov.experiment import _evaluate_rates
 from pilotcov.schedule import default_schedule_length
 
 DESK_CFG = """
@@ -67,6 +67,9 @@ EXAMPLE442_CFG = (DESK_CFG.replace("K = 6\nTtr = 4", "K = 4\nTtr = 2")
                   .replace("users_per_cell = 3", "users_per_cell = 2")
                   .replace("mode = random\nN = 5", "mode = example442")
                   .replace("values = 10, 20", "values = 9, 18"))
+# DESK_CFG sweeping Ttr, with `[scenario] T = {T}` to be filled in
+TTR_SWEEP_CFG = (DESK_CFG.replace("seed = 7", "seed = 7\nT = {T}")
+                 .replace("axis = T\nvalues = 10, 20", "axis = Ttr\nvalues = 4"))
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -362,7 +365,8 @@ class TestCLI:
                         .replace("values = 10, 20", "values = 8, 16"))
         cfg = load_experiment_config(str(path))
         assert cfg.schedule_n is None
-        assert printed == _schedule_length(cfg, 4, 6) == default_schedule_length(6, 4)
+        N = {point[2] for point in cfg.points.values()}
+        assert N == {printed} == {default_schedule_length(6, 4)}
 
     def test_seed_base_changes_output(self, desk_config, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -443,12 +447,17 @@ class TestCLI:
         ("values = 10, 20", "values = 10, 10", "values repeat 10"),
         ("estimators = genie, ls", "estimators = genie, genie, ls",
          "estimators repeat 'genie'"),
+        ("mode = random\nN = 5", "mode = example442", "example442 schedule covers"),
+        ("axis = T\nvalues = 10, 20", "axis = Ttr\nvalues = 7", "Ttr must be in"),
+        (DESK_CFG, TTR_SWEEP_CFG.replace("{T}", "0"), "T=0"),
+        (DESK_CFG, TTR_SWEEP_CFG.replace("{T}", "-5"), "T=-5"),
     ], ids=["width-0", "width-above-M", "bandlimited-power-negative",
             "uniform-power-negative", "support-fraction-above-1", "width-missing",
             "support-fraction-missing", "misspelt-key", "unknown-section",
             "key-of-other-kind", "cells-saturate-pilots", "imported-K-mismatch",
             "N-outside-random-mode", "N-and-path-outside-their-modes",
-            "repeated-sweep-value", "repeated-estimator"])
+            "repeated-sweep-value", "repeated-estimator", "example442-at-desk-geometry",
+            "swept-Ttr-above-K", "ttr-sweep-window-0", "ttr-sweep-window-negative"])
     def test_config_refused_at_validate(self, old, new, named, tmp_path, capsys):
         sched = tmp_path / "four_users.txt"
         sched.write_text("0 1 2 3\n1 2 3 0\n")
@@ -602,6 +611,46 @@ def test_imported_schedule_mode(tmp_path):
     )
     res = run_experiment(cfg)
     assert all(r.status == "ok" for r in res)
+
+
+def test_imported_schedule_read_once_per_sweep_value(tmp_path, monkeypatch):
+    from pilotcov import experiment, make_random_schedule, save_schedule
+
+    load_schedule, reads = experiment.load_schedule, [0]
+
+    def counting_load(*args, **kwargs):
+        reads[0] += 1
+        return load_schedule(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "load_schedule", counting_load)
+    path = tmp_path / "sched.txt"
+    save_schedule(make_random_schedule(6, 4, 5, 2, np.random.default_rng(0)), str(path))
+    imported = dict(schedule_mode="imported", schedule_path=str(path), schedule_n=None,
+                    estimators=("genie", "two_step"), sweep_values=(10, 20), trials=3)
+    cfg = _tiny_config(**imported)
+    assert reads[0] == 2
+    records = run_experiment(cfg)
+    assert reads[0] == 2
+    # the units run the schedule the config checked, not what the file now holds
+    save_schedule(make_random_schedule(6, 4, 5, 2, np.random.default_rng(1)), str(path))
+    assert run_experiment(cfg) == records
+    assert run_experiment(_tiny_config(**imported)) != records
+
+
+def test_run_refuses_missing_output_directory_before_any_unit(desk_config, tmp_path,
+                                                               monkeypatch, capsys):
+    from pilotcov import experiment
+
+    def no_unit(*args):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr(experiment, "_run_unit", no_unit)
+    out = tmp_path / "missing_dir" / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", desk_config, "--out", str(out)])
+    assert exc.value.code == 1
+    assert "missing_dir" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_timing_flag_records_wall_clock(tmp_path, desk_config):
