@@ -14,9 +14,10 @@ t * Ttr + p belonging to pilot p of interval t.
 
 With diagonal covariances each slot Phi[m, p] is CN(0, (C A)[m,p] +
 sigma_v2), independent across antennas, pilots and intervals.  A sweep's
-training window is therefore drawn directly from the stacked (T, M, Ttr)
-slot variances with `draw_channels`; `observe` forms H A + noise where the
-channel H itself is needed, as in link-level evaluation.
+training window is therefore drawn directly from the slot variances of a
+schedule pass, repeated T/N times, with `draw_channels`; `observe` forms
+H A + noise where the channel H itself is needed, as in link-level
+evaluation.
 """
 
 from __future__ import annotations
@@ -33,22 +34,25 @@ __all__ = [
 def draw_channels(C: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One circularly-symmetric complex Gaussian draw per entry of the
     variance array C: the (M, K) ground truth for a channel draw, or a stack
-    of matrices, such as the (T, M, Ttr) slot variances of a training window.
+    of matrices, such as the (E, M, K) evaluation channels of a trial or the
+    (T/N, N, M, Ttr) passes of a training window.  C may be a broadcast
+    view, such as one pass of slot variances repeated T/N times.
 
     Real and imaginary parts are independent N(0, C[...]/2), so the
     per-entry power is exactly C[...].  Matrices are drawn in the order of
     the leading axes, real part then imaginary part of each, so from one
-    generator state the draw of C[:t] is the first t matrices of the draw of
+    generator state the draw of C[:t] is the first t entries of the draw of
     C: training windows of different lengths share their first intervals.
     """
-    z = rng.standard_normal((*C.shape[:-2], 2, *C.shape[-2:]))
-    # filled in place, z freed before scaling: a training window's draw is
-    # the largest array of a unit, and each temporary raises peak memory
     out = np.empty(C.shape, dtype=complex)
-    out.real = z[..., 0, :, :]
-    out.imag = z[..., 1, :, :]
-    del z
-    out *= np.sqrt(C / 2.0)
+    # filled one index of the leading axis at a time, in stream order: no
+    # temporary grows with the draw, which is the largest array of a unit
+    for o, c in (zip(out, C) if C.ndim > 2 else [(out, C)]):
+        z = rng.standard_normal((*c.shape[:-2], 2, *c.shape[-2:]))
+        o.real = z[..., 0, :, :]
+        o.imag = z[..., 1, :, :]
+        del z
+        o *= np.sqrt(c / 2.0)
     return out
 
 

@@ -37,9 +37,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _output_path(path: str) -> str:
-    """A path in an existing directory, refused before a sweep runs."""
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    """A file path the CSV can be written to, refused before a sweep runs."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
         raise argparse.ArgumentTypeError(f"directory of {path} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} is a directory")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise argparse.ArgumentTypeError(f"{path} is not writable")
     return path
 
 
@@ -53,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a sweep experiment")
     run_p.add_argument("config", help="experiment config file (key = value sections)")
     run_p.add_argument("--out", type=_output_path, default="results.csv",
-                       help="output CSV path, in an existing directory")
+                       help="output CSV path, a writable file in an existing directory")
     run_p.add_argument("--seed-base", type=int, default=None,
                        help="override the RNG seed base")
     run_p.add_argument("--timing", action="store_true",
@@ -83,11 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_experiment_config(args.config)
-    if args.seed_base is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, seed_base=args.seed_base)
+    cfg = load_experiment_config(args.config, seed_base=args.seed_base)
     records = run_experiment(cfg, measure_runtime=args.timing)
     emit_csv(records, args.out)
     n_bad = sum(r.status != "ok" for r in records)

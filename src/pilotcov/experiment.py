@@ -5,10 +5,13 @@ records, per (sweep value, estimator, seed): the Monte-Carlo uplink
 sum-rate behind an RZF filter, the relative covariance estimation error,
 and the estimator runtime.  Records are emitted as CSV.
 
-Every work unit derives its own RNG streams from (seed_base, scenario
-seed, trial), so results are reproducible and independent of execution
-order; sweep points of one trial share their ground truth and evaluation
-randomness so curves across the sweep are directly comparable.
+Every trial derives its RNG streams from (seed_base, scenario seed,
+trial), so results are reproducible and independent of execution order;
+sweep points of one trial share their ground truth and evaluation
+randomness so curves across the sweep are directly comparable.  The
+sweep runs trial by trial and draws what its points share once per trial
+(see `_trial_draws`), so it gives the records of its values run one at a
+time.
 """
 
 from __future__ import annotations
@@ -285,43 +288,90 @@ def _evaluate_rates(
     return rates
 
 
-def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
-              measure_runtime: bool) -> list[Record]:
-    scn, T, N, schedule = cfg.points[axis_value]
+def _streams(cfg: ExperimentConfig, trial: int) -> list[np.random.Generator]:
+    """The RNG streams of one trial: ground truth, schedule, training,
+    evaluation channels and evaluation noise.
 
-    # the axis value is deliberately left out of the seed material: sweep
-    # points then share the ground truth, schedule draw and evaluation
-    # channels of each trial, so curves differ only through the training
-    # data and the swept quantity itself (channels and noise get separate
-    # streams because noise consumption depends on Ttr)
-    ss = np.random.SeedSequence([cfg.seed_base, scn.seed, trial])
-    rng_cov, rng_sched, rng_train, rng_eval_chan, rng_eval_noise = map(
-        np.random.default_rng, ss.spawn(5)
-    )
+    The axis value is deliberately left out of the seed material: sweep
+    points then share the ground truth, schedule draw and evaluation
+    channels of each trial, so curves differ only through the training
+    data and the swept quantity itself (channels and noise get separate
+    streams because noise consumption depends on Ttr)."""
+    ss = np.random.SeedSequence([cfg.seed_base, cfg.scenario.seed, trial])
+    return [np.random.default_rng(s) for s in ss.spawn(5)]
 
-    truth = generate_covariance_set(scn, cfg.profile, rng_cov)
+
+def _draw_point(point: tuple, truth: np.ndarray, H_eval: np.ndarray,
+                rngs: list[np.random.Generator]) -> tuple:
+    """(schedule, squared training observations B (M, T * Ttr), evaluation
+    observations (E, M, Ttr)) of one sweep point, from the schedule,
+    training and evaluation-noise streams of `rngs`."""
+    scn, T, N, schedule = point
+    _, rng_sched, rng_train, _, rng_eval_noise = rngs
     if schedule is None:
         schedule = make_random_schedule(scn.K, scn.Ttr, N, scn.num_cells, rng_sched)
-    identifiable = schedule.rank == scn.K
 
     # training draws each slot from its exact law: with diagonal covariances
     # and a fresh channel per interval, y_p[m] is CN(0, (C A)[m,p] + sigma_v2)
     # and independent across (m, p, t), and H is never used again in
-    # training, so drawing H A + N would only spend normals on the same law
+    # training, so drawing H A + N would only spend normals on the same law.
+    # The window is squared, and freed, before the observations are drawn.
     slot_var = truth @ schedule.allocations + scn.sigma_v2  # (N, M, Ttr)
-    B = squared_rows(draw_channels(slot_var[np.arange(T) % schedule.N], rng_train))
+    passes = np.broadcast_to(slot_var, (T // N, *slot_var.shape))
+    B = squared_rows(draw_channels(passes, rng_train).reshape(T, scn.M, scn.Ttr))
+
+    Phi_eval = np.empty((len(H_eval), scn.M, scn.Ttr), dtype=complex)
+    for e, H in enumerate(H_eval):
+        Phi_eval[e] = observe(H, schedule.allocations[e % N], scn.sigma_v2,
+                              rng_eval_noise)
+    return schedule, B, Phi_eval
+
+
+# (cfg, trial, shared draws) of the trial being run; only one trial's
+# draws are alive at a time
+_current: list[tuple] = []
+
+
+def _trial_draws(cfg: ExperimentConfig, trial: int) -> tuple:
+    """(truth, H_eval, longest): the draws the sweep points of a trial
+    share, drawn by the first of its units.  They are the ground truth,
+    the (E, M, K) evaluation channels and, on a T sweep, the
+    `_draw_point` of the largest T, of whose squared observations B each
+    point reads the first T intervals; on a Ttr sweep `longest` is None
+    and each unit draws its own."""
+    if not (_current and _current[0][0] is cfg and _current[0][1] == trial):
+        _current.clear()
+        rngs = _streams(cfg, trial)
+        truth = generate_covariance_set(cfg.scenario, cfg.profile, rngs[0])
+        # evaluation channels are shared by all estimators (common random numbers)
+        H_eval = draw_channels(np.broadcast_to(truth, (cfg.eval_intervals, *truth.shape)),
+                               rngs[3])
+        longest = None
+        if cfg.sweep_axis == "T":
+            longest = _draw_point(cfg.points[max(cfg.sweep_values)], truth, H_eval, rngs)
+        # every unit of the trial reads them: a write in place would leak
+        # into the next unit, so it raises instead
+        for shared in (truth, H_eval, *(longest or ())[1:]):
+            shared.flags.writeable = False
+        _current.append((cfg, trial, (truth, H_eval, longest)))
+    return _current[0][2]
+
+
+def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
+              measure_runtime: bool) -> list[Record]:
+    point = cfg.points[axis_value]
+    scn, T = point[:2]
+    truth, H_eval, longest = _trial_draws(cfg, trial)
+    if longest is None:
+        schedule, B, Phi_eval = _draw_point(point, truth, H_eval, _streams(cfg, trial))
+    else:
+        schedule, B, Phi_eval = longest
+        B = B[:, :T * scn.Ttr]  # the first T intervals
+    identifiable = schedule.rank == scn.K
+
     c_obs = None
     if identifiable and set(cfg.estimators) & set(INVERTS_COMPOUND):
         c_obs = estimate_obs_covariances(B, schedule)
-
-    # evaluation phases are shared by all estimators (common random numbers)
-    E = cfg.eval_intervals
-    H_eval = np.empty((E, scn.M, scn.K), dtype=complex)
-    Phi_eval = np.empty((E, scn.M, scn.Ttr), dtype=complex)
-    for e in range(E):
-        H_eval[e] = draw_channels(truth, rng_eval_chan)
-        Phi_eval[e] = observe(H_eval[e], schedule.allocations[e % schedule.N],
-                              scn.sigma_v2, rng_eval_noise)
 
     served = np.arange(scn.users_per_cell)
     overhead = 1.0 - scn.Ttr / cfg.t_coh
@@ -359,16 +409,20 @@ def run_experiment(
     *,
     measure_runtime: bool = False,
 ) -> tuple[Record, ...]:
-    """Run the full sweep and return its records.  Output is deterministic
-    given the config (with `measure_runtime=False`, the default, runtime_ms
-    is reported as 0 so emitted CSV bytes are reproducible).  The config
-    was validated when it was built."""
-    return tuple(
-        r
-        for v in cfg.sweep_values
-        for s in range(cfg.trials)
-        for r in _run_unit(cfg, v, s, measure_runtime)
-    )
+    """Run the full sweep, trial by trial, and return its records in
+    (sweep value, trial) order.  Output is deterministic given the config
+    (with `measure_runtime=False`, the default, runtime_ms is reported as 0
+    so emitted CSV bytes are reproducible).  The config was validated when
+    it was built."""
+    units = {}
+    try:
+        for s in range(cfg.trials):
+            for v in cfg.sweep_values:
+                units[v, s] = _run_unit(cfg, v, s, measure_runtime)
+    finally:
+        _current.clear()
+    return tuple(r for v in cfg.sweep_values for s in range(cfg.trials)
+                 for r in units[v, s])
 
 
 def _fmt(value: float | None, status: str) -> str:
@@ -503,8 +557,10 @@ def _build(cls, values: dict, section: str | None = None):
         raise ConfigError(f"[{section}] {exc}") from exc
 
 
-def load_experiment_config(path: str) -> ExperimentConfig:
-    """Parse the key = value configuration file format.
+def load_experiment_config(path: str, seed_base: int | None = None) -> ExperimentConfig:
+    """Parse the key = value configuration file format; `seed_base`, when
+    given, replaces the default seed base, so the sweep points are resolved
+    once.
 
     Every key is read through `_SECTIONS` (and `_PROFILES` for the kind
     of [profile]).  A key the file leaves out is not passed, so it takes
@@ -540,4 +596,6 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     cls, keys = _PROFILES[kind]
     # `kind` names no field of the profile, so _build passes it over
     profile = _build(cls, _read_section(sec, {"kind": ("kind", str), **keys}), "profile")
+    if seed_base is not None:
+        values["seed_base"] = seed_base
     return _build(ExperimentConfig, {**values, "scenario": scenario, "profile": profile})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,17 @@ from pilotcov import (
     observe,
     squared_rows,
 )
+
+
+def _draw_channels_one_shot(C, rng):
+    """draw_channels as one whole-array draw: every normal of C at once,
+    then the real and imaginary parts copied out and scaled."""
+    z = rng.standard_normal((*C.shape[:-2], 2, *C.shape[-2:]))
+    out = np.empty(C.shape, dtype=complex)
+    out.real = z[..., 0, :, :]
+    out.imag = z[..., 1, :, :]
+    out *= np.sqrt(C / 2.0)
+    return out
 
 
 class TestDrawChannels:
@@ -37,6 +50,38 @@ class TestDrawChannels:
         long = draw_channels(var, np.random.default_rng(13))
         short = draw_channels(var[:4], np.random.default_rng(13))
         np.testing.assert_array_equal(short, long[:4])
+
+    @pytest.mark.parametrize("shape", [(5, 3), (7, 5, 3), "broadcast"])
+    def test_same_bits_as_one_shot_draw(self, shape):
+        # a broadcast (T/N, N, M, Ttr) stack of one pass of slot variances,
+        # as a training window is drawn, against its materialized copy
+        rng = np.random.default_rng(14)
+        if shape == "broadcast":
+            var = np.broadcast_to(rng.random((3, 5, 2)), (4, 3, 5, 2))
+        else:
+            var = rng.random(shape)
+        got = draw_channels(var, np.random.default_rng(15))
+        want = _draw_channels_one_shot(np.array(var), np.random.default_rng(15))
+        assert got.shape == var.shape
+        np.testing.assert_array_equal(got.view(float), want.view(float))
+        if var.ndim > 2:
+            prefix = draw_channels(var[:2], np.random.default_rng(15))
+            np.testing.assert_array_equal(prefix.view(float), want[:2].view(float))
+
+    def test_window_draw_makes_no_window_sized_temporary(self):
+        # a linkeval-sized training window, T=70 intervals of M=100 antennas
+        # and Ttr=14 pilots under a 7-allocation schedule, drawn from one
+        # pass of slot variances: the whole-array draw peaked at 2.5 times
+        # its output
+        tracemalloc.start()
+        try:
+            slot_var = np.random.default_rng(16).random((7, 100, 14))
+            window = draw_channels(np.broadcast_to(slot_var, (10, 7, 100, 14)),
+                                   np.random.default_rng(17))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * window.nbytes, peak / window.nbytes
 
 
 class TestObserve:

@@ -526,12 +526,15 @@ class TestCLI:
         assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis", ["T", "Ttr"])
 @pytest.mark.parametrize("estimators, averages", [
     (("genie", "ml", "two_step", "ls"), 1),
     (("adaptive", "ls"), 0),
 ], ids=["inverting", "adaptive-only"])
-def test_unit_ranks_each_schedule_and_averages_slots_once(estimators, averages,
+def test_unit_ranks_each_schedule_and_averages_slots_once(estimators, averages, axis,
                                                          monkeypatch):
+    # a T sweep draws one random schedule per trial, which its points share;
+    # a Ttr sweep draws one per unit.  Slot averages are taken once per unit.
     import pilotcov
     from pilotcov import Schedule, experiment, schedule
 
@@ -551,10 +554,12 @@ def test_unit_ranks_each_schedule_and_averages_slots_once(estimators, averages,
         monkeypatch.setattr(module, "rank_and_condition", rank, raising=False)
     monkeypatch.setattr(experiment, "estimate_obs_covariances",
                         counting("averages", experiment.estimate_obs_covariances))
-    cfg = _tiny_config(estimators=estimators, trials=2)
+    sweep = {"T": dict(sweep_values=(20, 10)),
+             "Ttr": dict(sweep_axis="Ttr", sweep_values=(5, 4), T=10)}[axis]
+    cfg = _tiny_config(estimators=estimators, trials=2, **sweep)
     run_experiment(cfg)
     units = len(cfg.sweep_values) * cfg.trials
-    assert calls["schedules"] >= units
+    assert calls["schedules"] == (cfg.trials if axis == "T" else units)
     assert calls["ranks"] == calls["schedules"]
     assert calls["averages"] == averages * units
 
@@ -635,6 +640,54 @@ def test_imported_schedule_read_once_per_sweep_value(tmp_path, monkeypatch):
     save_schedule(make_random_schedule(6, 4, 5, 2, np.random.default_rng(1)), str(path))
     assert run_experiment(cfg) == records
     assert run_experiment(_tiny_config(**imported)) != records
+    # so does `pilotcov run`, with or without a seed base
+    cfg_path = tmp_path / "imported.cfg"
+    cfg_path.write_text(DESK_CFG.replace("mode = random\nN = 5",
+                                         f"mode = imported\npath = {path}"))
+    for seed_base in ([], ["--seed-base", "3"]):
+        reads[0] = 0
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv"),
+                         *seed_base]) == 0
+        assert reads[0] == 2
+
+
+ALL_ESTIMATORS = ("genie", "ml", "two_step", "adaptive", "ls")
+
+
+def _shared_sweep_config(mode, tmp_path) -> ExperimentConfig:
+    if mode == "example442":
+        return ExperimentConfig(
+            scenario=ScenarioConfig(M=6, K=4, Ttr=2, sigma_v2=0.2, num_cells=1, seed=3),
+            profile=Uniform(power=1.0), schedule_mode="example442",
+            estimators=ALL_ESTIMATORS, sweep_values=(18, 9), trials=2, eval_intervals=3,
+        )
+    if mode == "ttr":
+        return _tiny_config(sweep_axis="Ttr", sweep_values=(5, 4), T=10,
+                            estimators=ALL_ESTIMATORS, trials=2)
+    if mode == "imported":
+        from pilotcov import save_schedule
+
+        path = tmp_path / "sched.txt"
+        save_schedule(make_random_schedule(6, 4, 5, 2, np.random.default_rng(0)), str(path))
+        return _tiny_config(schedule_mode="imported", schedule_path=str(path),
+                            schedule_n=None, sweep_values=(60, 30),
+                            estimators=ALL_ESTIMATORS, trials=2)
+    return _tiny_config(sweep_values=(60, 30), estimators=ALL_ESTIMATORS, trials=2)
+
+
+@pytest.mark.parametrize("mode", ["random", "example442", "imported", "ttr"])
+def test_sweep_equals_its_single_value_sweeps(mode, tmp_path):
+    # the points of a trial share their draws, so a sweep must give, bit
+    # for bit, the records of its values run one at a time
+    from dataclasses import replace
+
+    cfg = _shared_sweep_config(mode, tmp_path)
+    one_at_a_time = tuple(r for v in cfg.sweep_values
+                          for r in run_experiment(replace(cfg, sweep_values=(v,))))
+    records = run_experiment(cfg)
+    assert [(r.axis_value, r.seed) for r in records[::len(ALL_ESTIMATORS)]] == [
+        (v, s) for v in cfg.sweep_values for s in range(cfg.trials)]
+    assert records == one_at_a_time
 
 
 def test_run_refuses_missing_output_directory_before_any_unit(desk_config, tmp_path,
@@ -651,6 +704,39 @@ def test_run_refuses_missing_output_directory_before_any_unit(desk_config, tmp_p
     assert exc.value.code == 1
     assert "missing_dir" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("case", ["directory", "unwritable"])
+def test_run_refuses_unwritable_output_before_any_unit(case, desk_config, tmp_path,
+                                                      monkeypatch, capsys):
+    import os
+
+    from pilotcov import experiment
+
+    def no_unit(*args):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr(experiment, "_run_unit", no_unit)
+    if case == "directory":
+        out = tmp_path / "out.csv"
+        out.mkdir()
+        named = "is a directory"
+    else:
+        folder = tmp_path / "locked"
+        folder.mkdir()
+        folder.chmod(0o500)
+        out = folder / "out.csv"
+        named = "is not writable"
+        # a process that may write anywhere (root) is refused this directory
+        # as it would be a read-only one
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode, **kw: (
+            Path(p) != folder and access(p, mode, **kw)))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", desk_config, "--out", str(out)])
+    assert exc.value.code == 1
+    assert named in capsys.readouterr().err
+    assert out.is_dir() == (case == "directory")
 
 
 def test_timing_flag_records_wall_clock(tmp_path, desk_config):
