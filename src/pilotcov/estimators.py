@@ -263,13 +263,6 @@ def llf_gradient(
     return Pi @ ((powers - b_m) / powers**2)
 
 
-def _safe_llf(c_m: np.ndarray, b_m: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> float:
-    try:
-        return negative_llf(c_m, b_m, Pi, sigma_v2)
-    except ValueError:
-        return np.inf
-
-
 _HALVINGS = 10
 
 
@@ -300,7 +293,8 @@ def ml_fixed_point(
     the gradient certificate is then per pass of the schedule and does not
     depend on the window length.  Raw squared observations with Pi tiled S
     times have the same minimisers but an S times larger gradient.  The
-    noise power sigma_v2 must be >= 0.
+    noise power sigma_v2 must be > 0, so every iterate (c >= 0) has slot
+    powers of at least sigma_v2 and a finite LLF.
     """
     Pi = np.asarray(Pi, dtype=float)
     b_m = np.asarray(b_m, dtype=float)
@@ -310,8 +304,8 @@ def ml_fixed_point(
             f"b_m must hold one observation per slot ({Pi.shape[1]}), "
             f"got shape {b_m.shape}"
         )
-    if not sigma_v2 >= 0:
-        raise ValueError(f"sigma_v2 must be >= 0, got {sigma_v2}")
+    if not sigma_v2 > 0:
+        raise ValueError(f"sigma_v2 must be > 0, got {sigma_v2}")
     if init is None:
         # warm start from the unweighted (two-step) solution
         c = shared_scaling_estimate(b_m[None, :], Pi, None, sigma_v2)[0]
@@ -321,22 +315,22 @@ def ml_fixed_point(
             raise ValueError("init must be a nonnegative length-K vector")
 
     residual = (b_m - sigma_v2)[:, None]
-    obj = _safe_llf(c, b_m, Pi, sigma_v2)
+    obj = negative_llf(c, b_m, Pi, sigma_v2)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         d = _slot_weights(c, Pi, sigma_v2)
         c_new = np.maximum(_weighted_solve(Pi, d, residual)[:, 0], 0.0)
-        obj_new = _safe_llf(c_new, b_m, Pi, sigma_v2)
+        obj_new = negative_llf(c_new, b_m, Pi, sigma_v2)
         if obj_new > obj:
             # backtrack toward the previous iterate while it helps; when no
             # halving descends, take the full step anyway: the clamped fixed
             # point may sit slightly uphill of the path minimum, and the map
             # stays bounded for positive noise power.  The halvings follow
             # the recursion, not the closed form c + 2^-j (c_new - c), which
-            # rounds differently.  Each keeps at least half of c's slot
-            # powers (c_new >= 0, sigma_v2 >= 0), so one stacked LLF call
-            # scores them all inside the LLF domain.
+            # rounds differently.  Every iterate, full step and halving alike,
+            # is nonnegative, so its slot powers are at least sigma_v2 > 0 and
+            # one stacked LLF call scores all the halvings.
             halvings = np.empty((_HALVINGS, K))
             cand = c_new
             for j in range(_HALVINGS):
@@ -345,10 +339,6 @@ def ml_fixed_point(
             descends = np.flatnonzero(values <= obj)
             if descends.size:
                 c_new, obj_new = halvings[descends[0]], float(values[descends[0]])
-            elif not np.isfinite(obj_new):
-                # the full step leaves the LLF domain and no halving
-                # descends: stall out honestly at the previous iterate
-                break
 
         step_ok = np.abs(c_new - c).max() <= tol * (1.0 + c.max())  # c >= 0
         c, obj = c_new, obj_new

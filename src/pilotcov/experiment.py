@@ -204,9 +204,9 @@ def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple:
 class Record:
     """One (sweep value, estimator, seed) result row.
 
-    status is "ok" or "unidentifiable"; in the latter case sum_rate and
-    cov_rmse carry no numbers.  cov_rmse is None for estimators that do
-    not produce covariance estimates (LS).
+    sum_rate is None only for an unidentifiable schedule, whose record
+    carries no numbers; cov_rmse is also None for estimators that do not
+    produce covariance estimates (LS).
     """
 
     axis_value: int
@@ -215,7 +215,11 @@ class Record:
     sum_rate: float | None
     cov_rmse: float | None
     runtime_ms: float
-    status: str = "ok"
+
+    @property
+    def status(self) -> str:
+        """UNIDENTIFIABLE when the record has no sum-rate, else "ok"."""
+        return UNIDENTIFIABLE if self.sum_rate is None else "ok"
 
 
 def _estimate_adaptive(
@@ -362,11 +366,9 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
     point = cfg.points[axis_value]
     scn, T = point[:2]
     truth, H_eval, longest = _trial_draws(cfg, trial)
-    if longest is None:
-        schedule, B, Phi_eval = _draw_point(point, truth, H_eval, _streams(cfg, trial))
-    else:
-        schedule, B, Phi_eval = longest
-        B = B[:, :T * scn.Ttr]  # the first T intervals
+    schedule, B, Phi_eval = longest or _draw_point(point, truth, H_eval,
+                                                   _streams(cfg, trial))
+    B = B[:, :T * scn.Ttr]  # the first T intervals
     identifiable = schedule.rank == scn.K
 
     c_obs = None
@@ -380,8 +382,7 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
     records = []
     for name in cfg.estimators:
         if name in INVERTS_COMPOUND and not identifiable:
-            records.append(Record(axis_value, name, trial, None, None, 0.0,
-                                  status=UNIDENTIFIABLE))
+            records.append(Record(axis_value, name, trial, None, None, 0.0))
             continue
         start = time.perf_counter()
         C_hat = _estimate_covariances(name, cfg, truth, B, c_obs, schedule,
@@ -392,8 +393,6 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
             cov_rmse = None
         elif not np.all(np.isfinite(C_hat)):
             raise ValueError(f"{name} estimate contains non-finite entries")
-        elif truth_norm == 0.0:
-            cov_rmse = float(np.linalg.norm(C_hat - truth))
         else:
             cov_rmse = float(np.linalg.norm(C_hat - truth) / truth_norm)
 
@@ -447,12 +446,8 @@ def emit_csv(records: tuple[Record, ...], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_cell(token: str) -> tuple[float | None, str]:
-    if token == UNIDENTIFIABLE:
-        return None, UNIDENTIFIABLE
-    if token == "":
-        return None, "ok"
-    return float(token), "ok"
+def _parse_cell(token: str) -> float | None:
+    return None if token in (UNIDENTIFIABLE, "") else float(token)
 
 
 def load_result_csv(path: str) -> tuple[Record, ...]:
@@ -464,12 +459,8 @@ def load_result_csv(path: str) -> tuple[Record, ...]:
     records = []
     for ln in lines[1:]:
         axis, name, seed, rate_tok, rmse_tok, rt = ln.split(",")
-        rate, status = _parse_cell(rate_tok)
-        rmse, status2 = _parse_cell(rmse_tok)
-        status = UNIDENTIFIABLE if UNIDENTIFIABLE in (status, status2) else "ok"
-        records.append(
-            Record(int(axis), name, int(seed), rate, rmse, float(rt), status)
-        )
+        records.append(Record(int(axis), name, int(seed), _parse_cell(rate_tok),
+                              _parse_cell(rmse_tok), float(rt)))
     return tuple(records)
 
 

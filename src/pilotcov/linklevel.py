@@ -57,18 +57,17 @@ def rzf_filter(H_hat: np.ndarray, sigma_v2: float) -> np.ndarray:
 
     H_hat is (M, K_served) or a stack (..., M, K_served); W has its shape.
     Evaluated as W = H (H^H H + K sigma_v2 I)^{-1}, one K_served x
-    K_served solve per draw.  The noise loading keeps that Gram matrix
-    positive definite for any sigma_v2 > 0; at exactly zero noise
-    W = H pinv(H^H H), which equals pinv(H H^H) H, handles the
-    rank-deficient case.
+    K_served solve per draw.  The noise power sigma_v2 must be > 0; its
+    loading keeps that Gram matrix positive definite even for a
+    rank-deficient H.
     """
+    if not sigma_v2 > 0:
+        raise ValueError(f"sigma_v2 must be > 0, got {sigma_v2}")
     H_hat = np.asarray(H_hat)
     K_served = H_hat.shape[-1]
-    G = np.swapaxes(H_hat, -1, -2).conj() @ H_hat
-    if sigma_v2 > 0:
-        G = G + (K_served * sigma_v2) * np.eye(K_served)
-        return H_hat @ np.linalg.solve(G, np.eye(K_served))
-    return H_hat @ np.linalg.pinv(G)
+    G = (np.swapaxes(H_hat, -1, -2).conj() @ H_hat
+         + (K_served * sigma_v2) * np.eye(K_served))
+    return H_hat @ np.linalg.solve(G, np.eye(K_served))
 
 
 def uplink_sum_rate(

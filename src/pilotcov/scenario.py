@@ -79,8 +79,8 @@ class Uniform:
     power: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.power < 0:
-            raise InvalidProfileError(f"power must be >= 0, got {self.power}")
+        if self.power <= 0:
+            raise InvalidProfileError(f"power must be > 0, got {self.power}")
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,33 @@ def spd_systems(draw):
     return G, rhs
 
 
+@st.composite
+def spd_stacks(draw):
+    """A stack G (..., K, K) of positive definite systems with one
+    right-hand side (..., K) per slice: Gram matrices X diag(d) X^T
+    (K = 2..70), or the systems (Xi, psi) the adaptive estimator has
+    accumulated for a stack of antenna rows after a few intervals.
+
+    K >= 2, as in every scenario: a single 1 x 1 system is divided, as
+    scipy's solve of one system does, and scipy's solve of a stack of
+    them can differ from that in the last bit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        K = draw(st.integers(2, 70))
+        lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+        X = rng.standard_normal(lead + (K, K + draw(st.integers(0, K))))
+        d = rng.uniform(0.1, 10.0, lead + (1, X.shape[-1]))
+        return (X * d) @ np.swapaxes(X, -1, -2), rng.standard_normal(lead + (K,))
+    K, Ttr, N, cells = draw(st.sampled_from([(6, 3, 4, 3), (12, 5, 5, 3),
+                                             (70, 11, 7, 7)]))
+    schedule = make_random_schedule(K, Ttr, N, cells, rng)
+    state = AdaptiveState.initialize(K, 0.99, shape=(draw(st.integers(1, 8)),))
+    for n in range(draw(st.integers(1, 2 * N))):
+        b = rng.exponential(size=(state.psi.shape[0], Ttr))
+        state = adaptive_update(state, schedule.allocations[n % N], b, 0.1)
+    return state.Xi, state.psi
+
+
 class TestSolveNormal:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(spd_systems())
@@ -182,6 +209,15 @@ class TestSolveNormal:
         G, rhs = system
         assert np.array_equal(_solve_normal(G, rhs),
                               scipy.linalg.solve(G, rhs, assume_a="pos"))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(spd_stacks())
+    def test_stack_bits_equal_each_slice_solved_alone(self, system):
+        # a stacked adaptive update gives each row the bits of its own update
+        G, rhs = system
+        stacked = _solve_normal(G, rhs)
+        for idx in np.ndindex(G.shape[:-2]):
+            assert np.array_equal(stacked[idx], _solve_normal(G[idx], rhs[idx]))
 
     @pytest.mark.parametrize("G", [np.diag([1.0, -1.0]), np.ones((3, 3)),
                                    np.array([[-2.0]])],
@@ -412,7 +448,8 @@ class TestMLFixedPoint:
             ml_fixed_point(np.ones(4), np.ones((1, 4)), 0.1, init=np.array([-1.0]))
 
     def test_negative_noise_power_rejected(self):
-        # halvings of a step stay in the LLF domain only for sigma_v2 >= 0
+        # iterates c >= 0 have slot powers >= sigma_v2, in the LLF domain only
+        # for sigma_v2 > 0
         with pytest.raises(ValueError, match="sigma_v2"):
             ml_fixed_point(np.ones(4), np.ones((1, 4)), -0.1)
 
@@ -568,12 +605,13 @@ class TestOneWeightedSolve:
 
 class TestVanishedSlotPowers:
     """With no noise, a zero iterate has zero slot powers and no weights
-    1 / power^2: each weighted estimator raises before dividing."""
+    1 / power^2: each weighted estimator raises before dividing, and ML
+    refuses zero noise before it iterates."""
 
     Pi = make_example_schedule_442().compound
 
     def test_ml(self):
-        with pytest.raises(SingularSystemError, match="slot powers vanished"):
+        with pytest.raises(ValueError, match="sigma_v2"):
             ml_fixed_point(np.ones(6), self.Pi, 0.0, init=np.zeros(4))
 
     def test_shared_scaling(self):

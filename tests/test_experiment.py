@@ -308,7 +308,7 @@ class TestCSV:
 
     def test_markers_survive_round_trip(self, tmp_path):
         recs = (
-            Record(5, "two_step", 0, None, None, 0.0, status="unidentifiable"),
+            Record(5, "two_step", 0, None, None, 0.0),
             Record(5, "ls", 0, 2.5, None, 0.0),
         )
         path = tmp_path / "mark.csv"
@@ -318,6 +318,18 @@ class TestCSV:
         loaded = load_result_csv(path)
         assert loaded[1].status == "unidentifiable"
         assert loaded[0].cov_rmse is None
+        assert loaded[0].status == "ok"
+
+    def test_status_is_read_off_sum_rate(self, tmp_path):
+        assert Record(5, "ml", 0, None, None, 0.0).status == "unidentifiable"
+        assert Record(5, "ls", 0, 2.5, None, 0.0).status == "ok"
+        # a record cannot be given a status that contradicts its numbers
+        with pytest.raises(TypeError):
+            Record(5, "ls", 0, 2.5, None, 0.0, status="unidentifiable")
+        # emit_csv never leaves sum_rate empty; a file that does reads as no number
+        path = tmp_path / "empty-rate.csv"
+        path.write_text("axis,estimator,seed,sum_rate,cov_rmse,runtime_ms\n5,ml,0,,,0\n")
+        assert load_result_csv(path)[0].status == "unidentifiable"
 
 
 class TestCLI:
@@ -430,6 +442,8 @@ class TestCLI:
         ("width = 4", "width = 9", "width"),
         ("power = 1.0", "power = -1", "power"),
         (BANDLIMITED, "kind = uniform\npower = -1\n", "power"),
+        (BANDLIMITED, "kind = uniform\npower = 0\n", "power must be > 0"),
+        ("kind = bandlimited", "kind = gaussian", "kind must be one of"),
         (BANDLIMITED, "kind = random_sparse\nsupport_fraction = 1.5\n",
          "support_fraction"),
         ("width = 4\n", "", "width"),
@@ -451,13 +465,25 @@ class TestCLI:
         ("axis = T\nvalues = 10, 20", "axis = Ttr\nvalues = 7", "Ttr must be in"),
         (DESK_CFG, TTR_SWEEP_CFG.replace("{T}", "0"), "T=0"),
         (DESK_CFG, TTR_SWEEP_CFG.replace("{T}", "-5"), "T=-5"),
+        ("axis = T", "axis = N", "axis must be T or Ttr"),
+        ("values = 10, 20", "values = 0", "values must be positive"),
+        ("trials = 3", "trials = 0", "trials must be >= 1"),
+        ("mode = random\nN = 5", "mode = imported", "path is required"),
+        ("mode = random\nN = 5", "mode = affine", "mode must be random"),
+        ("max_iter = 100", "max_iter = 100\nml_scaling = pooled", "ml_scaling must be"),
+        ("eval_intervals = 4", "eval_intervals = 0", "eval_intervals must be >= 1"),
+        ("T_coh = 100", "T_coh = 4", "T_coh=4 must exceed Ttr=4"),
     ], ids=["width-0", "width-above-M", "bandlimited-power-negative",
-            "uniform-power-negative", "support-fraction-above-1", "width-missing",
+            "uniform-power-negative", "uniform-power-zero", "profile-kind-unknown",
+            "support-fraction-above-1", "width-missing",
             "support-fraction-missing", "misspelt-key", "unknown-section",
             "key-of-other-kind", "cells-saturate-pilots", "imported-K-mismatch",
             "N-outside-random-mode", "N-and-path-outside-their-modes",
             "repeated-sweep-value", "repeated-estimator", "example442-at-desk-geometry",
-            "swept-Ttr-above-K", "ttr-sweep-window-0", "ttr-sweep-window-negative"])
+            "swept-Ttr-above-K", "ttr-sweep-window-0", "ttr-sweep-window-negative",
+            "sweep-axis-unknown", "sweep-value-0", "trials-0", "imported-without-path",
+            "schedule-mode-unknown", "ml-scaling-unknown", "eval-intervals-0",
+            "t-coh-not-above-ttr"])
     def test_config_refused_at_validate(self, old, new, named, tmp_path, capsys):
         sched = tmp_path / "four_users.txt"
         sched.write_text("0 1 2 3\n1 2 3 0\n")
@@ -473,6 +499,18 @@ class TestCLI:
             err = capsys.readouterr().err
             assert err.startswith("config error") and named in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, named", [
+        (None, "cannot read config file"),
+        ("M = 8\n", "config parse error"),
+    ], ids=["missing-file", "no-section-header"])
+    def test_unreadable_config_refused_at_validate(self, text, named, tmp_path, capsys):
+        path = tmp_path / "unreadable.cfg"
+        if text is not None:
+            path.write_text(text)
+        assert cli_main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and named in err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -46,6 +46,11 @@ class TestUniformProfile:
         out = generate_covariance_set(_config(M=4, K=2), Uniform(power=1.0), rng)
         np.testing.assert_array_equal(out, np.ones((4, 2)))
 
+    def test_zero_power_rejected(self):
+        # an all-zero truth leaves the relative cov_rmse undefined
+        with pytest.raises(InvalidProfileError, match="power must be > 0"):
+            Uniform(0.0)
+
 
 class TestBandLimitedProfile:
     def test_full_width_covers_all_antennas(self):
