@@ -122,7 +122,7 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     overhead, and with its checks: non-finite input raises ValueError, an
     indefinite G raises SingularSystemError and an ill-conditioned one
     warns `scipy.linalg.LinAlgWarning`.  A stack goes to scipy's batched
-    solve.
+    solve, which factors even 1 x 1 slices.
     """
     if G.ndim > 2:
         try:
@@ -487,7 +487,8 @@ def adaptive_update(
         )
 
     # the matrix-vector products (A @ v[..., None])[..., 0] round as in a
-    # single-row update, so a stack gives each row's result bit for bit
+    # single-row update, so for K >= 2 a stack gives each row's result bit
+    # for bit (at K = 1 a single row is divided, a stack factored)
     d = np.ones(b.shape) if unit_scaling else _slot_weights(state.c_hat, A, sigma_v2)
 
     psi = state.lam * state.psi + (A @ (d * (b - sigma_v2))[..., None])[..., 0]

@@ -17,6 +17,7 @@ time.
 from __future__ import annotations
 
 import configparser
+import functools
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -144,11 +145,6 @@ def validate_experiment_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"[scenario] seed and the seed base must be >= 0, got "
             f"{cfg.scenario.seed} and {cfg.seed_base}"
-        )
-    if not (np.isfinite(cfg.scenario.sigma_v2) and cfg.scenario.sigma_v2 > 0):
-        raise ConfigError(
-            "[scenario] sigma_v2 must be finite and > 0: the MMSE evaluation "
-            "needs strictly positive, finite slot variances"
         )
 
     if isinstance(cfg.profile, BandLimited) and cfg.profile.width > cfg.scenario.M:
@@ -331,34 +327,28 @@ def _draw_point(point: tuple, truth: np.ndarray, H_eval: np.ndarray,
     return schedule, B, Phi_eval
 
 
-# (cfg, trial, shared draws) of the trial being run; only one trial's
-# draws are alive at a time
-_current: list[tuple] = []
-
-
+@functools.lru_cache(maxsize=1)
 def _trial_draws(cfg: ExperimentConfig, trial: int) -> tuple:
     """(truth, H_eval, longest): the draws the sweep points of a trial
     share, drawn by the first of its units.  They are the ground truth,
     the (E, M, K) evaluation channels and, on a T sweep, the
     `_draw_point` of the largest T, of whose squared observations B each
     point reads the first T intervals; on a Ttr sweep `longest` is None
-    and each unit draws its own."""
-    if not (_current and _current[0][0] is cfg and _current[0][1] == trial):
-        _current.clear()
-        rngs = _streams(cfg, trial)
-        truth = generate_covariance_set(cfg.scenario, cfg.profile, rngs[0])
-        # evaluation channels are shared by all estimators (common random numbers)
-        H_eval = draw_channels(np.broadcast_to(truth, (cfg.eval_intervals, *truth.shape)),
-                               rngs[3])
-        longest = None
-        if cfg.sweep_axis == "T":
-            longest = _draw_point(cfg.points[max(cfg.sweep_values)], truth, H_eval, rngs)
-        # every unit of the trial reads them: a write in place would leak
-        # into the next unit, so it raises instead
-        for shared in (truth, H_eval, *(longest or ())[1:]):
-            shared.flags.writeable = False
-        _current.append((cfg, trial, (truth, H_eval, longest)))
-    return _current[0][2]
+    and each unit draws its own.  `run_experiment` clears the memo before
+    each trial, so one trial's draws are freed before the next's are drawn."""
+    rngs = _streams(cfg, trial)
+    truth = generate_covariance_set(cfg.scenario, cfg.profile, rngs[0])
+    # evaluation channels are shared by all estimators (common random numbers)
+    H_eval = draw_channels(np.broadcast_to(truth, (cfg.eval_intervals, *truth.shape)),
+                           rngs[3])
+    longest = None
+    if cfg.sweep_axis == "T":
+        longest = _draw_point(cfg.points[max(cfg.sweep_values)], truth, H_eval, rngs)
+    # every unit of the trial reads them: a write in place would leak into
+    # the next unit, so it raises instead
+    for shared in (truth, H_eval, *(longest or ())[1:]):
+        shared.flags.writeable = False
+    return truth, H_eval, longest
 
 
 def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
@@ -416,10 +406,11 @@ def run_experiment(
     units = {}
     try:
         for s in range(cfg.trials):
+            _trial_draws.cache_clear()
             for v in cfg.sweep_values:
                 units[v, s] = _run_unit(cfg, v, s, measure_runtime)
     finally:
-        _current.clear()
+        _trial_draws.cache_clear()
     return tuple(r for v in cfg.sweep_values for s in range(cfg.trials)
                  for r in units[v, s])
 

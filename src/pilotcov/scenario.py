@@ -35,7 +35,7 @@ class ScenarioConfig:
     M:              base-station antennas
     K:              total users, own cell plus neighbouring cells
     Ttr:            orthonormal pilot sequences per training phase
-    sigma_v2:       noise variance (linear scale), assumed known
+    sigma_v2:       noise variance (linear scale, finite and > 0), assumed known
     num_cells:      number of cells contributing users
     users_per_cell: users per cell; num_cells * users_per_cell == K
     seed:           base RNG seed for everything derived from this scenario
@@ -59,8 +59,8 @@ class ScenarioConfig:
             raise ValueError(f"K must be >= 2, got {self.K}")
         if not 1 <= self.Ttr <= self.K:
             raise ValueError(f"Ttr must be in [1, K={self.K}], got {self.Ttr}")
-        if self.sigma_v2 < 0:
-            raise ValueError(f"sigma_v2 must be >= 0, got {self.sigma_v2}")
+        if not 0 < self.sigma_v2 < np.inf:
+            raise ValueError(f"sigma_v2 must be finite and > 0, got {self.sigma_v2}")
         if self.num_cells < 1:
             raise ValueError(f"num_cells must be >= 1, got {self.num_cells}")
         if self.users_per_cell is None:
@@ -149,9 +149,8 @@ def generate_covariance_set(
     """
     M, K = config.M, config.K
     if isinstance(profile, Uniform):
-        return np.full((M, K), float(profile.power))
-
-    if isinstance(profile, BandLimited):
+        C = np.full((M, K), float(profile.power))
+    elif isinstance(profile, BandLimited):
         if profile.width > M:
             raise InvalidProfileError(f"width must be in [1, M={M}], got {profile.width}")
         C = np.zeros((M, K))
@@ -163,18 +162,21 @@ def generate_covariance_set(
                 -rng.uniform(0.0, profile.dynamic_range_db) / 10.0
             )
             C[:, k] = _bandlimited_column(M, profile.width, center, power_k)
-        return C
-
-    if isinstance(profile, RandomSparse):
+    elif isinstance(profile, RandomSparse):
         n_nz = max(1, round(profile.support_fraction * M))
         C = np.zeros((M, K))
         for k in range(K):
             support = rng.choice(M, size=n_nz, replace=False)
             weights = rng.random(n_nz) + 1e-12
             C[support, k] = weights / weights.sum() * profile.total_power
-        return C
+    else:
+        raise InvalidProfileError(f"unknown profile kind: {profile!r}")
 
-    raise InvalidProfileError(f"unknown profile kind: {profile!r}")
+    norm = np.linalg.norm(C)  # estimation errors are relative to it
+    if not 0 < norm < np.inf:
+        raise InvalidProfileError(f"{profile!r} draws a ground truth of norm {norm}: "
+                                  f"its powers underflow or overflow")
+    return C
 
 
 def genie_covariances(C: np.ndarray) -> np.ndarray:

@@ -32,9 +32,10 @@ from pilotcov import (
     rank_and_condition,
     run_experiment,
     shared_scaling_estimate,
-    squared_rows,
     two_step_reconstruct,
 )
+
+from training import simulate_training
 
 
 def _criterion(name: str, ok: bool, elapsed: float, limit: float, detail: str = ""):
@@ -43,14 +44,6 @@ def _criterion(name: str, ok: bool, elapsed: float, limit: float, detail: str = 
     print(line)
     assert ok, f"{name}: {detail}"
     assert elapsed < limit, f"{name}: runtime {elapsed:.1f}s exceeds {limit:.0f}s"
-
-
-def _simulate_training(C, schedule, sigma_v2, passes, rng):
-    blocks = []
-    for t in range(passes * schedule.N):
-        alloc = schedule.allocations[t % schedule.N]
-        blocks.append(observe(draw_channels(C, rng), alloc, sigma_v2, rng))
-    return squared_rows(blocks)
 
 
 def test_example_schedule_exactness():
@@ -202,7 +195,7 @@ def test_consistency_in_window_length():
             C = generate_covariance_set(
                 scn, BandLimited(width=6, power=1.0), rng
             )
-            B = _simulate_training(C, sched, sigma_v2, T // N, rng)
+            B = simulate_training(C, sched, sigma_v2, T // N, rng)
             est = estimate_all_rows_ml(
                 B, np.tile(sched.compound, (1, T // N)), sigma_v2
             )
@@ -223,7 +216,7 @@ def test_adaptive_matches_batch_reconstruction():
     sched = make_random_schedule(K, Ttr, N, 2, rng)
     C = rng.random((M, K)) + 0.2
     sigma_v2 = 0.3
-    B = _simulate_training(C, sched, sigma_v2, S, rng)
+    B = simulate_training(C, sched, sigma_v2, S, rng)
     batch = two_step_reconstruct(
         estimate_obs_covariances(B, sched), sched, sigma_v2, clamp=False
     )

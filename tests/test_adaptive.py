@@ -5,14 +5,13 @@ import scipy.linalg
 from pilotcov import (
     AdaptiveState,
     adaptive_update,
-    draw_channels,
     estimate_obs_covariances,
     make_random_schedule,
-    observe,
-    squared_rows,
     two_step_reconstruct,
 )
 from pilotcov.experiment import _estimate_adaptive
+
+from training import simulate_training
 
 
 class TestInitialization:
@@ -72,14 +71,6 @@ class TestSingleUpdate:
                 adaptive_update(state, np.eye(2), b, 1.0)
 
 
-def _training_blocks(C, schedule, sigma_v2, passes, rng):
-    blocks = []
-    for t in range(passes * schedule.N):
-        alloc = schedule.allocations[t % schedule.N]
-        blocks.append(observe(draw_channels(C, rng), alloc, sigma_v2, rng))
-    return squared_rows(blocks)
-
-
 class TestBatchEquivalence:
     def test_unit_scaling_matches_two_step(self):
         # lam=1 with unit weights accumulates plain normal equations; after
@@ -90,7 +81,7 @@ class TestBatchEquivalence:
         sched = make_random_schedule(K, Ttr, N, 2, rng)
         C = rng.random((3, K)) + 0.2
         sigma_v2 = 0.3
-        B = _training_blocks(C, sched, sigma_v2, S, rng)
+        B = simulate_training(C, sched, sigma_v2, S, rng)
         batch = two_step_reconstruct(
             estimate_obs_covariances(B, sched), sched, sigma_v2, clamp=False
         )
@@ -159,7 +150,7 @@ def _sparse_problem(rng, M, K, Ttr, N, T, cells):
     sched = make_random_schedule(K, Ttr, N, cells, rng)
     C = rng.uniform(0.05, 2.0, size=(M, K)) * (rng.random((M, K)) > 0.3)
     sigma_v2 = 0.1
-    B = _training_blocks(C, sched, sigma_v2, T // N, rng)
+    B = simulate_training(C, sched, sigma_v2, T // N, rng)
     return B, sched, sigma_v2
 
 

@@ -12,7 +12,6 @@ from pilotcov import (
     Schedule,
     SingularSystemError,
     adaptive_update,
-    draw_channels,
     estimate_all_rows_ml,
     estimate_obs_covariances,
     llf_gradient,
@@ -20,22 +19,13 @@ from pilotcov import (
     make_random_schedule,
     ml_fixed_point,
     negative_llf,
-    observe,
     shared_scaling_estimate,
     shared_scaling_fixed_point,
-    squared_rows,
     two_step_reconstruct,
 )
 from pilotcov.estimators import _solve_normal
 
-
-def _simulate(C, schedule, sigma_v2, repeats, rng):
-    """Training observations for `repeats` passes of the schedule."""
-    blocks = []
-    for t in range(repeats * schedule.N):
-        alloc = schedule.allocations[t % schedule.N]
-        blocks.append(observe(draw_channels(C, rng), alloc, sigma_v2, rng))
-    return squared_rows(blocks)
+from training import simulate_training
 
 
 def _random_instance(rng, K=6, Ttr=3, N=4, repeats=10, sigma_v2=0.5):
@@ -126,7 +116,7 @@ class TestEstimateObsCovariances:
         C = np.array([[1.0, 0.5, 2.0, 0.8], [0.3, 1.2, 0.7, 1.5]])
         sigma_v2 = 0.2
         S = 10_000
-        B = _simulate(C, sched, sigma_v2, S, rng)
+        B = simulate_training(C, sched, sigma_v2, S, rng)
         out = estimate_obs_covariances(B, sched)
         expected = C @ sched.compound + sigma_v2
         np.testing.assert_allclose(out, expected, rtol=0.05)
@@ -486,7 +476,7 @@ class TestMLMatchesOneAtATime:
         rng = np.random.default_rng(19)
         sched = make_random_schedule(12, 5, 5, 3, rng)
         C = rng.uniform(0.0, 1.0, (16, 12)) * (rng.random((16, 12)) < 0.5)
-        b = estimate_obs_covariances(_simulate(C, sched, 0.1, 12, rng), sched)
+        b = estimate_obs_covariances(simulate_training(C, sched, 0.1, 12, rng), sched)
         C_hat, flags = estimate_all_rows_ml(b, sched.compound, 0.1)
         init = shared_scaling_estimate(b, sched.compound, None, 0.1)
         taken = 0
@@ -510,7 +500,7 @@ class TestEstimateAllRowsML:
         rng = np.random.default_rng(12)
         sched = make_example_schedule_442()
         C = rng.random((5, 4)) + 0.2
-        B = _simulate(C, sched, 0.3, 40, rng)
+        B = simulate_training(C, sched, 0.3, 40, rng)
         perm = np.array([3, 0, 4, 1, 2])
         est, _ = estimate_all_rows_ml(B, np.tile(sched.compound, (1, 40)), 0.3)
         est_perm, _ = estimate_all_rows_ml(
@@ -522,7 +512,7 @@ class TestEstimateAllRowsML:
         rng = np.random.default_rng(13)
         sched = make_example_schedule_442()
         C = rng.random((3, 4))
-        B = _simulate(C, sched, 0.2, 30, rng)
+        B = simulate_training(C, sched, 0.2, 30, rng)
         Pi = np.tile(sched.compound, (1, 30))
         a, flags_a = estimate_all_rows_ml(B, Pi, 0.2)
         b, flags_b = estimate_all_rows_ml(B, Pi, 0.2)
@@ -533,7 +523,7 @@ class TestEstimateAllRowsML:
         rng = np.random.default_rng(14)
         sched = make_example_schedule_442()
         C = rng.random((3, 4)) + 0.5
-        B = _simulate(C, sched, 0.2, 50, rng)
+        B = simulate_training(C, sched, 0.2, 50, rng)
         Pi = np.tile(sched.compound, (1, 50))
         C_hat, flags = estimate_all_rows_ml(B, Pi, 0.2)
         assert flags.shape == (3,) and flags.dtype == bool
@@ -555,7 +545,7 @@ class TestSharedScalingFixedPoint:
         rng = np.random.default_rng(16)
         sched = make_example_schedule_442()
         C = rng.random((4, 4)) + 0.3
-        B = _simulate(C, sched, 0.3, 60, rng)
+        B = simulate_training(C, sched, 0.3, 60, rng)
         Pi = np.tile(sched.compound, (1, 60))
         shared, _ = shared_scaling_fixed_point(B, Pi, 0.3)
         per_row, _ = estimate_all_rows_ml(B, Pi, 0.3)
@@ -569,7 +559,7 @@ class TestSharedScalingFixedPoint:
     def test_stop_at_max_iter_is_flagged_and_logged(self, caplog):
         rng = np.random.default_rng(16)
         sched = make_example_schedule_442()
-        B = _simulate(rng.random((4, 4)) + 0.3, sched, 0.3, 60, rng)
+        B = simulate_training(rng.random((4, 4)) + 0.3, sched, 0.3, 60, rng)
         Pi = np.tile(sched.compound, (1, 60))
         with caplog.at_level(logging.WARNING, logger="pilotcov.estimators"):
             C_hat, converged = shared_scaling_fixed_point(B, Pi, 0.3, max_iter=1)
@@ -595,7 +585,7 @@ class TestOneWeightedSolve:
         rng = np.random.default_rng(21)
         sched = make_random_schedule(12, 5, 5, 3, rng)
         C = rng.uniform(0.0, 1.0, (16, 12))
-        b = estimate_obs_covariances(_simulate(C, sched, 0.1, 6, rng), sched)
+        b = estimate_obs_covariances(simulate_training(C, sched, 0.1, 6, rng), sched)
         Pi = sched.compound
         C_hat, _ = shared_scaling_fixed_point(b, Pi, 0.1, max_iter=1)
         c_mean = shared_scaling_estimate(b, Pi, None, 0.1).mean(axis=0)
@@ -634,7 +624,7 @@ class TestConsistencyInT:
         for seed in range(20):
             local = np.random.default_rng(seed)
             for S in (10, 100):
-                B = _simulate(C, sched, 0.2, S, local)
+                B = simulate_training(C, sched, 0.2, S, local)
                 est, _ = estimate_all_rows_ml(B, np.tile(sched.compound, (1, S)), 0.2)
                 errs[S].append(np.linalg.norm(est - C) / np.linalg.norm(C))
         assert np.mean(errs[100]) < np.mean(errs[10])

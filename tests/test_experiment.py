@@ -169,13 +169,10 @@ class TestConfigLoading:
             _tiny_config(sweep_values=(12,))  # N=5 does not divide 12
 
     def test_zero_noise_rejected_for_experiments(self):
-        with pytest.raises(ConfigError, match="sigma_v2"):
-            _tiny_config(
-                scenario=ScenarioConfig(
-                    M=8, K=6, Ttr=4, sigma_v2=0.0, num_cells=2,
-                    users_per_cell=3, seed=7,
-                )
-            )
+        # the scenario refuses it, before any experiment config is built
+        with pytest.raises(ValueError, match="sigma_v2"):
+            ScenarioConfig(M=8, K=6, Ttr=4, sigma_v2=0.0, num_cells=2,
+                           users_per_cell=3, seed=7)
 
     @pytest.mark.parametrize("field, value", [
         ("tol", np.nan), ("tol", np.inf), ("lam", np.nan),
@@ -183,13 +180,12 @@ class TestConfigLoading:
     ])
     def test_non_finite_numbers_rejected_in_code(self, field, value):
         if field == "sigma_v2":
-            scenario = ScenarioConfig(M=8, K=6, Ttr=4, sigma_v2=value, num_cells=2,
-                                      users_per_cell=3, seed=7)
-            overrides = {"scenario": scenario}
+            with pytest.raises(ValueError, match="sigma_v2 must be finite"):
+                ScenarioConfig(M=8, K=6, Ttr=4, sigma_v2=value, num_cells=2,
+                               users_per_cell=3, seed=7)
         else:
-            overrides = {field: value}
-        with pytest.raises(ConfigError, match="lambda" if field == "lam" else field):
-            _tiny_config(**overrides)
+            with pytest.raises(ConfigError, match="lambda" if field == "lam" else field):
+                _tiny_config(**{field: value})
 
     def test_infeasible_cell_constraint_surfaced_before_run(self):
         with pytest.raises(ConfigError, match="users per cell"):
@@ -473,6 +469,7 @@ class TestCLI:
         ("max_iter = 100", "max_iter = 100\nml_scaling = pooled", "ml_scaling must be"),
         ("eval_intervals = 4", "eval_intervals = 0", "eval_intervals must be >= 1"),
         ("T_coh = 100", "T_coh = 4", "T_coh=4 must exceed Ttr=4"),
+        ("sigma_v2 = 0.2", "sigma_v2 = 0", "[scenario] sigma_v2 must be finite and > 0"),
     ], ids=["width-0", "width-above-M", "bandlimited-power-negative",
             "uniform-power-negative", "uniform-power-zero", "profile-kind-unknown",
             "support-fraction-above-1", "width-missing",
@@ -483,7 +480,7 @@ class TestCLI:
             "swept-Ttr-above-K", "ttr-sweep-window-0", "ttr-sweep-window-negative",
             "sweep-axis-unknown", "sweep-value-0", "trials-0", "imported-without-path",
             "schedule-mode-unknown", "ml-scaling-unknown", "eval-intervals-0",
-            "t-coh-not-above-ttr"])
+            "t-coh-not-above-ttr", "sigma-v2-0"])
     def test_config_refused_at_validate(self, old, new, named, tmp_path, capsys):
         sched = tmp_path / "four_users.txt"
         sched.write_text("0 1 2 3\n1 2 3 0\n")
@@ -546,6 +543,22 @@ class TestCLI:
                                          "estimators = adaptive"))
         assert cli_main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
         assert "indefinite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("profile, named", [
+        ("kind = uniform\npower = 1e-200\n", "Uniform(power=1e-200)"),
+        (BANDLIMITED.replace("10.0", "1e6"), "dynamic_range_db=1000000.0"),
+    ], ids=["uniform-power-underflows", "bandlimited-range-underflows"])
+    def test_underflowing_ground_truth_exits_2(self, profile, named, tmp_path, capsys):
+        # both pass validation, but every power of the drawn truth underflows
+        # to 0, so no estimation error relative to it exists
+        path = tmp_path / "underflow.cfg"
+        path.write_text(DESK_CFG.replace(self.BANDLIMITED, profile))
+        assert cli_main(["validate", str(path)]) == 0
+        out = tmp_path / "o.csv"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error") and named in err and "norm 0.0" in err
+        assert not out.exists()
 
     def test_non_finite_estimate_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
         from pilotcov import experiment
@@ -726,6 +739,33 @@ def test_sweep_equals_its_single_value_sweeps(mode, tmp_path):
     assert [(r.axis_value, r.seed) for r in records[::len(ALL_ESTIMATORS)]] == [
         (v, s) for v in cfg.sweep_values for s in range(cfg.trials)]
     assert records == one_at_a_time
+
+
+@pytest.mark.parametrize("axis", ["T", "Ttr"])
+def test_trial_draws_freed_before_next_trial_drawn(axis, monkeypatch):
+    # a trial's draws are alive only while its units run: when the next
+    # trial draws its truth, the last trial's truth is gone
+    import gc
+    import weakref
+
+    from pilotcov import experiment
+
+    draw = experiment.generate_covariance_set
+    drawn = []
+
+    def tracked(*args):
+        gc.collect()
+        assert not drawn or drawn[-1]() is None, "the last trial's truth is alive"
+        truth = draw(*args)
+        drawn.append(weakref.ref(truth))
+        return truth
+
+    monkeypatch.setattr(experiment, "generate_covariance_set", tracked)
+    cfg = (_tiny_config() if axis == "T"
+           else _tiny_config(sweep_axis="Ttr", sweep_values=(5, 4), T=10))
+    run_experiment(cfg)
+    gc.collect()
+    assert len(drawn) == cfg.trials >= 2 and drawn[-1]() is None
 
 
 def test_run_refuses_missing_output_directory_before_any_unit(desk_config, tmp_path,

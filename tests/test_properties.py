@@ -18,8 +18,9 @@ either input.
 
 The adaptive estimator updates all antenna rows as one stack, yet the
 rows stay independent problems: permuting the rows of B permutes the rows
-of its estimate and changes nothing else, and each row of a stacked update
-is bit for bit the single-row update of that row.
+of its estimate and changes nothing else, and for K >= 2 each row of a
+stacked update is bit for bit the single-row update of that row (at K = 1 a
+single row's 1 x 1 system is divided while a stack is factored).
 """
 
 import numpy as np

@@ -31,6 +31,9 @@ class TestScenarioConfig:
             dict(Ttr=0),
             dict(Ttr=9),
             dict(sigma_v2=-1.0),
+            dict(sigma_v2=0.0),
+            dict(sigma_v2=np.nan),
+            dict(sigma_v2=np.inf),
             dict(num_cells=3),           # 4 users not divisible by 3 cells
             dict(users_per_cell=3),      # 2 * 3 != 4
         ],
