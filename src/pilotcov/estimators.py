@@ -30,7 +30,10 @@ each ML iteration solve through `_weighted_solve`, and the D = I solve is
 `shared_scaling_estimate` with D = None; the adaptive estimator builds
 its own accumulated system.  All of them go through `_solve_normal`: a
 single K x K system goes straight to LAPACK's Cholesky routines, a stack
-to scipy's batched solve.
+to scipy's batched solve.  scipy is imported by the first solve that
+needs it, when `_lapack` binds the LAPACK handles or a stack is solved,
+and nowhere at module level, so a process that never solves (`pilotcov
+validate`, `pilotcov schedule`) never loads it.
 
 The batch estimators take per-slot statistics: the slot means b over the
 S passes of a window (`estimate_obs_covariances`) with the compound
@@ -45,14 +48,13 @@ one flag per antenna row for per-row ML, one bool for shared scaling.
 
 from __future__ import annotations
 
+import functools
 import logging
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 from .errors import IdentifiabilityError, SingularSystemError
 from .schedule import Schedule
@@ -100,10 +102,18 @@ def estimate_obs_covariances(B: np.ndarray, schedule: Schedule) -> np.ndarray:
     return B.reshape(M, total // block, block).mean(axis=1)
 
 
-_POTRF, _POCON, _POTRS, _LANGE = scipy.linalg.lapack.get_lapack_funcs(
-    ("potrf", "pocon", "potrs", "lange"), dtype=np.float64
-)
 _EPS = np.finfo(np.float64).eps
+
+
+@functools.cache
+def _lapack() -> tuple:
+    """LAPACK's float64 potrf, pocon, potrs and lange, bound at the first
+    call: importing scipy.linalg takes most of pilotcov's start-up."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack.get_lapack_funcs(
+        ("potrf", "pocon", "potrs", "lange"), dtype=np.float64
+    )
 
 
 def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -121,10 +131,14 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     `scipy.linalg.solve(G, rhs, assume_a="pos")`, without its per-call
     overhead, and with its checks: non-finite input raises ValueError, an
     indefinite G raises SingularSystemError and an ill-conditioned one
-    warns `scipy.linalg.LinAlgWarning`.  A stack goes to scipy's batched
-    solve, which factors even 1 x 1 slices.
+    warns `scipy.linalg.LinAlgWarning`.  `_lapack` binds the handles, and
+    so imports scipy, at the process's first single system larger than
+    1 x 1; later solves reuse them.  A stack goes to scipy's batched solve,
+    which factors even 1 x 1 slices.
     """
     if G.ndim > 2:
+        import scipy.linalg
+
         try:
             # stacked right-hand sides must be (..., K, NRHS) matrices
             return scipy.linalg.solve(G, rhs[..., None], assume_a="pos")[..., 0]
@@ -144,19 +158,22 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                 "the 1 x 1 system is not positive"
             )
         return rhs / G[0, 0]
-    U, info = _POTRF(G)
+    potrf, pocon, potrs, lange = _lapack()
+    U, info = potrf(G)
     if info > 0:
         raise SingularSystemError(
             "weighted normal equations are singular or indefinite: the "
             f"leading minor of order {info} is not positive"
         )
-    rcond, _ = _POCON(U, _LANGE("1", G))
+    rcond, _ = pocon(U, lange("1", G))
     if not rcond >= _EPS:
+        import scipy.linalg
+
         warnings.warn(
             f"ill-conditioned normal equations (rcond={rcond:.6g}): the "
             "solution may not be accurate", scipy.linalg.LinAlgWarning, stacklevel=2,
         )
-    x, _ = _POTRS(U, rhs if rhs.ndim == 2 else rhs[:, None])
+    x, _ = potrs(U, rhs if rhs.ndim == 2 else rhs[:, None])
     return x if rhs.ndim == 2 else x[:, 0]
 
 
