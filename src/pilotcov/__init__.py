@@ -14,7 +14,7 @@ from .errors import (
     SingularSystemError,
 )
 from .estimators import (
-    AdaptiveState,
+    adaptive_estimate,
     adaptive_update,
     estimate_all_rows_ml,
     estimate_obs_covariances,

@@ -27,13 +27,14 @@ intervals.  The weights of ML, shared scaling and the adaptive estimator
 are one rule, `_slot_weights`: d_i = 1 / p_i^2 at the slot powers p =
 Pi^T c + sigma_v2 of the current estimate.  Two-step, shared scaling and
 each ML iteration solve through `_weighted_solve`, and the D = I solve is
-`shared_scaling_estimate` with D = None; the adaptive estimator builds
-its own accumulated system.  All of them go through `_solve_normal`: a
-single K x K system goes straight to LAPACK's Cholesky routines, a stack
-to scipy's batched solve.  scipy is imported by the first solve that
-needs it, when `_lapack` binds the LAPACK handles or a stack is solved,
-and nowhere at module level, so a process that never solves (`pilotcov
-validate`, `pilotcov schedule`) never loads it.
+`shared_scaling_estimate` with D = None; `adaptive_estimate` hands each
+interval's weights to `adaptive_update`, which adds that interval's
+weighted system to the accumulated one in place.  All of them go through
+`_solve_normal`: a single K x K system goes straight to LAPACK's Cholesky
+routines, a stack to scipy's batched solve.  scipy is imported by the
+first solve that needs it, when `_lapack` binds the LAPACK handles or a
+stack is solved, and nowhere at module level, so a process that never
+solves (`pilotcov validate`, `pilotcov schedule`) never loads it.
 
 The batch estimators take per-slot statistics: the slot means b over the
 S passes of a window (`estimate_obs_covariances`) with the compound
@@ -51,7 +52,6 @@ from __future__ import annotations
 import functools
 import logging
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +60,6 @@ from .errors import IdentifiabilityError, SingularSystemError
 from .schedule import Schedule
 
 __all__ = [
-    "AdaptiveState",
     "MLFixedPointResult",
     "estimate_obs_covariances",
     "two_step_reconstruct",
@@ -71,6 +70,7 @@ __all__ = [
     "estimate_all_rows_ml",
     "shared_scaling_fixed_point",
     "adaptive_update",
+    "adaptive_estimate",
 ]
 
 logger = logging.getLogger(__name__)
@@ -127,14 +127,16 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     A single G is solved by LAPACK directly: upper Cholesky (potrf), its
     reciprocal condition number (pocon) and the triangular solves (potrs).
-    These are the calls, and therefore the bits, of
+    For K >= 2 these are the calls, and therefore the bits, of
     `scipy.linalg.solve(G, rhs, assume_a="pos")`, without its per-call
     overhead, and with its checks: non-finite input raises ValueError, an
     indefinite G raises SingularSystemError and an ill-conditioned one
     warns `scipy.linalg.LinAlgWarning`.  `_lapack` binds the handles, and
-    so imports scipy, at the process's first single system larger than
-    1 x 1; later solves reuse them.  A stack goes to scipy's batched solve,
-    which factors even 1 x 1 slices.
+    so imports scipy, at the process's first single system; later solves
+    reuse them.  A stack goes to scipy's batched solve, which factors every
+    slice the same way, so each slice gets the bits of its own single
+    solve at every K.  Only a system of one entry, alone or as a one-slice
+    stack, scipy divides instead.
     """
     if G.ndim > 2:
         import scipy.linalg
@@ -150,14 +152,6 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             ) from exc
     if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
         raise ValueError("normal equations must not contain infs or NaNs")
-    if G.shape == (1, 1):
-        # scipy divides a 1 x 1 system instead of factoring it
-        if not G[0, 0] > 0:
-            raise SingularSystemError(
-                "weighted normal equations are singular or indefinite: "
-                "the 1 x 1 system is not positive"
-            )
-        return rhs / G[0, 0]
     potrf, pocon, potrs, lange = _lapack()
     U, info = potrf(G)
     if info > 0:
@@ -437,78 +431,66 @@ def shared_scaling_fixed_point(
     return C, False
 
 
-@dataclass(frozen=True)
-class AdaptiveState:
-    """State of the adaptive variance estimator for a stack of antenna rows.
-
-    Xi accumulates the weighted Gram matrix of the allocations, psi the
-    weighted observations; c_hat solves Xi c = psi, clamped to c >= 0,
-    in every row.  The leading dimensions `...` index the rows; they are
-    empty for a single row.
-    """
-
-    Xi: np.ndarray      # (..., K, K)
-    psi: np.ndarray     # (..., K)
-    c_hat: np.ndarray   # (..., K)
-    lam: float
-
-    @classmethod
-    def initialize(
-        cls, K: int, lam: float = 0.99, shape: tuple[int, ...] = ()
-    ) -> "AdaptiveState":
-        """Start every row of a `shape` stack at Xi = I, psi = 0, c_hat = 1."""
-        if not 0.0 < lam <= 1.0:
-            raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
-        return cls(
-            Xi=np.zeros(shape + (K, K)) + np.eye(K),
-            psi=np.zeros(shape + (K,)),
-            c_hat=np.ones(shape + (K,)),
-            lam=lam,
-        )
-
-    @property
-    def K(self) -> int:
-        return self.psi.shape[-1]
-
-
 def adaptive_update(
-    state: AdaptiveState,
+    Xi: np.ndarray,
+    psi: np.ndarray,
     A: np.ndarray,
-    b: np.ndarray,
-    sigma_v2: float,
-    *,
-    unit_scaling: bool = False,
-) -> AdaptiveState:
+    d: np.ndarray,
+    r: np.ndarray,
+    lam: float,
+) -> np.ndarray:
     """One interval of the adaptive estimator, for every row of the state.
 
-    A is the interval's (K, Ttr) one-hot allocation, `schedule.allocations[n]`;
-    b (..., Ttr) holds each row's squared observations of the interval;
-    its leading shape must be the state's.  Slot weights come from the
-    current variance estimate, d_p = 1 / (pi_p^T c_hat + sigma_v2)^2; both
-    accumulators are decayed by the forgetting factor before the new
-    interval is added, and the new estimate solves the accumulated normal
-    equations Xi c = psi, clamped to the nonnegative orthant.
-
-    `unit_scaling=True` freezes the weights at one (plain recursive
-    least squares), which is mainly useful for equivalence checks against
-    the batch reconstruction.
+    Decays the accumulated normal equations Xi (..., K, K) and psi (..., K)
+    by the forgetting factor lam and adds the interval's, in place:
+    Xi <- lam Xi + A D A^T and psi <- lam psi + A D r, for the interval's
+    (K, Ttr) one-hot allocation A = `schedule.allocations[n]`, slot weights
+    d and residuals r = b - sigma_v2 of each row's squared observations b
+    (..., Ttr).  The leading shape of r must be the state's.  Returns the
+    new estimate, the solution of Xi c = psi clamped to the nonnegative
+    orthant, (..., K).
     """
-    b = np.asarray(b, dtype=float)
-    rows = state.psi.shape[:-1]
-    if A.shape[0] != state.K:
-        raise ValueError(f"allocation has K={A.shape[0]}, state has K={state.K}")
-    if b.shape != rows + (A.shape[1],):
+    rows = psi.shape[:-1]
+    if A.shape[0] != psi.shape[-1]:
+        raise ValueError(f"allocation has K={A.shape[0]}, state has K={psi.shape[-1]}")
+    if r.shape != rows + (A.shape[1],):
         raise ValueError(
             f"need one squared observation per pilot ({A.shape[1]}) for each "
-            f"row of the state {rows}, got shape {b.shape}"
+            f"row of the state {rows}, got shape {r.shape}"
         )
-
     # the matrix-vector products (A @ v[..., None])[..., 0] round as in a
-    # single-row update, so for K >= 2 a stack gives each row's result bit
-    # for bit (at K = 1 a single row is divided, a stack factored)
-    d = np.ones(b.shape) if unit_scaling else _slot_weights(state.c_hat, A, sigma_v2)
+    # single-row update, so a stack gives each row's result bit for bit
+    Xi *= lam
+    Xi += (A * d[..., None, :]) @ A.T
+    psi *= lam
+    psi += (A @ (d * r)[..., None])[..., 0]
+    return np.maximum(_solve_normal(Xi, psi), 0.0)
 
-    psi = state.lam * state.psi + (A @ (d * (b - sigma_v2))[..., None])[..., 0]
-    Xi = state.lam * state.Xi + (A * d[..., None, :]) @ A.T
-    c_hat = np.maximum(_solve_normal(Xi, psi), 0.0)
-    return AdaptiveState(Xi=Xi, psi=psi, c_hat=c_hat, lam=state.lam)
+
+def adaptive_estimate(
+    B: np.ndarray, schedule: Schedule, sigma_v2: float, lam: float
+) -> np.ndarray:
+    """The adaptive estimator over a window of whole intervals, (M x K).
+
+    B (M x T*Ttr) holds the squared observations of T intervals, interval t
+    taken under allocation t % N.  Every row starts from the prior Xi = I,
+    psi = 0, c = 1; each interval then weights its slots by `_slot_weights`
+    at the previous estimate and makes one `adaptive_update` with
+    forgetting factor lam in (0, 1].
+    """
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
+    Ttr, K = schedule.Ttr, schedule.K
+    M, total = B.shape
+    if total % Ttr != 0:
+        raise ValueError(
+            f"{total} observation slots do not make whole intervals of Ttr={Ttr}"
+        )
+    Xi = np.zeros((M, K, K)) + np.eye(K)
+    psi = np.zeros((M, K))
+    c = np.ones((M, K))
+    for t in range(total // Ttr):
+        A = schedule.allocations[t % schedule.N]
+        c = adaptive_update(Xi, psi, A, _slot_weights(c, A, sigma_v2),
+                            B[:, t * Ttr : (t + 1) * Ttr] - sigma_v2, lam)
+    return c

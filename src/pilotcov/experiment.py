@@ -26,8 +26,7 @@ import numpy as np
 from .channel import draw_channels, observe, squared_rows
 from .errors import ConfigError, IdentifiabilityError
 from .estimators import (
-    AdaptiveState,
-    adaptive_update,
+    adaptive_estimate,
     estimate_all_rows_ml,
     estimate_obs_covariances,
     shared_scaling_fixed_point,
@@ -218,19 +217,6 @@ class Record:
         return UNIDENTIFIABLE if self.sum_rate is None else "ok"
 
 
-def _estimate_adaptive(
-    B: np.ndarray, schedule: Schedule, sigma_v2: float, lam: float
-) -> np.ndarray:
-    Ttr, N = schedule.Ttr, schedule.N
-    state = AdaptiveState.initialize(schedule.K, lam, shape=B.shape[:1])
-    for t in range(B.shape[1] // Ttr):
-        state = adaptive_update(
-            state, schedule.allocations[t % N], B[:, t * Ttr : (t + 1) * Ttr],
-            sigma_v2,
-        )
-    return state.c_hat
-
-
 def _estimate_covariances(
     name: str,
     cfg: ExperimentConfig,
@@ -246,7 +232,7 @@ def _estimate_covariances(
     if name == "genie":
         return genie_covariances(truth)
     if name == "adaptive":
-        return _estimate_adaptive(B, schedule, sigma_v2, cfg.lam)
+        return adaptive_estimate(B, schedule, sigma_v2, cfg.lam)
     if name == "two_step":
         return two_step_reconstruct(c_obs, schedule, sigma_v2)
     if name == "ml":

@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from pilotcov import (
-    AdaptiveState,
     BandLimited,
     ExperimentConfig,
     ScenarioConfig,
@@ -222,12 +221,11 @@ def test_adaptive_matches_batch_reconstruction():
     )
     worst = 0.0
     for m in range(M):
-        st = AdaptiveState.initialize(K, lam=1.0)
+        Xi, psi = np.eye(K), np.zeros(K)
         for t in range(S * N):
-            alloc = sched.allocations[t % N]
-            st = adaptive_update(st, alloc, B[m, t * Ttr:(t + 1) * Ttr],
-                                 sigma_v2, unit_scaling=True)
-        c = np.linalg.solve(st.Xi - np.eye(K), st.psi)
+            adaptive_update(Xi, psi, sched.allocations[t % N], np.ones(Ttr),
+                            B[m, t * Ttr:(t + 1) * Ttr] - sigma_v2, 1.0)
+        c = np.linalg.solve(Xi - np.eye(K), psi)
         worst = max(worst, float(np.max(np.abs(c - batch[m]))))
     _criterion(
         "adaptive accumulation (no forgetting, unit weights) = batch two-step",

@@ -3,72 +3,80 @@ import pytest
 import scipy.linalg
 
 from pilotcov import (
-    AdaptiveState,
+    Schedule,
+    adaptive_estimate,
     adaptive_update,
     estimate_obs_covariances,
     make_random_schedule,
     two_step_reconstruct,
 )
-from pilotcov.experiment import _estimate_adaptive
 
 from training import simulate_training
+
+# K=2, Ttr=2, identity allocation, unit noise, lam=0.9: from the prior
+# Xi = I, psi = 0, c = 1 the slot powers are 1+1=2, so the weights are 1/4
+# and Xi becomes diag(0.9 + 0.25)
+IDENTITY = Schedule(np.array([[0, 1]]), Ttr=2)
+FIRST_UPDATE = [0.5 / 1.15, 1.0 / 1.15]
 
 
 class TestInitialization:
     def test_initial_state(self):
-        st = AdaptiveState.initialize(3, lam=0.95)
-        np.testing.assert_array_equal(st.Xi, np.eye(3))
-        np.testing.assert_array_equal(st.psi, np.zeros(3))
-        np.testing.assert_array_equal(st.c_hat, np.ones(3))
+        # the hand-executed first update is reached from the prior alone
+        C = adaptive_estimate(np.array([[3.0, 5.0]]), IDENTITY, 1.0, 0.9)
+        np.testing.assert_allclose(C, [FIRST_UPDATE])
 
     def test_stacked_initial_state(self):
-        st = AdaptiveState.initialize(3, lam=0.95, shape=(4, 2))
-        assert st.K == 3
-        np.testing.assert_array_equal(st.Xi, np.broadcast_to(np.eye(3), (4, 2, 3, 3)))
-        np.testing.assert_array_equal(st.psi, np.zeros((4, 2, 3)))
-        np.testing.assert_array_equal(st.c_hat, np.ones((4, 2, 3)))
+        # every row of a stack starts from the same prior
+        B = np.array([[3.0, 5.0], [5.0, 3.0], [1.0, 1.0]])
+        np.testing.assert_allclose(adaptive_estimate(B, IDENTITY, 1.0, 0.9),
+                                   [FIRST_UPDATE, FIRST_UPDATE[::-1], [0.0, 0.0]])
 
     @pytest.mark.parametrize("lam", [0.0, -0.5, 1.5])
     def test_invalid_forgetting_factor(self, lam):
-        with pytest.raises(ValueError):
-            AdaptiveState.initialize(2, lam=lam)
+        with pytest.raises(ValueError, match="forgetting factor"):
+            adaptive_estimate(np.ones((1, 2)), IDENTITY, 1.0, lam)
+
+    @pytest.mark.parametrize("columns", [1, 3, 5])
+    def test_partial_interval_rejected(self, columns):
+        # as estimate_obs_covariances refuses partial passes, the adaptive
+        # estimator refuses a window that ends inside an interval
+        with pytest.raises(ValueError, match="whole intervals of Ttr=2"):
+            adaptive_estimate(np.ones((3, columns)), IDENTITY, 1.0, 0.9)
 
 
 class TestSingleUpdate:
     def test_hand_executed_first_update(self):
-        # K=2, Ttr=2, identity allocation, unit noise, lam=0.9; starting
-        # from the canonical initialization the slot powers are 1+1=2, so
-        # the weights are 1/4 and Xi becomes diag(0.9 + 0.25)
-        st = AdaptiveState.initialize(2, lam=0.9)
-        alloc = np.eye(2)
+        # the accumulators are updated in place, the estimate returned
+        Xi, psi = np.eye(2), np.zeros(2)
         b = np.array([3.0, 5.0])
-        new = adaptive_update(st, alloc, b, 1.0)
-        np.testing.assert_allclose(new.psi, [(3 - 1) / 4, (5 - 1) / 4])
-        np.testing.assert_allclose(new.Xi, np.diag([1.15, 1.15]))
-        np.testing.assert_allclose(new.c_hat, [0.5 / 1.15, 1.0 / 1.15])
-
-    def test_state_is_not_mutated(self):
-        st = AdaptiveState.initialize(2, lam=0.9)
-        adaptive_update(st, np.eye(2), np.array([2.0, 2.0]), 1.0)
-        np.testing.assert_array_equal(st.Xi, np.eye(2))
-        np.testing.assert_array_equal(st.psi, np.zeros(2))
+        c = adaptive_update(Xi, psi, np.eye(2), np.full(2, 0.25), b - 1.0, 0.9)
+        np.testing.assert_allclose(psi, [(3 - 1) / 4, (5 - 1) / 4])
+        np.testing.assert_allclose(Xi, np.diag([1.15, 1.15]))
+        np.testing.assert_allclose(c, FIRST_UPDATE)
 
     def test_negative_solution_clamped(self):
-        st = AdaptiveState.initialize(1, lam=0.9)
-        new = adaptive_update(st, np.ones((1, 1)), np.array([0.0]), 1.0)
-        assert new.c_hat[0] == 0.0
-        assert new.psi[0] < 0
+        # an observation b = 0 below the unit noise power
+        psi = np.zeros(1)
+        c = adaptive_update(np.eye(1), psi, np.ones((1, 1)), np.ones(1),
+                            np.array([-1.0]), 0.9)
+        assert c[0] == 0.0
+        assert psi[0] < 0
 
     def test_wrong_observation_length_rejected(self):
-        st = AdaptiveState.initialize(2, lam=0.9)
+        d = np.ones(2)
+        with pytest.raises(ValueError, match="allocation has K=3"):
+            adaptive_update(np.eye(2), np.zeros(2), np.eye(3)[:, :2], d,
+                            np.ones(2), 0.9)
         with pytest.raises(ValueError):
-            adaptive_update(st, np.eye(2), np.array([1.0]), 1.0)
+            adaptive_update(np.eye(2), np.zeros(2), np.eye(2), d, np.array([1.0]), 0.9)
         # the leading (row) shapes of state and observations must match
-        stacked = AdaptiveState.initialize(2, lam=0.9, shape=(3,))
-        for state, b in [(stacked, np.ones((2, 2))), (stacked, np.ones(2)),
-                         (stacked, np.ones((1, 3, 2))), (st, np.ones((3, 2)))]:
-            with pytest.raises(ValueError):
-                adaptive_update(state, np.eye(2), b, 1.0)
+        single = (np.eye(2), np.zeros(2))
+        stacked = (np.zeros((3, 2, 2)) + np.eye(2), np.zeros((3, 2)))
+        for (Xi, psi), r in [(stacked, np.ones((2, 2))), (stacked, np.ones(2)),
+                             (stacked, np.ones((1, 3, 2))), (single, np.ones((3, 2)))]:
+            with pytest.raises(ValueError, match="for each row of the state"):
+                adaptive_update(Xi, psi, np.eye(2), d, r, 0.9)
 
 
 class TestBatchEquivalence:
@@ -86,14 +94,11 @@ class TestBatchEquivalence:
             estimate_obs_covariances(B, sched), sched, sigma_v2, clamp=False
         )
         for m in range(3):
-            st = AdaptiveState.initialize(K, lam=1.0)
+            Xi, psi = np.eye(K), np.zeros(K)
             for t in range(S * N):
-                alloc = sched.allocations[t % N]
-                st = adaptive_update(
-                    st, alloc, B[m, t * Ttr : (t + 1) * Ttr], sigma_v2,
-                    unit_scaling=True,
-                )
-            c = np.linalg.solve(st.Xi - np.eye(K), st.psi)
+                adaptive_update(Xi, psi, sched.allocations[t % N], np.ones(Ttr),
+                                B[m, t * Ttr : (t + 1) * Ttr] - sigma_v2, 1.0)
+            c = np.linalg.solve(Xi - np.eye(K), psi)
             assert np.max(np.abs(c - batch[m])) < 1e-8
 
 
@@ -108,17 +113,22 @@ class TestNoiseFreeFixedPoint:
         c_true = rng.uniform(0.5, 2.0, size=K)
         sigma_v2 = 0.4
         lam = 0.9
-        st = AdaptiveState.initialize(K, lam=lam)
+        Xi, psi, c_hat = np.eye(K), np.zeros(K), np.ones(K)
         n = 0
         for _ in range(5):
             for alloc in sched.allocations:
                 b = alloc.T @ c_true + sigma_v2
-                st = adaptive_update(st, alloc, b, sigma_v2)
+                d = (alloc.T @ c_hat + sigma_v2) ** -2
+                c_hat = adaptive_update(Xi, psi, alloc, d, b - sigma_v2, lam)
                 n += 1
-            c = np.linalg.solve(st.Xi - lam**n * np.eye(K), st.psi)
+            c = np.linalg.solve(Xi - lam**n * np.eye(K), psi)
             np.testing.assert_allclose(c, c_true, atol=1e-10)
         # the init bias itself decays: the stored estimate approaches truth
-        np.testing.assert_allclose(st.c_hat, c_true, rtol=0.2)
+        np.testing.assert_allclose(c_hat, c_true, rtol=0.2)
+        # the estimator itself gives the same estimate on the same statistics
+        B = np.tile(sched.compound.T @ c_true + sigma_v2, 5)[None, :]
+        np.testing.assert_allclose(adaptive_estimate(B, sched, sigma_v2, lam)[0],
+                                   c_hat, rtol=1e-12)
 
 
 def _per_row_update(Xi, psi, c_hat, lam, A, b_m_t, sigma_v2):
@@ -162,7 +172,7 @@ class TestStackedMatchesPerRow:
         rng = np.random.default_rng(11)
         B, sched, sigma_v2 = _sparse_problem(rng, M=32, K=12, Ttr=5, N=5, T=60, cells=3)
         np.testing.assert_array_equal(
-            _estimate_adaptive(B, sched, sigma_v2, 0.99),
+            adaptive_estimate(B, sched, sigma_v2, 0.99),
             _per_row_estimate(B, sched, sigma_v2, 0.99),
         )
 
@@ -170,7 +180,7 @@ class TestStackedMatchesPerRow:
         rng = np.random.default_rng(12)
         B, sched, sigma_v2 = _sparse_problem(rng, M=6, K=70, Ttr=11, N=7, T=21, cells=7)
         np.testing.assert_allclose(
-            _estimate_adaptive(B, sched, sigma_v2, 0.99),
+            adaptive_estimate(B, sched, sigma_v2, 0.99),
             _per_row_estimate(B, sched, sigma_v2, 0.99),
             rtol=1e-12, atol=0,
         )
@@ -185,5 +195,5 @@ class TestStackedMatchesPerRow:
         assert np.all(C_ref[:3] == 0.0)
         assert 0 < np.count_nonzero(C_ref[3:] == 0.0) < C_ref[3:].size
         np.testing.assert_array_equal(
-            _estimate_adaptive(B, sched, sigma_v2, 0.95), C_ref
+            adaptive_estimate(B, sched, sigma_v2, 0.95), C_ref
         )

@@ -525,19 +525,18 @@ class TestCLI:
 
     def test_indefinite_adaptive_system_in_run_exits_2(self, tmp_path, monkeypatch,
                                                       capsys):
-        # antenna row 2 starts from an indefinite Gram matrix, so the first
-        # stacked solve of the adaptive estimator fails on that slice alone
-        from pilotcov import AdaptiveState
+        # antenna row 2 enters the first update with an indefinite Gram
+        # matrix, so the first stacked solve of the adaptive estimator fails
+        # on that slice alone
+        from pilotcov import estimators
 
-        initialize = AdaptiveState.initialize.__func__
+        update = estimators.adaptive_update
 
-        def indefinite(cls, K, lam=0.99, shape=()):
-            state = initialize(cls, K, lam, shape)
-            Xi = state.Xi.copy()
-            Xi[2] = -100.0 * np.eye(K)
-            return cls(Xi, state.psi, state.c_hat, lam)
+        def indefinite(Xi, psi, A, d, r, lam):
+            Xi[2] = -100.0 * np.eye(Xi.shape[-1])
+            return update(Xi, psi, A, d, r, lam)
 
-        monkeypatch.setattr(AdaptiveState, "initialize", classmethod(indefinite))
+        monkeypatch.setattr(estimators, "adaptive_update", indefinite)
         path = tmp_path / "adaptive.cfg"
         path.write_text(DESK_CFG.replace("estimators = genie, ls",
                                          "estimators = adaptive"))

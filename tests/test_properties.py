@@ -18,9 +18,8 @@ either input.
 
 The adaptive estimator updates all antenna rows as one stack, yet the
 rows stay independent problems: permuting the rows of B permutes the rows
-of its estimate and changes nothing else, and for K >= 2 each row of a
-stacked update is bit for bit the single-row update of that row (at K = 1 a
-single row's 1 x 1 system is divided while a stack is factored).
+of its estimate and changes nothing else, and each row of a stacked update
+is bit for bit the single-row update of that row.
 """
 
 import numpy as np
@@ -28,8 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotcov import (
-    AdaptiveState,
     Schedule,
+    adaptive_estimate,
     adaptive_update,
     estimate_all_rows_ml,
     estimate_obs_covariances,
@@ -42,7 +41,6 @@ from pilotcov import (
     shared_scaling_fixed_point,
     two_step_reconstruct,
 )
-from pilotcov.experiment import _estimate_adaptive
 
 RTOL = 1e-9
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -159,25 +157,24 @@ def test_ml_estimators_agree_on_raw_data_and_slot_means(window):
 def test_adaptive_estimate_permutes_with_antenna_rows(window, random):
     sched, B, _, sigma_v2, _ = window
     perm = np.array(random.sample(range(B.shape[0]), B.shape[0]))
-    np.testing.assert_array_equal(_estimate_adaptive(B[perm], sched, sigma_v2, 0.99),
-                                  _estimate_adaptive(B, sched, sigma_v2, 0.99)[perm])
+    np.testing.assert_array_equal(adaptive_estimate(B[perm], sched, sigma_v2, 0.99),
+                                  adaptive_estimate(B, sched, sigma_v2, 0.99)[perm])
 
 
 @SETTINGS
-@given(windows(), st.integers(0, 20), st.booleans())
-def test_stacked_adaptive_update_is_the_single_row_update_per_row(window, steps, unit):
+@given(windows(), st.integers(0, 20), st.integers(0, 2**32 - 1))
+def test_stacked_adaptive_update_is_the_single_row_update_per_row(window, steps, seed):
     sched, B, _, sigma_v2, _ = window
-    Ttr, N = sched.Ttr, sched.N
-    steps = min(steps, B.shape[1] // Ttr - 1)
-    state = AdaptiveState.initialize(sched.K, 0.9, shape=B.shape[:1])
-    for t in range(steps):
-        state = adaptive_update(state, sched.allocations[t % N],
-                                B[:, t * Ttr : (t + 1) * Ttr], sigma_v2)
-    alloc, b = sched.allocations[steps % N], B[:, steps * Ttr : (steps + 1) * Ttr]
-    stacked = adaptive_update(state, alloc, b, sigma_v2, unit_scaling=unit)
-    for m in range(B.shape[0]):
-        row = AdaptiveState(state.Xi[m], state.psi[m], state.c_hat[m], state.lam)
-        single = adaptive_update(row, alloc, b[m], sigma_v2, unit_scaling=unit)
-        np.testing.assert_array_equal(stacked.Xi[m], single.Xi)
-        np.testing.assert_array_equal(stacked.psi[m], single.psi)
-        np.testing.assert_array_equal(stacked.c_hat[m], single.c_hat)
+    M, K, Ttr, N = B.shape[0], sched.K, sched.Ttr, sched.N
+    rng = np.random.default_rng(seed)
+    Xi, psi = np.zeros((M, K, K)) + np.eye(K), np.zeros((M, K))
+    for t in range(min(steps, B.shape[1] // Ttr - 1) + 1):
+        alloc, r = sched.allocations[t % N], B[:, t * Ttr : (t + 1) * Ttr] - sigma_v2
+        d = rng.uniform(0.01, 100.0, size=(M, Ttr))
+        rows = [(Xi[m].copy(), psi[m].copy()) for m in range(M)]
+        stacked = adaptive_update(Xi, psi, alloc, d, r, 0.9)
+        for m, (Xi_m, psi_m) in enumerate(rows):
+            single = adaptive_update(Xi_m, psi_m, alloc, d[m], r[m], 0.9)
+            np.testing.assert_array_equal(Xi[m], Xi_m)
+            np.testing.assert_array_equal(psi[m], psi_m)
+            np.testing.assert_array_equal(stacked[m], single)

@@ -108,12 +108,15 @@ ref = scipy.linalg.solve(G[0], rhs[0], assume_a="pos")
 print(json.dumps({"same_bits": bool(np.array_equal(x, ref)),
                   "bound": _lapack.cache_info().misses}))
 """, {"same_bits": True, "bound": 1}, True),
-    # divided: no LAPACK handle, no scipy
+    # factored like any single system, with the bits of scipy's stacked
+    # solve (scipy's solve of one 1 x 1 system divides, and differs here)
     "1x1": ("""
-x = _solve_normal(np.array([[2.5]]), np.array([-0.75]))
-print(json.dumps({"same_bits": bool(np.array_equal(x, np.array([-0.75]) / 2.5)),
+x = _solve_normal(G[0, :1, :1], rhs[0, :1])
+import scipy.linalg
+ref = scipy.linalg.solve(G[:, :1, :1], rhs[:, :1, None], assume_a="pos")[0, :, 0]
+print(json.dumps({"same_bits": bool(np.array_equal(x, ref)),
                   "bound": _lapack.cache_info().misses}))
-""", {"same_bits": True, "bound": 0}, False),
+""", {"same_bits": True, "bound": 1}, True),
     # scipy's batched solve; the single-system handles stay unbound
     "stack": ("""
 x = _solve_normal(G, rhs)
