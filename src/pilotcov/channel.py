@@ -68,7 +68,7 @@ def observe(
         raise ValueError(
             f"channel has {H.shape[1]} users but allocation has {A.shape[0]}"
         )
-    if sigma_v2 < 0:
+    if not sigma_v2 >= 0:
         raise ValueError(f"sigma_v2 must be >= 0, got {sigma_v2}")
     M, Ttr = H.shape[0], A.shape[1]
     noise = np.sqrt(sigma_v2 / 2.0) * (

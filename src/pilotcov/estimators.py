@@ -29,9 +29,11 @@ Pi^T c + sigma_v2 of the current estimate.  Two-step, shared scaling and
 each ML iteration solve through `_weighted_solve`, and the D = I solve is
 `shared_scaling_estimate` with D = None; `adaptive_estimate` hands each
 interval's weights to `adaptive_update`, which adds that interval's
-weighted system to the accumulated one in place.  All of them go through
+weighted system to the accumulated one in place.  Per-row and shared ML
+stop on one step rule, `_small_step`, and `ml_fixed_point` iterates from
+the warm start its caller passes.  All of them go through
 `_solve_normal`: a single K x K system goes straight to LAPACK's Cholesky
-routines, a stack to scipy's batched solve.  scipy is imported by the
+solve, a stack to scipy's batched solve.  scipy is imported by the
 first solve that needs it, when `_lapack` binds the LAPACK handles or a
 stack is solved, and nowhere at module level, so a process that never
 solves (`pilotcov validate`, `pilotcov schedule`) never loads it.
@@ -107,13 +109,12 @@ _EPS = np.finfo(np.float64).eps
 
 @functools.cache
 def _lapack() -> tuple:
-    """LAPACK's float64 potrf, pocon, potrs and lange, bound at the first
-    call: importing scipy.linalg takes most of pilotcov's start-up."""
+    """LAPACK's float64 posv, pocon and lange, bound at the first call:
+    importing scipy.linalg takes most of pilotcov's start-up."""
     import scipy.linalg.lapack
 
-    return scipy.linalg.lapack.get_lapack_funcs(
-        ("potrf", "pocon", "potrs", "lange"), dtype=np.float64
-    )
+    return scipy.linalg.lapack.get_lapack_funcs(("posv", "pocon", "lange"),
+                                                dtype=np.float64)
 
 
 def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -125,13 +126,14 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     cases are told apart by G.ndim: rhs shapes (K, M) and (M, K) coincide
     when M == K.
 
-    A single G is solved by LAPACK directly: upper Cholesky (potrf), its
-    reciprocal condition number (pocon) and the triangular solves (potrs).
-    For K >= 2 these are the calls, and therefore the bits, of
-    `scipy.linalg.solve(G, rhs, assume_a="pos")`, without its per-call
-    overhead, and with its checks: non-finite input raises ValueError, an
-    indefinite G raises SingularSystemError and an ill-conditioned one
-    warns `scipy.linalg.LinAlgWarning`.  `_lapack` binds the handles, and
+    A single G is solved by LAPACK directly: one upper Cholesky factor and
+    solve (posv), then the factor's reciprocal condition number (pocon).
+    For K >= 2 that gives the bits of `scipy.linalg.solve(G, rhs,
+    assume_a="pos")`, which makes the same factor and triangular solves in
+    two calls (potrf, potrs), without its per-call overhead, and with its
+    checks: non-finite input raises ValueError, an indefinite G raises
+    SingularSystemError and an ill-conditioned one warns
+    `scipy.linalg.LinAlgWarning`.  `_lapack` binds the handles, and
     so imports scipy, at the process's first single system; later solves
     reuse them.  A stack goes to scipy's batched solve, which factors every
     slice the same way, so each slice gets the bits of its own single
@@ -152,8 +154,8 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             ) from exc
     if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
         raise ValueError("normal equations must not contain infs or NaNs")
-    potrf, pocon, potrs, lange = _lapack()
-    U, info = potrf(G)
+    posv, pocon, lange = _lapack()
+    U, x, info = posv(G, rhs if rhs.ndim == 2 else rhs[:, None])
     if info > 0:
         raise SingularSystemError(
             "weighted normal equations are singular or indefinite: the "
@@ -167,7 +169,6 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"ill-conditioned normal equations (rcond={rcond:.6g}): the "
             "solution may not be accurate", scipy.linalg.LinAlgWarning, stacklevel=2,
         )
-    x, _ = potrs(U, rhs if rhs.ndim == 2 else rhs[:, None])
     return x if rhs.ndim == 2 else x[:, 0]
 
 
@@ -246,6 +247,14 @@ def _slot_weights(c: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
     return powers**-2
 
 
+def _llf_powers(c_m: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
+    # the one domain check of the LLF and its gradient; NaN fails it too
+    powers = _slot_powers(np.asarray(c_m, float), Pi, sigma_v2)
+    if not (powers > 0).all():
+        raise ValueError("all slot powers must be strictly positive")
+    return powers
+
+
 def negative_llf(
     c_m: np.ndarray, b_m: np.ndarray, Pi: np.ndarray, sigma_v2: float
 ) -> float | np.ndarray:
@@ -254,11 +263,10 @@ def negative_llf(
     sum_i [ b_i / p_i + log p_i ] with slot powers p_i = pi_i^T c_m + sigma_v2.
     c_m is one variance vector (K,), giving a float, or a stack of them
     (..., K), giving one value per vector, each bit for bit the value of
-    its own call.  A nonpositive slot power anywhere raises ValueError.
+    its own call.  A slot power anywhere that is not positive, NaN
+    included, raises ValueError.
     """
-    powers = _slot_powers(np.asarray(c_m, float), np.asarray(Pi, float), sigma_v2)
-    if (powers <= 0).any():
-        raise ValueError("all slot powers must be strictly positive")
+    powers = _llf_powers(c_m, np.asarray(Pi, float), sigma_v2)
     values = (b_m / powers + np.log(powers)).sum(axis=-1)
     return float(values) if values.ndim == 0 else values
 
@@ -268,10 +276,13 @@ def llf_gradient(
 ) -> np.ndarray:
     """Gradient of `negative_llf` with respect to the variance vector."""
     Pi = np.asarray(Pi, dtype=float)
-    powers = _slot_powers(np.asarray(c_m, float), Pi, sigma_v2)
-    if (powers <= 0).any():
-        raise ValueError("all slot powers must be strictly positive")
+    powers = _llf_powers(c_m, Pi, sigma_v2)
     return Pi @ ((powers - b_m) / powers**2)
+
+
+def _small_step(new: np.ndarray, old: np.ndarray, tol: float) -> bool:
+    # the stopping rule of both ML modes, for nonnegative iterates
+    return np.abs(new - old).max() <= tol * (1.0 + old.max())
 
 
 _HALVINGS = 10
@@ -281,11 +292,13 @@ def ml_fixed_point(
     b_m: np.ndarray,
     Pi: np.ndarray,
     sigma_v2: float,
-    init: np.ndarray | None = None,
+    init: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> MLFixedPointResult:
-    """Fixed-point iteration on the stationarity condition of the LLF.
+    """Fixed-point iteration on the stationarity condition of the LLF from
+    the caller's nonnegative (K,) warm start `init` (the two-step solution
+    in `estimate_all_rows_ml`).
 
     Each step solves the weighted normal equations with slot weights
     d_i = 1 / slot_power_i^2 frozen at the previous iterate, then clamps
@@ -296,9 +309,9 @@ def ml_fixed_point(
     this only safeguards against divergence without moving the fixed
     points.
 
-    Convergence requires the step criterion ||c_new - c_old||_inf <=
-    tol * (1 + ||c_old||_inf) and, at interior iterates, a certified
-    gradient norm <= 10 * tol.
+    Convergence requires the step rule of `_small_step`, ||c_new -
+    c_old||_inf <= tol * (1 + ||c_old||_inf), and, at interior iterates, a
+    certified gradient norm <= 10 * tol.
 
     b_m is normally one row of slot means with Pi the compound allocation;
     the gradient certificate is then per pass of the schedule and does not
@@ -317,13 +330,9 @@ def ml_fixed_point(
         )
     if not sigma_v2 > 0:
         raise ValueError(f"sigma_v2 must be > 0, got {sigma_v2}")
-    if init is None:
-        # warm start from the unweighted (two-step) solution
-        c = shared_scaling_estimate(b_m[None, :], Pi, None, sigma_v2)[0]
-    else:
-        c = np.asarray(init, dtype=float).copy()
-        if c.shape != (K,) or np.any(c < 0):
-            raise ValueError("init must be a nonnegative length-K vector")
+    c = np.array(init, dtype=float)
+    if c.shape != (K,) or not (c >= 0).all():
+        raise ValueError("init must be a nonnegative length-K vector")
 
     residual = (b_m - sigma_v2)[:, None]
     obj = negative_llf(c, b_m, Pi, sigma_v2)
@@ -351,17 +360,13 @@ def ml_fixed_point(
             if descends.size:
                 c_new, obj_new = halvings[descends[0]], float(values[descends[0]])
 
-        step_ok = np.abs(c_new - c).max() <= tol * (1.0 + c.max())  # c >= 0
+        # an interior iterate must also certify stationarity
+        converged = bool(_small_step(c_new, c, tol) and (
+            not (c_new > 0).all()
+            or np.abs(llf_gradient(c_new, b_m, Pi, sigma_v2)).max() <= 10 * tol))
         c, obj = c_new, obj_new
-        if step_ok:
-            if (c > 0).all():
-                # interior iterate: certify stationarity before stopping
-                if np.abs(llf_gradient(c, b_m, Pi, sigma_v2)).max() <= 10 * tol:
-                    converged = True
-                    break
-            else:
-                converged = True
-                break
+        if converged:
+            break
 
     return MLFixedPointResult(c, iterations, converged)
 
@@ -421,10 +426,9 @@ def shared_scaling_fixed_point(
     for _ in range(max_iter):
         d = _slot_weights(C.mean(axis=0), Pi, sigma_v2)
         C_new = np.maximum(_weighted_solve(Pi, d, residual).T, 0.0)
-        done = np.max(np.abs(C_new - C)) <= tol * (1.0 + np.max(np.abs(C)))
+        if _small_step(C_new, C, tol):
+            return C_new, True
         C = C_new
-        if done:
-            return C, True
     logger.warning(
         "shared_scaling_fixed_point did not converge in %d iterations", max_iter
     )

@@ -134,7 +134,7 @@ def validate_experiment_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{key} repeat {repeated[0]!r}: each would run twice")
     if not 0.0 < cfg.lam <= 1.0:
         raise ConfigError("[estimation] lambda must be in (0, 1]")
-    if not (np.isfinite(cfg.tol) and cfg.tol > 0) or cfg.max_iter < 1:
+    if not 0 < cfg.tol < np.inf or cfg.max_iter < 1:
         raise ConfigError("[estimation] tol must be finite and > 0, and max_iter >= 1")
     if cfg.ml_scaling not in ("per_row", "shared"):
         raise ConfigError("[estimation] ml_scaling must be per_row or shared")
@@ -441,14 +441,6 @@ def load_result_csv(path: str) -> tuple[Record, ...]:
     return tuple(records)
 
 
-def _finite_float(text: str) -> float:
-    """`float` that also rejects nan and inf."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"must be a finite number, got {value}")
-    return value
-
-
 def _list_of(parse):
     return lambda text: tuple(parse(tok) for tok in text.split(",") if tok.strip())
 
@@ -458,14 +450,13 @@ def _list_of(parse):
 # configparser lower-cases them
 _SECTIONS = {
     "scenario": {"M": ("M", int), "K": ("K", int), "Ttr": ("Ttr", int),
-                 "sigma_v2": ("sigma_v2", _finite_float),
-                 "num_cells": ("num_cells", int),
+                 "sigma_v2": ("sigma_v2", float), "num_cells": ("num_cells", int),
                  "users_per_cell": ("users_per_cell", int),
                  "seed": ("seed", int), "T": ("T", int)},
     "schedule": {"mode": ("schedule_mode", str.strip), "N": ("schedule_n", int),
                  "path": ("schedule_path", str.strip)},
     "estimation": {"estimators": ("estimators", _list_of(str.strip)),
-                   "lambda": ("lam", _finite_float), "tol": ("tol", _finite_float),
+                   "lambda": ("lam", float), "tol": ("tol", float),
                    "max_iter": ("max_iter", int),
                    "ml_scaling": ("ml_scaling", str.strip)},
     "sweep": {"axis": ("sweep_axis", str.strip),
@@ -474,14 +465,12 @@ _SECTIONS = {
 }
 # [profile] kind -> (class, key -> (field, parser) of the keys it reads)
 _PROFILES = {
-    "uniform": (Uniform, {"power": ("power", _finite_float)}),
-    "bandlimited": (BandLimited, {"width": ("width", int),
-                                  "power": ("power", _finite_float),
+    "uniform": (Uniform, {"power": ("power", float)}),
+    "bandlimited": (BandLimited, {"width": ("width", int), "power": ("power", float),
                                   "center": ("center", int),
-                                  "dynamic_range_db": ("dynamic_range_db", _finite_float)}),
-    "random_sparse": (RandomSparse,
-                      {"support_fraction": ("support_fraction", _finite_float),
-                       "total_power": ("total_power", _finite_float)}),
+                                  "dynamic_range_db": ("dynamic_range_db", float)}),
+    "random_sparse": (RandomSparse, {"support_fraction": ("support_fraction", float),
+                                     "total_power": ("total_power", float)}),
 }
 # field -> key as documented, to name a required key the file leaves out
 _KEY_OF = {
@@ -531,10 +520,12 @@ def load_experiment_config(path: str, seed_base: int | None = None) -> Experimen
     once.
 
     Every key is read through `_SECTIONS` (and `_PROFILES` for the kind
-    of [profile]).  A key the file leaves out is not passed, so it takes
-    the dataclass default; the keys of fields without a default
-    ([scenario] M, K, Ttr, sigma_v2, [sweep] values and the width or
-    support_fraction of a profile) and the [profile] section are required.
+    of [profile]); numbers are parsed with `float` or `int`, and the
+    dataclasses built from them check their values, as for code.  A key
+    the file leaves out is not passed, so it takes the dataclass default;
+    the keys of fields without a default ([scenario] M, K, Ttr, sigma_v2,
+    [sweep] values and the width or support_fraction of a profile) and the
+    [profile] section are required.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:

@@ -40,7 +40,7 @@ def mmse_channel_estimate(
     against it.
     """
     c_obs_p = np.asarray(c_obs_p, dtype=float)
-    if np.any(c_obs_p <= 0):
+    if not (c_obs_p > 0).all():
         raise ValueError("slot variances must be strictly positive")
     return (np.asarray(c_hk, float) / c_obs_p) * np.asarray(obs_col)
 

@@ -4,8 +4,8 @@ The base station estimates the channel statistics of all K users (own cell
 plus interferers) on M antennas.  All covariance matrices are diagonal, so
 the ground truth is a plain (M, K) array C of per-antenna, per-user
 variances: C[m, k] is the variance of the channel coefficient of user k at
-antenna m.  It is only ever drawn from a profile, whose fields are checked
-when it is built.
+antenna m.  It is only ever drawn from a profile, whose fields, like a
+ScenarioConfig's, are checked when it is built: NaN and inf are refused.
 """
 
 from __future__ import annotations
@@ -72,6 +72,11 @@ class ScenarioConfig:
             )
 
 
+def _check_power(name: str, value: float) -> None:
+    if not 0 < value < np.inf:
+        raise InvalidProfileError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class Uniform:
     """Flat variance profile: every antenna sees the same power `power`."""
@@ -79,8 +84,7 @@ class Uniform:
     power: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.power <= 0:
-            raise InvalidProfileError(f"power must be > 0, got {self.power}")
+        _check_power("power", self.power)
 
 
 @dataclass(frozen=True)
@@ -102,10 +106,10 @@ class BandLimited:
     def __post_init__(self) -> None:
         if self.width < 1:
             raise InvalidProfileError(f"width must be >= 1, got {self.width}")
-        if self.power <= 0:
-            raise InvalidProfileError(f"power must be > 0, got {self.power}")
-        if self.dynamic_range_db < 0:
-            raise InvalidProfileError("dynamic_range_db must be >= 0")
+        _check_power("power", self.power)
+        if not 0 <= self.dynamic_range_db < np.inf:
+            raise InvalidProfileError(f"dynamic_range_db must be finite and >= 0, "
+                                      f"got {self.dynamic_range_db}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +125,7 @@ class RandomSparse:
             raise InvalidProfileError(
                 f"support_fraction must be in (0, 1], got {self.support_fraction}"
             )
-        if self.total_power <= 0:
-            raise InvalidProfileError(f"total_power must be > 0, got {self.total_power}")
+        _check_power("total_power", self.total_power)
 
 
 ProfileKind = Union[Uniform, BandLimited, RandomSparse]

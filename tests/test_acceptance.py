@@ -141,7 +141,8 @@ def test_scalar_ml_closed_form():
     rng = np.random.default_rng(23)
     s2 = 1.3
     b = (2.4 + s2) * rng.exponential(1.0, size=10_000)
-    res = ml_fixed_point(b, np.ones((1, b.size)), s2)
+    Pi = np.ones((1, b.size))
+    res = ml_fixed_point(b, Pi, s2, shared_scaling_estimate(b[None, :], Pi, None, s2)[0])
     err = abs(res.c_hat[0] - (b.mean() - s2))
     _criterion(
         "single-user, single-pilot estimate equals mean(b) - noise",
@@ -166,7 +167,8 @@ def test_stationarity_of_converged_interior_points():
         s2 = rng.uniform(0.3, 0.8)
         powers = Pi.T @ c_true + s2
         b = powers * rng.exponential(1.0, size=Pi.shape[1])
-        res = ml_fixed_point(b, Pi, s2, tol=tol)
+        res = ml_fixed_point(b, Pi, s2, shared_scaling_estimate(b[None, :], Pi, None, s2)[0],
+                             tol=tol)
         if res.converged and np.all(res.c_hat > 0):
             qualifying += 1
             worst = max(worst, float(np.max(np.abs(

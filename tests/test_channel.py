@@ -135,6 +135,11 @@ class TestObserve:
         with pytest.raises(ValueError):
             observe(chan, alloc, 0.1, np.random.default_rng(0))
 
+    def test_nan_noise_power_rejected(self):
+        chan = draw_channels(np.ones((2, 2)), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sigma_v2"):
+            observe(chan, np.eye(2), np.nan, np.random.default_rng(0))
+
 
 class TestSquaredRows:
     def test_zero_blocks(self):

@@ -38,6 +38,11 @@ def _random_instance(rng, K=6, Ttr=3, N=4, repeats=10, sigma_v2=0.5):
     return b, Pi, sigma_v2, c_true
 
 
+def _two_step_start(b_m, Pi, sigma_v2):
+    """The one-row two-step warm start, as `estimate_all_rows_ml` passes it."""
+    return shared_scaling_estimate(b_m[None, :], Pi, None, sigma_v2)[0]
+
+
 def ml_fixed_point_one_at_a_time(b_m, Pi, sigma_v2, init, tol=1e-8, max_iter=200):
     """Oracle: the ML fixed point as first written, with one LLF evaluation
     per halving and scipy's solve.  Returns (c_hat, iterations, converged,
@@ -399,17 +404,29 @@ class TestLLFGradient:
         assert llf_gradient(np.array([1.0]), b, Pi, 0.5)[0] < 0
 
 
+@pytest.mark.parametrize("function", [negative_llf, llf_gradient])
+@pytest.mark.parametrize("c, sigma_v2", [([np.nan, 1.0], 0.1), ([1.0, 1.0], np.nan)],
+                         ids=["nan-variance", "nan-noise"])
+def test_nan_slot_power_rejected(function, c, sigma_v2):
+    # NaN is no positive slot power: the domain check refuses it
+    Pi = make_example_schedule_442().compound[:2]
+    with pytest.raises(ValueError, match="strictly positive"):
+        function(np.array(c), np.ones(Pi.shape[1]), Pi, sigma_v2)
+
+
 class TestMLFixedPoint:
     def test_scalar_closed_form(self):
         rng = np.random.default_rng(8)
         b = rng.exponential(2.0, size=10_000)
-        res = ml_fixed_point(b, np.ones((1, b.size)), 1.0)
+        Pi = np.ones((1, b.size))
+        res = ml_fixed_point(b, Pi, 1.0, _two_step_start(b, Pi, 1.0))
         assert res.converged
         assert abs(res.c_hat[0] - (b.mean() - 1.0)) < 1e-8
 
     def test_scalar_closed_form_clamps_at_zero(self):
         b = np.full(100, 0.05)
-        res = ml_fixed_point(b, np.ones((1, 100)), 1.0)
+        Pi = np.ones((1, 100))
+        res = ml_fixed_point(b, Pi, 1.0, _two_step_start(b, Pi, 1.0))
         assert res.c_hat[0] == 0.0
 
     def test_consistency_with_many_repeats(self):
@@ -421,7 +438,7 @@ class TestMLFixedPoint:
         Pi = np.tile(sched.compound, (1, S))
         powers = Pi.T @ c_true + 0.1
         b = powers * rng.exponential(1.0, size=Pi.shape[1])
-        res = ml_fixed_point(b, Pi, 0.1)
+        res = ml_fixed_point(b, Pi, 0.1, _two_step_start(b, Pi, 0.1))
         assert np.linalg.norm(res.c_hat - c_true) / np.linalg.norm(c_true) < 0.1
 
     def test_interior_convergence_certifies_stationarity(self):
@@ -430,7 +447,7 @@ class TestMLFixedPoint:
         checked = 0
         for _ in range(20):
             b, Pi, s2, _ = _random_instance(rng, repeats=30)
-            res = ml_fixed_point(b, Pi, s2, tol=tol)
+            res = ml_fixed_point(b, Pi, s2, _two_step_start(b, Pi, s2), tol=tol)
             if res.converged and np.all(res.c_hat > 0):
                 g = llf_gradient(res.c_hat, b, Pi, s2)
                 assert np.max(np.abs(g)) <= 10 * tol
@@ -441,16 +458,22 @@ class TestMLFixedPoint:
         with pytest.raises(ValueError):
             ml_fixed_point(np.ones(4), np.ones((1, 4)), 0.1, init=np.array([-1.0]))
 
+    def test_nan_init_rejected(self):
+        with pytest.raises(ValueError, match="init"):
+            ml_fixed_point(np.ones(4), np.ones((1, 4)), 0.1, init=np.array([np.nan]))
+
     def test_negative_noise_power_rejected(self):
         # iterates c >= 0 have slot powers >= sigma_v2, in the LLF domain only
         # for sigma_v2 > 0
+        b, Pi = np.ones(4), np.ones((1, 4))
         with pytest.raises(ValueError, match="sigma_v2"):
-            ml_fixed_point(np.ones(4), np.ones((1, 4)), -0.1)
+            ml_fixed_point(b, Pi, -0.1, _two_step_start(b, Pi, -0.1))
 
     def test_rank_deficient_system_raises(self):
         Pi = np.ones((2, 6))  # two identical user rows
+        # a start of its own: the two-step start already fails to solve
         with pytest.raises(SingularSystemError):
-            ml_fixed_point(np.ones(6), Pi, 0.1)
+            ml_fixed_point(np.ones(6), Pi, 0.1, init=np.ones(2))
 
 
 class TestMLMatchesOneAtATime:
@@ -472,7 +495,7 @@ class TestMLMatchesOneAtATime:
         assert {"interior": converged and np.all(c > 0),
                 "boundary": converged and not np.all(c > 0),
                 "max_iter": not converged and iterations == max_iter}[stop]
-        res = ml_fixed_point(b, Pi, s2, max_iter=max_iter)
+        res = ml_fixed_point(b, Pi, s2, init, max_iter=max_iter)
         assert np.array_equal(res.c_hat, c)
         assert (res.iterations, res.converged) == (iterations, converged)
 
@@ -497,7 +520,7 @@ class TestEstimateAllRowsML:
         rng = np.random.default_rng(11)
         b, Pi, s2, _ = _random_instance(rng)
         C_hat, _ = estimate_all_rows_ml(b[None, :], Pi, s2)
-        direct = ml_fixed_point(b, Pi, s2)
+        direct = ml_fixed_point(b, Pi, s2, _two_step_start(b, Pi, s2))
         np.testing.assert_allclose(C_hat[0], direct.c_hat, atol=1e-12)
 
     def test_row_permutation_equivariance(self):

@@ -438,7 +438,8 @@ class TestCLI:
         ("width = 4", "width = 9", "width"),
         ("power = 1.0", "power = -1", "power"),
         (BANDLIMITED, "kind = uniform\npower = -1\n", "power"),
-        (BANDLIMITED, "kind = uniform\npower = 0\n", "power must be > 0"),
+        (BANDLIMITED, "kind = uniform\npower = 0\n", "power must be finite and > 0"),
+        ("dynamic_range_db = 10.0", "dynamic_range_db = inf", "dynamic_range_db"),
         ("kind = bandlimited", "kind = gaussian", "kind must be one of"),
         (BANDLIMITED, "kind = random_sparse\nsupport_fraction = 1.5\n",
          "support_fraction"),
@@ -471,7 +472,8 @@ class TestCLI:
         ("T_coh = 100", "T_coh = 4", "T_coh=4 must exceed Ttr=4"),
         ("sigma_v2 = 0.2", "sigma_v2 = 0", "[scenario] sigma_v2 must be finite and > 0"),
     ], ids=["width-0", "width-above-M", "bandlimited-power-negative",
-            "uniform-power-negative", "uniform-power-zero", "profile-kind-unknown",
+            "uniform-power-negative", "uniform-power-zero", "dynamic-range-inf",
+            "profile-kind-unknown",
             "support-fraction-above-1", "width-missing",
             "support-fraction-missing", "misspelt-key", "unknown-section",
             "key-of-other-kind", "cells-saturate-pilots", "imported-K-mismatch",

@@ -59,6 +59,10 @@ class TestMMSEChannelEstimate:
         with pytest.raises(ValueError):
             mmse_channel_estimate(np.ones(2), np.ones(2), np.array([1.0, 0.0]))
 
+    def test_nan_slot_variance_rejected(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            mmse_channel_estimate(np.ones(2), np.ones(2), np.array([1.0, np.nan]))
+
     def test_mse_dominates_ls_with_true_statistics(self):
         # Wiener estimate cannot lose to the raw observation when the
         # statistics are correct; checked per user over paired draws

@@ -51,7 +51,7 @@ class TestUniformProfile:
 
     def test_zero_power_rejected(self):
         # an all-zero truth leaves the relative cov_rmse undefined
-        with pytest.raises(InvalidProfileError, match="power must be > 0"):
+        with pytest.raises(InvalidProfileError, match="power must be finite and > 0"):
             Uniform(0.0)
 
 
@@ -116,6 +116,22 @@ class TestRandomSparseProfile:
             generate_covariance_set(
                 _config(), RandomSparse(fraction), np.random.default_rng(0)
             )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cls, kw, field", [
+    (Uniform, {}, "power"),
+    (BandLimited, {"width": 4}, "power"),
+    (BandLimited, {"width": 4}, "dynamic_range_db"),
+    (RandomSparse, {"support_fraction": 0.5}, "support_fraction"),
+    (RandomSparse, {"support_fraction": 0.5}, "total_power"),
+], ids=["uniform-power", "bandlimited-power", "bandlimited-dynamic_range_db",
+        "random_sparse-support_fraction", "random_sparse-total_power"])
+def test_non_finite_profile_field_refused_when_built(cls, kw, field, value):
+    # refused by the profile itself, before any draw: an infinite dynamic
+    # range would otherwise overflow rng.uniform at the first unit's draw
+    with pytest.raises(InvalidProfileError, match=field):
+        cls(**{**kw, field: value})
 
 
 def test_generation_deterministic_given_seed():
