@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["PilotCovError", "InvalidProfileError", "InfeasibleConstraintError",
+           "IdentifiabilityError", "SingularSystemError", "ConfigError"]
+
 
 class PilotCovError(Exception):
     """Base class for all package-specific errors."""

@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .channel import draw_channels, observe, squared_rows
-from .errors import ConfigError, IdentifiabilityError
+from .errors import ConfigError, IdentifiabilityError, InvalidProfileError
 from .estimators import (
     adaptive_estimate,
     estimate_all_rows_ml,
@@ -146,9 +146,11 @@ def validate_experiment_config(cfg: ExperimentConfig) -> None:
             f"{cfg.scenario.seed} and {cfg.seed_base}"
         )
 
-    if isinstance(cfg.profile, BandLimited) and cfg.profile.width > cfg.scenario.M:
-        raise ConfigError(f"[profile] width {cfg.profile.width} exceeds "
-                          f"M={cfg.scenario.M}")
+    if isinstance(cfg.profile, BandLimited):
+        try:
+            cfg.profile.check_fits(cfg.scenario.M)
+        except InvalidProfileError as exc:
+            raise ConfigError(f"[profile] {exc}") from exc
 
 
 def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple:

@@ -92,10 +92,10 @@ class BandLimited:
     """Contiguous (wrapping) support of `width` antennas with a raised-cosine
     taper, mimicking limited angular support in the beamspace domain.
 
-    Per-user support centers are drawn uniformly unless `center` is fixed.
-    Per-user total power is drawn log-uniformly over `dynamic_range_db`
-    below `power`, emulating the path-loss disparity between own-cell
-    users and interferers.
+    Per-user support centers are drawn uniformly unless `center` fixes
+    them at one antenna in [0, M).  Per-user total power is drawn
+    log-uniformly over `dynamic_range_db` below `power`, emulating the
+    path-loss disparity between own-cell users and interferers.
     """
 
     width: int
@@ -107,9 +107,18 @@ class BandLimited:
         if self.width < 1:
             raise InvalidProfileError(f"width must be >= 1, got {self.width}")
         _check_power("power", self.power)
+        if self.center is not None and self.center < 0:
+            raise InvalidProfileError(f"center must be >= 0, got {self.center}")
         if not 0 <= self.dynamic_range_db < np.inf:
             raise InvalidProfileError(f"dynamic_range_db must be finite and >= 0, "
                                       f"got {self.dynamic_range_db}")
+
+    def check_fits(self, M: int) -> None:
+        """Refuse a support wider than M antennas or centered outside them."""
+        if self.width > M:
+            raise InvalidProfileError(f"width must be in [1, M={M}], got {self.width}")
+        if self.center is not None and self.center >= M:
+            raise InvalidProfileError(f"center must be in [0, M={M}), got {self.center}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +163,7 @@ def generate_covariance_set(
     if isinstance(profile, Uniform):
         C = np.full((M, K), float(profile.power))
     elif isinstance(profile, BandLimited):
-        if profile.width > M:
-            raise InvalidProfileError(f"width must be in [1, M={M}], got {profile.width}")
+        profile.check_fits(M)
         C = np.zeros((M, K))
         for k in range(K):
             center = (

@@ -436,6 +436,8 @@ class TestCLI:
     @pytest.mark.parametrize("old, new, named", [
         ("width = 4", "width = 0", "width"),
         ("width = 4", "width = 9", "width"),
+        ("width = 4", "width = 4\ncenter = 8", "[profile] center"),
+        ("width = 4", "width = 4\ncenter = -1", "[profile] center"),
         ("power = 1.0", "power = -1", "power"),
         (BANDLIMITED, "kind = uniform\npower = -1\n", "power"),
         (BANDLIMITED, "kind = uniform\npower = 0\n", "power must be finite and > 0"),
@@ -471,7 +473,8 @@ class TestCLI:
         ("eval_intervals = 4", "eval_intervals = 0", "eval_intervals must be >= 1"),
         ("T_coh = 100", "T_coh = 4", "T_coh=4 must exceed Ttr=4"),
         ("sigma_v2 = 0.2", "sigma_v2 = 0", "[scenario] sigma_v2 must be finite and > 0"),
-    ], ids=["width-0", "width-above-M", "bandlimited-power-negative",
+    ], ids=["width-0", "width-above-M", "center-at-M", "center-negative",
+            "bandlimited-power-negative",
             "uniform-power-negative", "uniform-power-zero", "dynamic-range-inf",
             "profile-kind-unknown",
             "support-fraction-above-1", "width-missing",

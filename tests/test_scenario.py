@@ -100,6 +100,17 @@ class TestBandLimitedProfile:
                 _config(M=4, K=2), BandLimited(width=5), np.random.default_rng(0)
             )
 
+    def test_negative_center_refused_when_built(self):
+        with pytest.raises(InvalidProfileError, match="center must be >= 0"):
+            BandLimited(width=4, center=-5)
+
+    def test_center_outside_array_rejected(self):
+        # the support wraps modulo M, so center = M would silently mean antenna 0
+        with pytest.raises(InvalidProfileError, match=r"center must be in \[0, M=8\)"):
+            generate_covariance_set(
+                _config(M=8), BandLimited(width=4, center=8), np.random.default_rng(0)
+            )
+
 
 class TestRandomSparseProfile:
     def test_support_count_and_power(self):
