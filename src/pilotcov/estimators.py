@@ -25,18 +25,15 @@ uses D = I, ML re-weights D at every iterate, shared scaling uses one D
 for all antennas and the adaptive estimator accumulates Pi D Pi^T over
 intervals.  The weights of ML, shared scaling and the adaptive estimator
 are one rule, `_slot_weights`: d_i = 1 / p_i^2 at the slot powers p =
-Pi^T c + sigma_v2 of the current estimate.  Two-step, shared scaling and
-each ML iteration solve through `_weighted_solve`, and the D = I solve is
-`shared_scaling_estimate` with D = None; `adaptive_estimate` hands each
+Pi^T c + sigma_v2 of the current estimate.  Two-step (D = None) and each
+shared-scaling step are `shared_scaling_estimate`, which, like each ML
+iteration, solves through `_weighted_solve`; `adaptive_estimate` hands each
 interval's weights to `adaptive_update`, which adds that interval's
 weighted system to the accumulated one in place.  Per-row and shared ML
 stop on one step rule, `_small_step`, and `ml_fixed_point` iterates from
 the warm start its caller passes.  All of them go through
-`_solve_normal`: a single K x K system goes straight to LAPACK's Cholesky
-solve, a stack to scipy's batched solve.  scipy is imported by the
-first solve that needs it, when `_lapack` binds the LAPACK handles or a
-stack is solved, and nowhere at module level, so a process that never
-solves (`pilotcov validate`, `pilotcov schedule`) never loads it.
+`_solve_normal`, which imports scipy at the first solve, so a process that
+never solves (`pilotcov validate`, `pilotcov schedule`) never loads it.
 
 The batch estimators take per-slot statistics: the slot means b over the
 S passes of a window (`estimate_obs_covariances`) with the compound
@@ -46,13 +43,13 @@ times those of the means.
 
 Inputs and results are plain arrays: the slot means are (M, N*Ttr) and
 every estimate is (M, K).  The ML estimators return (C_hat, converged):
-one flag per antenna row for per-row ML, one bool for shared scaling.
+one flag per antenna row for per-row ML, one bool for shared scaling;
+they log nothing, and the sweep warns of a unit that stopped at max_iter.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 import warnings
 from typing import NamedTuple
 
@@ -74,8 +71,6 @@ __all__ = [
     "adaptive_update",
     "adaptive_estimate",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class MLFixedPointResult(NamedTuple):
@@ -126,34 +121,35 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     cases are told apart by G.ndim: rhs shapes (K, M) and (M, K) coincide
     when M == K.
 
-    A single G is solved by LAPACK directly: one upper Cholesky factor and
-    solve (posv), then the factor's reciprocal condition number (pocon).
-    For K >= 2 that gives the bits of `scipy.linalg.solve(G, rhs,
+    Non-finite input, single or stacked, raises ValueError before either
+    solve.  A single G is solved by LAPACK directly: one upper Cholesky
+    factor and solve (posv), then the factor's reciprocal condition number
+    (pocon).  For K >= 2 that gives the bits of `scipy.linalg.solve(G, rhs,
     assume_a="pos")`, which makes the same factor and triangular solves in
     two calls (potrf, potrs), without its per-call overhead, and with its
-    checks: non-finite input raises ValueError, an indefinite G raises
-    SingularSystemError and an ill-conditioned one warns
-    `scipy.linalg.LinAlgWarning`.  `_lapack` binds the handles, and
-    so imports scipy, at the process's first single system; later solves
-    reuse them.  A stack goes to scipy's batched solve, which factors every
-    slice the same way, so each slice gets the bits of its own single
-    solve at every K.  Only a system of one entry, alone or as a one-slice
-    stack, scipy divides instead.
+    other checks: an indefinite G raises SingularSystemError and an
+    ill-conditioned one warns `scipy.linalg.LinAlgWarning`.  `_lapack`
+    binds the handles, and so imports scipy, at the process's first single
+    system; later solves reuse them.  A stack goes to scipy's batched
+    solve, which factors every slice the same way, so each slice gets the
+    bits of its own single solve at every K.  Only a system of one entry,
+    alone or as a one-slice stack, scipy divides instead.
     """
+    if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
+        raise ValueError("normal equations must not contain infs or NaNs")
     if G.ndim > 2:
         import scipy.linalg
 
         try:
             # stacked right-hand sides must be (..., K, NRHS) matrices
-            return scipy.linalg.solve(G, rhs[..., None], assume_a="pos")[..., 0]
+            return scipy.linalg.solve(G, rhs[..., None], assume_a="pos",
+                                      check_finite=False)[..., 0]
         except np.linalg.LinAlgError as exc:
             # scipy's message may name the wrong slice
             raise SingularSystemError(
                 "weighted normal equations are singular or indefinite: at "
                 f"least one of {G[..., 0, 0].size} stacked systems"
             ) from exc
-    if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
-        raise ValueError("normal equations must not contain infs or NaNs")
     posv, pocon, lange = _lapack()
     U, x, info = posv(G, rhs if rhs.ndim == 2 else rhs[:, None])
     if info > 0:
@@ -382,27 +378,17 @@ def estimate_all_rows_ml(
 
     Returns (C_hat (M x K), converged (M,) bool).  The rows are independent
     problems; results do not depend on the order in which they are solved.
-    Non-convergence of individual rows is reported via the flags (and a
-    warning), not an error.
+    A row that stops at max_iter is flagged, not an error.
     """
     Bm = np.asarray(B, dtype=float)
     Pi = np.asarray(Pi, dtype=float)
     # shared warm start: unweighted right inverse for all rows at once
     init_all = shared_scaling_estimate(Bm, Pi, None, sigma_v2)
 
-    C_hat = np.empty((Bm.shape[0], Pi.shape[0]))
-    flags = np.empty(Bm.shape[0], dtype=bool)
-    for m in range(Bm.shape[0]):
-        res = ml_fixed_point(Bm[m], Pi, sigma_v2, init=init_all[m],
-                             tol=tol, max_iter=max_iter)
-        C_hat[m] = res.c_hat
-        flags[m] = res.converged
-    if not np.all(flags):
-        logger.warning(
-            "ml_fixed_point did not converge on %d of %d antenna rows",
-            int(np.sum(~flags)), flags.size,
-        )
-    return C_hat, flags
+    rows = [ml_fixed_point(b, Pi, sigma_v2, init=c, tol=tol, max_iter=max_iter)
+            for b, c in zip(Bm, init_all)]
+    C_hat = np.array([res.c_hat for res in rows]).reshape(init_all.shape)
+    return C_hat, np.array([res.converged for res in rows], dtype=bool)
 
 
 def shared_scaling_fixed_point(
@@ -416,22 +402,18 @@ def shared_scaling_fixed_point(
 
     Returns (C_hat (M x K), converged).  The shared slot weights are rebuilt
     from the antenna-averaged variance estimate, trading some accuracy for
-    a single K x K solve per sweep.  Stopping at max_iter is reported via
-    the flag (and a warning), not an error.
+    a single K x K solve per sweep.  Each step is `shared_scaling_estimate`
+    at the weights of the antenna mean.  Stopping at max_iter is flagged,
+    not an error.
     """
-    Bm = np.asarray(B, dtype=float)
     Pi = np.asarray(Pi, dtype=float)
-    C = shared_scaling_estimate(Bm, Pi, None, sigma_v2)
-    residual = (Bm - sigma_v2).T
+    C = shared_scaling_estimate(B, Pi, None, sigma_v2)
     for _ in range(max_iter):
-        d = _slot_weights(C.mean(axis=0), Pi, sigma_v2)
-        C_new = np.maximum(_weighted_solve(Pi, d, residual).T, 0.0)
+        C_new = shared_scaling_estimate(
+            B, Pi, _slot_weights(C.mean(axis=0), Pi, sigma_v2), sigma_v2)
         if _small_step(C_new, C, tol):
             return C_new, True
         C = C_new
-    logger.warning(
-        "shared_scaling_fixed_point did not converge in %d iterations", max_iter
-    )
     return C, False
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import configparser
 import functools
+import logging
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -61,6 +62,8 @@ __all__ = [
     "emit_csv",
     "load_result_csv",
 ]
+
+logger = logging.getLogger(__name__)
 
 ESTIMATOR_NAMES = ("genie", "ml", "two_step", "adaptive", "ls")
 UNIDENTIFIABLE = "unidentifiable"
@@ -227,8 +230,10 @@ def _estimate_covariances(
     c_obs: np.ndarray | None,
     schedule: Schedule,
     sigma_v2: float,
+    unit: tuple[int, int],
 ) -> np.ndarray | None:
-    """Covariance estimate (M, K) for one estimator, or None when it has none."""
+    """Covariance estimate (M, K) of one estimator in one unit (sweep value,
+    trial), or None when it has none; ML warns of rows stopped at max_iter."""
     if name == "ls":
         return None
     if name == "genie":
@@ -240,8 +245,15 @@ def _estimate_covariances(
     if name == "ml":
         ml = (shared_scaling_fixed_point if cfg.ml_scaling == "shared"
               else estimate_all_rows_ml)
-        return ml(c_obs, schedule.compound, sigma_v2,
-                  tol=cfg.tol, max_iter=cfg.max_iter)[0]
+        C_hat, converged = ml(c_obs, schedule.compound, sigma_v2,
+                              tol=cfg.tol, max_iter=cfg.max_iter)
+        # shared scaling's one flag stands for every row
+        stopped = np.count_nonzero(~np.broadcast_to(converged, len(C_hat)))
+        if stopped:
+            logger.warning("%s ML stopped at max_iter=%d on %d of %d antenna rows "
+                           "at %s=%d, trial %d", cfg.ml_scaling, cfg.max_iter,
+                           stopped, len(C_hat), cfg.sweep_axis, *unit)
+        return C_hat
     raise ConfigError(f"unknown estimator {name!r}")
 
 
@@ -364,7 +376,7 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
             continue
         start = time.perf_counter()
         C_hat = _estimate_covariances(name, cfg, truth, B, c_obs, schedule,
-                                      scn.sigma_v2)
+                                      scn.sigma_v2, (axis_value, trial))
         runtime_ms = (time.perf_counter() - start) * 1e3 if measure_runtime else 0.0
 
         if C_hat is None:

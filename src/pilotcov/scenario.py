@@ -104,9 +104,12 @@ class BandLimited:
     dynamic_range_db: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise InvalidProfileError(f"width must be >= 1, got {self.width}")
+        # both index the antennas, so a float would fail only when drawn
+        if not isinstance(self.width, (int, np.integer)) or self.width < 1:
+            raise InvalidProfileError(f"width must be an integer >= 1, got {self.width!r}")
         _check_power("power", self.power)
+        if self.center is not None and not isinstance(self.center, (int, np.integer)):
+            raise InvalidProfileError(f"center must be an integer, got {self.center!r}")
         if self.center is not None and self.center < 0:
             raise InvalidProfileError(f"center must be >= 0, got {self.center}")
         if not 0 <= self.dynamic_range_db < np.inf:

@@ -2,6 +2,7 @@
 (perfbench/tracing.py) hooks, so each per-layer metric is reported."""
 
 import importlib.util
+import json
 import sys
 import time
 from dataclasses import replace
@@ -36,10 +37,17 @@ def test_traced_sweep_reports_every_layer(ml_scaling):
     tracer.install()
     try:
         start = time.perf_counter()
-        run_experiment(cfg)
+        records = run_experiment(cfg)
         wall = time.perf_counter() - start
     finally:
         tracer.uninstall()
     metrics = tracer.sweep_metrics(wall)
     assert tracer.absent == []
     assert set(metrics) == set(tracing.METRICS) - {"trace.overhead_frac"}
+    # the benchmark's result line is this JSON: a NaN or inf value would
+    # make it unreadable to a strict reader
+    json.dumps(metrics, allow_nan=False)
+    if ml_scaling == "per_row":
+        ml_units = sum(r.estimator == "ml" and r.status == "ok" for r in records)
+        assert ml_units == 1
+        assert metrics["estimators.ml.rows"] == ml_units * cfg.scenario.M

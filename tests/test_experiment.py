@@ -1,4 +1,5 @@
 import configparser
+import logging
 import re
 from pathlib import Path
 
@@ -244,6 +245,24 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert len(res) == 1
         assert res[0].cov_rmse is not None
+
+    @pytest.mark.parametrize("ml_scaling", ["per_row", "shared"])
+    def test_ml_stop_at_max_iter_warned_once_per_unit(self, ml_scaling, caplog):
+        cfg = _tiny_config(estimators=("ml",), max_iter=1, ml_scaling=ml_scaling)
+        with caplog.at_level(logging.WARNING, logger="pilotcov.experiment"):
+            res = run_experiment(cfg)
+        assert all(r.status == "ok" for r in res)
+        messages = sorted(r.getMessage() for r in caplog.records
+                          if r.name == "pilotcov.experiment")
+        units = sorted(f"at T={v}, trial {s}" for v in cfg.sweep_values
+                       for s in range(cfg.trials))
+        assert len(messages) == len(units) == 6
+        for message, unit in zip(messages, units):
+            match = re.fullmatch(rf"{ml_scaling} ML stopped at max_iter=1 on (\d) of 8 "
+                                 rf"antenna rows {unit}", message)
+            assert match, message
+            if ml_scaling == "shared":  # its one flag stops every row
+                assert match[1] == "8"
 
     def test_ttr_sweep(self):
         cfg = _tiny_config(

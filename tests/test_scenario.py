@@ -100,6 +100,20 @@ class TestBandLimitedProfile:
                 _config(M=4, K=2), BandLimited(width=5), np.random.default_rng(0)
             )
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(width=4.5), "width"), (dict(width=4.0), "width"),
+        (dict(width=4, center=2.5), "center"), (dict(width=4, center=np.float64(2)), "center"),
+    ], ids=["width-4.5", "width-4.0", "center-2.5", "center-float64"])
+    def test_non_integer_width_or_center_refused_when_built(self, kwargs, field):
+        # both index the antennas: the draw would die with IndexError
+        with pytest.raises(InvalidProfileError, match=f"{field} must be an integer"):
+            BandLimited(**kwargs)
+
+    def test_numpy_integer_width_and_center_accepted(self):
+        profile = BandLimited(width=np.int64(4), center=np.int32(2), dynamic_range_db=0.0)
+        out = generate_covariance_set(_config(M=8), profile, np.random.default_rng(4))
+        assert set(np.flatnonzero(out[:, 0])) == {0, 1, 2, 3}
+
     def test_negative_center_refused_when_built(self):
         with pytest.raises(InvalidProfileError, match="center must be >= 0"):
             BandLimited(width=4, center=-5)
