@@ -2,11 +2,13 @@
 
 With diagonal covariances the rows of the observation matrix are mutually
 independent, so each antenna m poses an independent estimation problem
-for the length-K variance vector c_m.  ML solves the rows one at a time,
-one K x K Cholesky solve per iteration and one stacked LLF evaluation per
-backtrack; the adaptive estimator solves all of them at once, as a stack
-of K x K normal equations per interval; two-step and shared scaling share
-one K x K system across the rows.
+for the length-K variance vector c_m.  ML solves the rows one at a time:
+per iteration one K x K Cholesky solve and one computation of the new
+iterate's slot powers, which give both its LLF and the next weights, and
+per backtrack ten halvings built as one running sum and scored by one
+stacked LLF evaluation.  The adaptive estimator solves all of them at
+once, as a stack of K x K normal equations per interval; two-step and
+shared scaling share one K x K system across the rows.
 
 Implemented estimators:
   * two-step reconstruction: per-slot sample variances, then a right
@@ -25,13 +27,14 @@ uses D = I, ML re-weights D at every iterate, shared scaling uses one D
 for all antennas and the adaptive estimator accumulates Pi D Pi^T over
 intervals.  The weights of ML, shared scaling and the adaptive estimator
 are one rule, `_slot_weights`: d_i = 1 / p_i^2 at the slot powers p =
-Pi^T c + sigma_v2 of the current estimate.  Two-step (D = None) and each
-shared-scaling step are `shared_scaling_estimate`, which, like each ML
-iteration, solves through `_weighted_solve`; `adaptive_estimate` hands each
-interval's weights to `adaptive_update`, which adds that interval's
-weighted system to the accumulated one in place.  Per-row and shared ML
-stop on one step rule, `_small_step`, and `ml_fixed_point` iterates from
-the warm start its caller passes.  All of them go through
+Pi^T c + sigma_v2 of the current estimate; ML takes them from the powers
+it has already computed and checked for the iterate's LLF.  Two-step
+(D = None) and each shared-scaling step are `shared_scaling_estimate`,
+which, like each ML iteration, solves through `_weighted_solve`;
+`adaptive_estimate` hands each interval's weights to `adaptive_update`,
+which adds that interval's weighted system to the accumulated one in
+place.  Per-row and shared ML stop on one step rule, `_small_step`, and
+`ml_fixed_point` iterates from the warm start its caller passes.  All of them go through
 `_solve_normal`, which imports scipy at the first solve, so a process that
 never solves (`pilotcov validate`, `pilotcov schedule`) never loads it.
 
@@ -244,11 +247,17 @@ def _slot_weights(c: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
 
 
 def _llf_powers(c_m: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
-    # the one domain check of the LLF and its gradient; NaN fails it too
+    # the one domain check of the LLF and its gradient; NaN fails it too,
+    # and a problem with no slots passes
     powers = _slot_powers(np.asarray(c_m, float), Pi, sigma_v2)
-    if not (powers > 0).all():
+    if not powers.min(initial=np.inf) > 0:
         raise ValueError("all slot powers must be strictly positive")
     return powers
+
+
+def _llf_at(powers: np.ndarray, b_m: np.ndarray) -> np.ndarray:
+    # the LLF at checked slot powers, one value per row of a stack
+    return (b_m / powers + np.log(powers)).sum(axis=-1)
 
 
 def negative_llf(
@@ -262,8 +271,7 @@ def negative_llf(
     its own call.  A slot power anywhere that is not positive, NaN
     included, raises ValueError.
     """
-    powers = _llf_powers(c_m, np.asarray(Pi, float), sigma_v2)
-    values = (b_m / powers + np.log(powers)).sum(axis=-1)
+    values = _llf_at(_llf_powers(c_m, np.asarray(Pi, float), sigma_v2), b_m)
     return float(values) if values.ndim == 0 else values
 
 
@@ -281,7 +289,39 @@ def _small_step(new: np.ndarray, old: np.ndarray, tol: float) -> bool:
     return np.abs(new - old).max() <= tol * (1.0 + old.max())
 
 
+def _iterate_powers(c: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
+    # an ML iterate's slot powers, computed once for its LLF and the next
+    # weights 1 / p^2, and checked before either takes their log or square:
+    # the LLF's domain check (ValueError, NaN included), then infinity
+    powers = _llf_powers(c, Pi, sigma_v2)
+    if not powers.max(initial=0.0) < np.inf:
+        raise SingularSystemError(
+            "slot powers are infinite; weights 1/power^2 are undefined"
+        )
+    return powers
+
+
 _HALVINGS = 10
+# row j = 1..10 of the running sum adds 2^(j-1) c and is then scaled by 2^-j
+_DOUBLINGS = 2.0 ** np.arange(_HALVINGS)[:, None]
+_UNDOUBLE = 2.0 ** -np.arange(1, _HALVINGS + 1)[:, None]
+
+
+def _halvings(c_new: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The halvings h_j = 0.5 * (h_{j-1} + c) from h_0 = c_new, j = 1..10,
+    as a (10, K) stack with the bits of that recursion.
+
+    u_j = 2^j h_j obeys u_j = u_{j-1} + 2^(j-1) c from u_0 = c_new, and
+    scaling by a power of two is exact, so one running sum over [c_new, c,
+    2c, ..., 2^9 c], row j scaled by 2^-j, rounds as the recursion does.
+    The exception is an entry below about 2.3e-305, where dividing by 2^10
+    underflows: the recursion rounds each subnormal halving, the running
+    sum only the last (and 2^10 c overflows for entries above 1.7e305).
+    """
+    u = np.empty((_HALVINGS + 1, c.size))
+    u[0] = c_new
+    u[1:] = _DOUBLINGS * c
+    return u.cumsum(axis=0)[1:] * _UNDOUBLE
 
 
 def ml_fixed_point(
@@ -298,12 +338,17 @@ def ml_fixed_point(
 
     Each step solves the weighted normal equations with slot weights
     d_i = 1 / slot_power_i^2 frozen at the previous iterate, then clamps
-    the result to the nonnegative orthant.  If the LLF increases, the step
-    is halved toward the previous iterate up to 10 times and the first
-    halving that does not increase it is taken; one stacked `negative_llf`
-    call scores all ten.  The cost is neither convex nor quasi-convex, so
-    this only safeguards against divergence without moving the fixed
-    points.
+    the result to the nonnegative orthant.  An iterate's slot powers are
+    computed once, with one check, and give both its LLF and the next
+    weights: a power that is not positive, NaN included, raises the LLF's
+    ValueError, an infinite one SingularSystemError.  If the LLF
+    increases, the step is halved toward the previous iterate up to 10
+    times and the first halving that does not increase it is taken; the
+    ten halvings are one running sum (`_halvings`) and one stacked
+    `negative_llf` call scores them.  So a row calls `negative_llf` once
+    at the warm start and once per backtrack.  The cost is neither convex
+    nor quasi-convex, so this only safeguards against divergence without
+    moving the fixed points.
 
     Convergence requires the step rule of `_small_step`, ||c_new -
     c_old||_inf <= tol * (1 + ||c_old||_inf), and, at interior iterates, a
@@ -331,36 +376,38 @@ def ml_fixed_point(
         raise ValueError("init must be a nonnegative length-K vector")
 
     residual = (b_m - sigma_v2)[:, None]
+    # the public `negative_llf` scores the warm start and each backtrack:
+    # perfbench/tracing.py counts ML's LLF evaluations through it
     obj = negative_llf(c, b_m, Pi, sigma_v2)
+    powers = _iterate_powers(c, Pi, sigma_v2)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        d = _slot_weights(c, Pi, sigma_v2)
-        c_new = np.maximum(_weighted_solve(Pi, d, residual)[:, 0], 0.0)
-        obj_new = negative_llf(c_new, b_m, Pi, sigma_v2)
+        # the weights of `_slot_weights`, at the powers the LLF used
+        c_new = np.maximum(_weighted_solve(Pi, powers**-2, residual)[:, 0], 0.0)
+        powers_new = _iterate_powers(c_new, Pi, sigma_v2)
+        obj_new = float(_llf_at(powers_new, b_m))
         if obj_new > obj:
             # backtrack toward the previous iterate while it helps; when no
             # halving descends, take the full step anyway: the clamped fixed
             # point may sit slightly uphill of the path minimum, and the map
-            # stays bounded for positive noise power.  The halvings follow
-            # the recursion, not the closed form c + 2^-j (c_new - c), which
-            # rounds differently.  Every iterate, full step and halving alike,
-            # is nonnegative, so its slot powers are at least sigma_v2 > 0 and
-            # one stacked LLF call scores all the halvings.
-            halvings = np.empty((_HALVINGS, K))
-            cand = c_new
-            for j in range(_HALVINGS):
-                cand = halvings[j] = 0.5 * (cand + c)
+            # stays bounded for positive noise power.  The halvings have the
+            # bits of the recursion, not of the closed form c + 2^-j (c_new -
+            # c), which rounds differently.  Every iterate, full step and
+            # halving alike, is nonnegative, so its slot powers are at least
+            # sigma_v2 > 0 and one stacked LLF call scores all the halvings.
+            halvings = _halvings(c_new, c)
             values = negative_llf(halvings, b_m, Pi, sigma_v2)
-            descends = np.flatnonzero(values <= obj)
-            if descends.size:
-                c_new, obj_new = halvings[descends[0]], float(values[descends[0]])
+            first = (values <= obj).argmax()
+            if values[first] <= obj:
+                c_new, obj_new = halvings[first], float(values[first])
+                powers_new = _iterate_powers(c_new, Pi, sigma_v2)
 
         # an interior iterate must also certify stationarity
         converged = bool(_small_step(c_new, c, tol) and (
             not (c_new > 0).all()
             or np.abs(llf_gradient(c_new, b_m, Pi, sigma_v2)).max() <= 10 * tol))
-        c, obj = c_new, obj_new
+        c, obj, powers = c_new, obj_new, powers_new
         if converged:
             break
 

@@ -23,7 +23,8 @@ from pilotcov import (
     shared_scaling_fixed_point,
     two_step_reconstruct,
 )
-from pilotcov.estimators import _slot_weights, _solve_normal
+from pilotcov import estimators
+from pilotcov.estimators import _halvings, _slot_weights, _solve_normal
 
 from training import simulate_training
 
@@ -522,6 +523,77 @@ class TestMLMatchesOneAtATime:
             assert np.array_equal(C_hat[m], c) and flags[m] == converged
             taken += len(halvings)
         assert taken > 0
+
+
+def _halvings_recursion(c_new, c):
+    """Oracle: the backtrack's halvings as first written, one at a time."""
+    halvings, cand = np.empty((10, c.size)), c_new
+    for j in range(10):
+        cand = halvings[j] = 0.5 * (cand + c)
+    return halvings
+
+
+@st.composite
+def variance_pairs(draw):
+    """Two nonnegative variance vectors of one length K = 1..16, with exact
+    zeros and entries from 1e-12 to 1e6."""
+    K = draw(st.integers(1, 16))
+    entries = st.lists(st.just(0.0) | st.floats(1e-12, 1e6), min_size=K, max_size=K)
+    return np.array(draw(entries)), np.array(draw(entries))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(variance_pairs())
+def test_running_sum_halvings_match_the_recursion(pair):
+    c_new, c = pair
+    assert _halvings(c_new, c).tobytes() == _halvings_recursion(c_new, c).tobytes()
+
+
+class TestMLDomainCheck:
+    """Each iterate's slot powers are checked once, before the LLF takes
+    their log: a NaN iterate is refused with the LLF's ValueError and an
+    infinite one with SingularSystemError, the error of the slot weights
+    1 / p^2."""
+
+    @staticmethod
+    def _solve_then(monkeypatch, value):
+        # the first solve is LAPACK's, every later one returns `value`
+        solve, calls = estimators._solve_normal, []
+
+        def stub(G, rhs):
+            calls.append(None)
+            x = solve(G, rhs)
+            return x if len(calls) == 1 else np.full_like(x, value)
+
+        monkeypatch.setattr(estimators, "_solve_normal", stub)
+        return calls
+
+    def test_nan_slot_mean(self):
+        b, Pi, s2 = _desk_row(0, "uniform", 12)
+        init = _two_step_start(b, Pi, s2)
+        b[3] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            ml_fixed_point(b, Pi, s2, init)
+
+    def test_nan_solve_mid_iteration(self, monkeypatch):
+        b, Pi, s2 = _desk_row(0, "uniform", 12)
+        init = _two_step_start(b, Pi, s2)
+        calls = self._solve_then(monkeypatch, np.nan)
+        with pytest.raises(ValueError, match="strictly positive"):
+            ml_fixed_point(b, Pi, s2, init)
+        assert len(calls) == 2
+
+    def test_infinite_solve_mid_iteration(self, monkeypatch):
+        # with no zero in Pi the slot powers of an infinite iterate are inf,
+        # not the NaN of 0 * inf
+        rng = np.random.default_rng(21)
+        Pi = rng.uniform(0.5, 1.5, (3, 12))
+        b = (Pi.T @ np.ones(3) + 0.1) * rng.exponential(size=12)
+        init = _two_step_start(b, Pi, 0.1)
+        calls = self._solve_then(monkeypatch, np.inf)
+        with pytest.raises(SingularSystemError):
+            ml_fixed_point(b, Pi, 0.1, init)
+        assert len(calls) >= 2
 
 
 class TestEstimateAllRowsML:

@@ -639,30 +639,33 @@ def test_unit_ranks_each_schedule_and_averages_slots_once(estimators, averages, 
 
 
 def test_ml_scores_each_backtrack_with_one_llf_call(monkeypatch):
-    # per ML row: one LLF call at the start, then per iteration one for the
-    # full step and at most one for all halvings of a backtrack
+    # per ML row: one LLF call for the warm start, then one stacked call for
+    # the ten halvings of each backtrack; the full steps are scored from the
+    # slot powers the iteration computes anyway
     from pilotcov import estimators
 
     llf, fixed_point = estimators.negative_llf, estimators.ml_fixed_point
-    llf_calls, per_row = [0], []
+    shapes, per_row = [], []
 
-    def counting_llf(*args, **kwargs):
-        llf_calls[0] += 1
-        return llf(*args, **kwargs)
+    def counting_llf(c_m, *args, **kwargs):
+        shapes.append(np.shape(c_m))
+        return llf(c_m, *args, **kwargs)
 
     def counted_fixed_point(*args, **kwargs):
-        before = llf_calls[0]
+        shapes.clear()
         result = fixed_point(*args, **kwargs)
-        per_row.append((llf_calls[0] - before, result.iterations))
+        K = result.c_hat.size
+        per_row.append((shapes.count((K,)), shapes.count((10, K)), len(shapes),
+                        result.iterations))
         return result
 
     monkeypatch.setattr(estimators, "negative_llf", counting_llf)
     monkeypatch.setattr(estimators, "ml_fixed_point", counted_fixed_point)
     run_experiment(_tiny_config(estimators=("ml",), trials=2))
     assert per_row
-    assert any(calls > 1 + iterations for calls, iterations in per_row), \
-        "no row backtracked"
-    assert all(calls <= 1 + 2 * iterations for calls, iterations in per_row), per_row
+    assert any(backtracks for _, backtracks, _, _ in per_row), "no row backtracked"
+    assert all(starts == 1 and calls == 1 + backtracks and backtracks <= iterations
+               for starts, backtracks, calls, iterations in per_row), per_row
 
 
 def test_genie_beats_ls_in_most_seeds():
