@@ -26,17 +26,21 @@ Pi D (b - sigma_v2) with a different diagonal slot weighting D: two-step
 uses D = I, ML re-weights D at every iterate, shared scaling uses one D
 for all antennas and the adaptive estimator accumulates Pi D Pi^T over
 intervals.  The weights of ML, shared scaling and the adaptive estimator
-are one rule, `_slot_weights`: d_i = 1 / p_i^2 at the slot powers p =
-Pi^T c + sigma_v2 of the current estimate; ML takes them from the powers
-it has already computed and checked for the iterate's LLF.  Two-step
-(D = None) and each shared-scaling step are `shared_scaling_estimate`,
-which, like each ML iteration, solves through `_weighted_solve`;
-`adaptive_estimate` hands each interval's weights to `adaptive_update`,
-which adds that interval's weighted system to the accumulated one in
-place.  Per-row and shared ML stop on one step rule, `_small_step`, and
-`ml_fixed_point` iterates from the warm start its caller passes.  All of them go through
-`_solve_normal`, which imports scipy at the first solve, so a process that
-never solves (`pilotcov validate`, `pilotcov schedule`) never loads it.
+are d_i = 1 / p_i^2 at the slot powers p = Pi^T c + sigma_v2 of the
+current estimate, and each quantity has one rule: `_slot_powers` forms p
+and refuses a power that is not positive, NaN included, with ValueError,
+and `_slot_weights` refuses an infinite power with SingularSystemError
+and returns p^-2.  The LLF and its gradient take their powers from
+`_slot_powers` too, and ML takes an iterate's weights from the powers of
+its LLF.  Two-step (D = None) and each shared-scaling step are
+`shared_scaling_estimate`, which, like each ML iteration, solves through
+`_weighted_solve`; `adaptive_estimate` hands each interval's weights to
+`adaptive_update`, which adds that interval's weighted system to the
+accumulated one in place.  Per-row and shared ML stop on one step rule,
+`_small_step`, and `ml_fixed_point` iterates from the warm start its
+caller passes.  All of them go through `_solve_normal`, which imports
+scipy at the first solve, so a process that never solves (`pilotcov
+validate`, `pilotcov schedule`) never loads it.
 
 The batch estimators take per-slot statistics: the slot means b over the
 S passes of a window (`estimate_obs_covariances`) with the compound
@@ -229,30 +233,26 @@ def shared_scaling_estimate(
     return np.maximum(C, 0.0) if clamp else C
 
 
-def _slot_powers(c_m: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
+def _slot_powers(c: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
+    """Slot powers p = Pi^T c + sigma_v2, one per slot of each variance
+    vector c (..., K).  A power that is not positive, NaN included, raises
+    ValueError; a problem with no slots passes."""
     # written as a stack of matrix-vector products, so every row of a stack
-    # (..., K) rounds as Pi^T @ c_m does for that row alone
-    return (Pi.T @ c_m[..., None])[..., 0] + sigma_v2
-
-
-def _slot_weights(c: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
-    """Slot weights d = 1 / p^2 at the slot powers p = Pi^T c + sigma_v2,
-    one per slot of each variance vector c (..., K)."""
-    powers = _slot_powers(c, Pi, sigma_v2)
-    if not ((powers > 0).all() and np.isfinite(powers).all()):
-        raise SingularSystemError(
-            "slot powers vanished; weights 1/power^2 are undefined"
-        )
-    return powers**-2
-
-
-def _llf_powers(c_m: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
-    # the one domain check of the LLF and its gradient; NaN fails it too,
-    # and a problem with no slots passes
-    powers = _slot_powers(np.asarray(c_m, float), Pi, sigma_v2)
+    # (..., K) rounds as Pi^T @ c does for that row alone
+    powers = (Pi.T @ np.asarray(c, float)[..., None])[..., 0] + sigma_v2
     if not powers.min(initial=np.inf) > 0:
         raise ValueError("all slot powers must be strictly positive")
     return powers
+
+
+def _slot_weights(powers: np.ndarray) -> np.ndarray:
+    """Slot weights d = 1 / p^2 at the checked slot powers p of
+    `_slot_powers`; an infinite power raises SingularSystemError."""
+    if not powers.max(initial=0.0) < np.inf:
+        raise SingularSystemError(
+            "slot powers are infinite; weights 1/power^2 are undefined"
+        )
+    return powers**-2
 
 
 def _llf_at(powers: np.ndarray, b_m: np.ndarray) -> np.ndarray:
@@ -271,7 +271,7 @@ def negative_llf(
     its own call.  A slot power anywhere that is not positive, NaN
     included, raises ValueError.
     """
-    values = _llf_at(_llf_powers(c_m, np.asarray(Pi, float), sigma_v2), b_m)
+    values = _llf_at(_slot_powers(c_m, np.asarray(Pi, float), sigma_v2), b_m)
     return float(values) if values.ndim == 0 else values
 
 
@@ -280,25 +280,13 @@ def llf_gradient(
 ) -> np.ndarray:
     """Gradient of `negative_llf` with respect to the variance vector."""
     Pi = np.asarray(Pi, dtype=float)
-    powers = _llf_powers(c_m, Pi, sigma_v2)
+    powers = _slot_powers(c_m, Pi, sigma_v2)
     return Pi @ ((powers - b_m) / powers**2)
 
 
 def _small_step(new: np.ndarray, old: np.ndarray, tol: float) -> bool:
     # the stopping rule of both ML modes, for nonnegative iterates
     return np.abs(new - old).max() <= tol * (1.0 + old.max())
-
-
-def _iterate_powers(c: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
-    # an ML iterate's slot powers, computed once for its LLF and the next
-    # weights 1 / p^2, and checked before either takes their log or square:
-    # the LLF's domain check (ValueError, NaN included), then infinity
-    powers = _llf_powers(c, Pi, sigma_v2)
-    if not powers.max(initial=0.0) < np.inf:
-        raise SingularSystemError(
-            "slot powers are infinite; weights 1/power^2 are undefined"
-        )
-    return powers
 
 
 _HALVINGS = 10
@@ -339,9 +327,11 @@ def ml_fixed_point(
     Each step solves the weighted normal equations with slot weights
     d_i = 1 / slot_power_i^2 frozen at the previous iterate, then clamps
     the result to the nonnegative orthant.  An iterate's slot powers are
-    computed once, with one check, and give both its LLF and the next
-    weights: a power that is not positive, NaN included, raises the LLF's
-    ValueError, an infinite one SingularSystemError.  If the LLF
+    computed once and give both its LLF and the next weights, which are
+    carried to the next iteration.  Both rules run before the LLF takes a
+    log: `_slot_powers` raises ValueError for a power that is not positive,
+    NaN included, and `_slot_weights` SingularSystemError for an infinite
+    one.  If the LLF
     increases, the step is halved toward the previous iterate up to 10
     times and the first halving that does not increase it is taken; the
     ten halvings are one running sum (`_halvings`) and one stacked
@@ -378,15 +368,16 @@ def ml_fixed_point(
     residual = (b_m - sigma_v2)[:, None]
     # the public `negative_llf` scores the warm start and each backtrack:
     # perfbench/tracing.py counts ML's LLF evaluations through it
+    weights = _slot_weights(_slot_powers(c, Pi, sigma_v2))
     obj = negative_llf(c, b_m, Pi, sigma_v2)
-    powers = _iterate_powers(c, Pi, sigma_v2)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        # the weights of `_slot_weights`, at the powers the LLF used
-        c_new = np.maximum(_weighted_solve(Pi, powers**-2, residual)[:, 0], 0.0)
-        powers_new = _iterate_powers(c_new, Pi, sigma_v2)
-        obj_new = float(_llf_at(powers_new, b_m))
+        c_new = np.maximum(_weighted_solve(Pi, weights, residual)[:, 0], 0.0)
+        # the iterate's powers are checked before its LLF takes their log
+        powers = _slot_powers(c_new, Pi, sigma_v2)
+        weights_new = _slot_weights(powers)
+        obj_new = float(_llf_at(powers, b_m))
         if obj_new > obj:
             # backtrack toward the previous iterate while it helps; when no
             # halving descends, take the full step anyway: the clamped fixed
@@ -401,13 +392,13 @@ def ml_fixed_point(
             first = (values <= obj).argmax()
             if values[first] <= obj:
                 c_new, obj_new = halvings[first], float(values[first])
-                powers_new = _iterate_powers(c_new, Pi, sigma_v2)
+                weights_new = _slot_weights(_slot_powers(c_new, Pi, sigma_v2))
 
         # an interior iterate must also certify stationarity
         converged = bool(_small_step(c_new, c, tol) and (
             not (c_new > 0).all()
             or np.abs(llf_gradient(c_new, b_m, Pi, sigma_v2)).max() <= 10 * tol))
-        c, obj, powers = c_new, obj_new, powers_new
+        c, obj, weights = c_new, obj_new, weights_new
         if converged:
             break
 
@@ -456,8 +447,8 @@ def shared_scaling_fixed_point(
     Pi = np.asarray(Pi, dtype=float)
     C = shared_scaling_estimate(B, Pi, None, sigma_v2)
     for _ in range(max_iter):
-        C_new = shared_scaling_estimate(
-            B, Pi, _slot_weights(C.mean(axis=0), Pi, sigma_v2), sigma_v2)
+        d = _slot_weights(_slot_powers(C.mean(axis=0), Pi, sigma_v2))
+        C_new = shared_scaling_estimate(B, Pi, d, sigma_v2)
         if _small_step(C_new, C, tol):
             return C_new, True
         C = C_new
@@ -508,8 +499,8 @@ def adaptive_estimate(
     B (M x T*Ttr) holds the squared observations of T intervals, interval t
     taken under allocation t % N.  Every row starts from the prior Xi = I,
     psi = 0, c = 1; each interval then weights its slots by `_slot_weights`
-    at the previous estimate and makes one `adaptive_update` with
-    forgetting factor lam in (0, 1].
+    at the `_slot_powers` of the previous estimate and makes one
+    `adaptive_update` with forgetting factor lam in (0, 1].
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
@@ -524,6 +515,6 @@ def adaptive_estimate(
     c = np.ones((M, K))
     for t in range(total // Ttr):
         A = schedule.allocations[t % schedule.N]
-        c = adaptive_update(Xi, psi, A, _slot_weights(c, A, sigma_v2),
-                            B[:, t * Ttr : (t + 1) * Ttr] - sigma_v2, lam)
+        d = _slot_weights(_slot_powers(c, A, sigma_v2))
+        c = adaptive_update(Xi, psi, A, d, B[:, t * Ttr : (t + 1) * Ttr] - sigma_v2, lam)
     return c

@@ -145,9 +145,10 @@ def make_random_schedule(
     Cells are contiguous blocks of K // num_cells users; K must split
     evenly.  When `require_full_rank` (default: N is at least the minimum
     schedule length), rank-deficient draws are rejected and redrawn up to
-    100 times before raising.  Pass `require_full_rank=False` to obtain a
-    single unfiltered draw, e.g. to measure how often random schedules
-    happen to be identifiable.
+    100 times before raising IdentifiabilityError, which names the default
+    length: near the minimum length few draws may be full rank.  Pass
+    `require_full_rank=False` to obtain a single unfiltered draw, e.g. to
+    measure how often random schedules happen to be identifiable.
     """
     require_full_rank = check_random_schedule(K, Ttr, N, num_cells, require_full_rank)
     for _ in range(_MAX_REDRAWS + 1):
@@ -158,9 +159,13 @@ def make_random_schedule(
         schedule = Schedule(np.reshape(cells, (N, K)), Ttr)
         if not require_full_rank or schedule.rank == K:
             return schedule
+    # e.g. at the minimum length with one user per cell and Ttr = K, a draw
+    # is full rank with probability K!/K^K
     raise IdentifiabilityError(
         f"no full-rank schedule found in {_MAX_REDRAWS + 1} draws "
-        f"(K={K}, Ttr={Ttr}, N={N})"
+        f"(K={K}, Ttr={Ttr}, N={N}): random draws of this length are rarely "
+        f"full rank; use a longer schedule, such as the default length "
+        f"N={default_schedule_length(K, Ttr)}"
     )
 
 

@@ -24,7 +24,7 @@ from pilotcov import (
     two_step_reconstruct,
 )
 from pilotcov import estimators
-from pilotcov.estimators import _halvings, _slot_weights, _solve_normal
+from pilotcov.estimators import _halvings, _slot_powers, _slot_weights, _solve_normal
 
 from training import simulate_training
 
@@ -198,7 +198,7 @@ def spd_stacks(draw):
     for n in range(draw(st.integers(1, 2 * N))):
         A = schedule.allocations[n % N]
         r = rng.exponential(size=(M, Ttr)) - 0.1
-        c = adaptive_update(Xi, psi, A, _slot_weights(c, A, 0.1), r, 0.99)
+        c = adaptive_update(Xi, psi, A, _slot_weights(_slot_powers(c, A, 0.1)), r, 0.99)
     return Xi, psi
 
 
@@ -707,8 +707,9 @@ class TestOneWeightedSolve:
 
 class TestVanishedSlotPowers:
     """With no noise, a zero iterate has zero slot powers and no weights
-    1 / power^2: each weighted estimator raises before dividing, and ML
-    refuses zero noise before it iterates."""
+    1 / power^2: each weighted estimator raises the ValueError of
+    `_slot_powers` before dividing, and ML refuses zero noise before it
+    iterates."""
 
     Pi = make_example_schedule_442().compound
 
@@ -717,13 +718,13 @@ class TestVanishedSlotPowers:
             ml_fixed_point(np.ones(6), self.Pi, 0.0, init=np.zeros(4))
 
     def test_shared_scaling(self):
-        with pytest.raises(SingularSystemError, match="slot powers vanished"):
+        with pytest.raises(ValueError, match="strictly positive"):
             shared_scaling_fixed_point(np.zeros((3, 6)), self.Pi, 0.0)
 
     def test_adaptive(self):
         # the first interval's zero observations solve to c = 0, at which
         # the second interval's slot powers vanish
-        with pytest.raises(SingularSystemError, match="slot powers vanished"):
+        with pytest.raises(ValueError, match="strictly positive"):
             adaptive_estimate(np.zeros((3, 4)), make_example_schedule_442(), 0.0, 0.99)
 
 

@@ -638,6 +638,36 @@ def test_unit_ranks_each_schedule_and_averages_slots_once(estimators, averages, 
     assert calls["averages"] == averages * units
 
 
+def test_t_sweep_evaluates_genie_and_ls_once_per_trial(monkeypatch):
+    # genie and LS read no training window, so their rates are the same at
+    # every T and are evaluated once per trial; two-step's are per unit.
+    # Each estimator is still estimated in every unit.
+    from pilotcov import experiment
+
+    estimated, filters = [], {}
+    estimate, rzf = experiment._estimate_covariances, experiment.rzf_filter
+
+    def naming(name, *args):
+        estimated.append(name)
+        return estimate(name, *args)
+
+    def counting(*args, **kwargs):
+        filters[estimated[-1]] = filters.get(estimated[-1], 0) + 1
+        return rzf(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_estimate_covariances", naming)
+    monkeypatch.setattr(experiment, "rzf_filter", counting)
+    cfg = _tiny_config(estimators=("genie", "ls", "two_step"), trials=1,
+                       sweep_values=(20, 10))
+    run_experiment(cfg)
+    per_evaluation = min(cfg.schedule_n, cfg.eval_intervals)
+    units = len(cfg.sweep_values) * cfg.trials
+    assert filters == {"genie": per_evaluation * cfg.trials,
+                       "ls": per_evaluation * cfg.trials,
+                       "two_step": per_evaluation * units}
+    assert sorted(estimated) == sorted(cfg.estimators * units)
+
+
 def test_ml_scores_each_backtrack_with_one_llf_call(monkeypatch):
     # per ML row: one LLF call for the warm start, then one stacked call for
     # the ten halvings of each backtrack; the full steps are scored from the

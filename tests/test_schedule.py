@@ -138,6 +138,15 @@ class TestRandomSchedule:
             # all users served: the interval's columns sum to K in total
             assert alloc.sum() == 12
 
+    def test_failed_draws_name_the_default_length(self):
+        # one user per cell, Ttr = K and the minimum length N = 1: a draw is
+        # full rank with probability 6!/6^6, and seed 10's 101 draws all fail
+        with pytest.raises(IdentifiabilityError,
+                           match=r"101 draws \(K=6, Ttr=6, N=1\): random draws of "
+                                 r"this length are rarely full rank; use a longer "
+                                 r"schedule, such as the default length N=3"):
+            make_random_schedule(6, 6, 1, 6, np.random.default_rng(10))
+
     def test_full_rank_enforced_by_default(self):
         rng = np.random.default_rng(5)
         sched = make_random_schedule(70, 11, 9, 7, rng)
