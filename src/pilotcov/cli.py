@@ -37,7 +37,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _output_path(path: str) -> str:
-    """A file path the CSV can be written to, refused before a sweep runs."""
+    """A file path `run` or `schedule generate` can write to, refused
+    before any work is done."""
+    if not path:
+        raise argparse.ArgumentTypeError("output path is empty")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise argparse.ArgumentTypeError(f"directory of {path} does not exist")
@@ -75,7 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="allocations per schedule (default: minimum + 2)")
     gen_p.add_argument("--cells", type=int, default=1, help="number of cells")
     gen_p.add_argument("--seed", type=int, default=0)
-    gen_p.add_argument("--out", default=None, help="write text format here")
+    gen_p.add_argument("--out", type=_output_path, default=None,
+                       help="write text format here, a writable file in an "
+                            "existing directory")
 
     insp_p = sched_sub.add_parser("inspect", help="report rank and conditioning")
     insp_p.add_argument("file", help="schedule text file")

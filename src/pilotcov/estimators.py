@@ -2,45 +2,28 @@
 
 With diagonal covariances the rows of the observation matrix are mutually
 independent, so each antenna m poses an independent estimation problem
-for the length-K variance vector c_m.  ML solves the rows one at a time:
-per iteration one K x K Cholesky solve and one computation of the new
-iterate's slot powers, which give both its LLF and the next weights, and
-per backtrack ten halvings built as one running sum and scored by one
-stacked LLF evaluation.  The adaptive estimator solves all of them at
-once, as a stack of K x K normal equations per interval; two-step and
-shared scaling share one K x K system across the rows.
-
-Implemented estimators:
-  * two-step reconstruction: per-slot sample variances, then a right
-    inverse of the compound allocation matrix;
-  * approximate ML: fixed-point iteration on the weighted normal
-    equations obtained from the stationarity condition of the negative
-    log-likelihood, with slot weights 1 / slot_power^2;
-  * shared-scaling batch form: one weighted right inverse shared by all
-    antenna rows;
+for the length-K variance vector c_m.  Every estimator solves the
+weighted normal equations (Pi D Pi^T) c = Pi D (b - sigma_v2) with its
+own diagonal slot weighting D:
+  * two-step reconstruction: D = I, a right inverse of the compound
+    allocation applied to the per-slot sample variances;
+  * approximate ML: fixed-point iteration on the stationarity condition
+    of the negative log-likelihood, re-weighting D at every iterate and
+    solving the rows one at a time;
+  * shared-scaling batch form: one D, and one K x K system, for all rows;
   * adaptive estimator: exponentially-forgetting accumulation of the
-    weighted normal equations, re-solved after every interval.
+    system over intervals, every row re-solved, as one stack, after each.
 
-Each of them solves the weighted normal equations (Pi D Pi^T) c =
-Pi D (b - sigma_v2) with a different diagonal slot weighting D: two-step
-uses D = I, ML re-weights D at every iterate, shared scaling uses one D
-for all antennas and the adaptive estimator accumulates Pi D Pi^T over
-intervals.  The weights of ML, shared scaling and the adaptive estimator
-are d_i = 1 / p_i^2 at the slot powers p = Pi^T c + sigma_v2 of the
-current estimate, and each quantity has one rule: `_slot_powers` forms p
-and refuses a power that is not positive, NaN included, with ValueError,
-and `_slot_weights` refuses an infinite power with SingularSystemError
-and returns p^-2.  The LLF and its gradient take their powers from
-`_slot_powers` too, and ML takes an iterate's weights from the powers of
-its LLF.  Two-step (D = None) and each shared-scaling step are
-`shared_scaling_estimate`, which, like each ML iteration, solves through
-`_weighted_solve`; `adaptive_estimate` hands each interval's weights to
-`adaptive_update`, which adds that interval's weighted system to the
-accumulated one in place.  Per-row and shared ML stop on one step rule,
-`_small_step`, and `ml_fixed_point` iterates from the warm start its
-caller passes.  All of them go through `_solve_normal`, which imports
+`_normal_equations` forms the system with one right-hand side per
+antenna row, and `_solve_normal` solves it, taking the right-hand sides
+as rows (..., K) for a single system and for a stack alike; it imports
 scipy at the first solve, so a process that never solves (`pilotcov
-validate`, `pilotcov schedule`) never loads it.
+validate`, `pilotcov schedule`) never loads it.  The weights of ML,
+shared scaling and the adaptive estimator are d_i = 1 / p_i^2 at the
+slot powers p = Pi^T c + sigma_v2 of the current estimate:
+`_slot_powers` forms p and refuses a power that is not positive, NaN
+included, with ValueError, and `_slot_weights` refuses an infinite power
+with SingularSystemError and returns p^-2.
 
 The batch estimators take per-slot statistics: the slot means b over the
 S passes of a window (`estimate_obs_covariances`) with the compound
@@ -49,9 +32,9 @@ equivalent input, since their NLL and normal equations are exactly S
 times those of the means.
 
 Inputs and results are plain arrays: the slot means are (M, N*Ttr) and
-every estimate is (M, K).  The ML estimators return (C_hat, converged):
-one flag per antenna row for per-row ML, one bool for shared scaling;
-they log nothing, and the sweep warns of a unit that stopped at max_iter.
+every estimate is (M, K).  Both ML modes return (C_hat, converged) with
+one flag per antenna row; they log nothing, and the sweep warns of a
+unit that stopped at max_iter.
 """
 
 from __future__ import annotations
@@ -119,23 +102,37 @@ def _lapack() -> tuple:
                                                 dtype=np.float64)
 
 
+def _normal_equations(Pi: np.ndarray, d: np.ndarray, r: np.ndarray) -> tuple:
+    """The weighted normal equations G = Pi D Pi^T and their right-hand
+    sides Pi D r, (G (..., K, K), rhs (..., K)), for the allocation Pi
+    (K, S), slot weights d (..., S) and residual rows r (..., S), one row
+    per antenna.
+
+    For a one-hot allocation, where each row of Pi holds a single one,
+    every entry of both products is a single product of d, r and Pi's
+    ones, so it rounds the same whatever the shape of the stack: a stack
+    of rows gives each row the bits of its own call.  The stacked
+    adaptive update relies on that.
+    """
+    return (Pi * d[..., None, :]) @ Pi.T, (d * r) @ Pi.T
+
+
 def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the normal equations G c = rhs for G = Pi D Pi^T.
+    """Solve the normal equations of `_normal_equations`, G c = rhs, with
+    the right-hand sides as rows.
 
     G must be symmetric positive definite.  A single G (K x K) takes one
-    right-hand side (length K) or one per column (K x M).  A stack G
-    (..., K, K) takes one right-hand side per slice, (..., K).  The two
-    cases are told apart by G.ndim: rhs shapes (K, M) and (M, K) coincide
-    when M == K.
+    right-hand side (K,) or one per row (M, K); a stack G (..., K, K)
+    takes one per slice, (..., K).  The solution has the shape of rhs.
 
     Non-finite input, single or stacked, raises ValueError before either
     solve.  A single G is solved by LAPACK directly: one upper Cholesky
     factor and solve (posv), then the factor's reciprocal condition number
-    (pocon).  For K >= 2 that gives the bits of `scipy.linalg.solve(G, rhs,
-    assume_a="pos")`, which makes the same factor and triangular solves in
-    two calls (potrf, potrs), without its per-call overhead, and with its
-    other checks: an indefinite G raises SingularSystemError and an
-    ill-conditioned one warns `scipy.linalg.LinAlgWarning`.  `_lapack`
+    (pocon).  For K >= 2 that gives the bits of `scipy.linalg.solve(G,
+    rhs.T, assume_a="pos").T`, which makes the same factor and triangular
+    solves in two calls (potrf, potrs), without its per-call overhead, and
+    with its other checks: an indefinite G raises SingularSystemError and
+    an ill-conditioned one warns `scipy.linalg.LinAlgWarning`.  `_lapack`
     binds the handles, and so imports scipy, at the process's first single
     system; later solves reuse them.  A stack goes to scipy's batched
     solve, which factors every slice the same way, so each slice gets the
@@ -158,7 +155,7 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                 f"least one of {G[..., 0, 0].size} stacked systems"
             ) from exc
     posv, pocon, lange = _lapack()
-    U, x, info = posv(G, rhs if rhs.ndim == 2 else rhs[:, None])
+    U, x, info = posv(G, rhs.T)
     if info > 0:
         raise SingularSystemError(
             "weighted normal equations are singular or indefinite: the "
@@ -172,13 +169,7 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"ill-conditioned normal equations (rcond={rcond:.6g}): the "
             "solution may not be accurate", scipy.linalg.LinAlgWarning, stacklevel=2,
         )
-    return x if rhs.ndim == 2 else x[:, 0]
-
-
-def _weighted_solve(Pi: np.ndarray, d: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Solve (Pi D Pi^T) X = Pi D R for slot weights d (S,) and slot-major
-    right-hand sides R (S, M), one column per antenna row; X is (K, M)."""
-    return _solve_normal((Pi * d) @ Pi.T, Pi @ (d[:, None] * R))
+    return x.T
 
 
 def two_step_reconstruct(
@@ -229,7 +220,7 @@ def shared_scaling_estimate(
         raise ValueError(f"D must be a length-{Pi.shape[1]} weight vector")
     if np.any(d <= 0) or not np.all(np.isfinite(d)):
         raise ValueError("D must be strictly positive and finite")
-    C = _weighted_solve(Pi, d, (B_mean - sigma_v2).T).T
+    C = _solve_normal(*_normal_equations(Pi, d, B_mean - sigma_v2))
     return np.maximum(C, 0.0) if clamp else C
 
 
@@ -365,7 +356,7 @@ def ml_fixed_point(
     if c.shape != (K,) or not (c >= 0).all():
         raise ValueError("init must be a nonnegative length-K vector")
 
-    residual = (b_m - sigma_v2)[:, None]
+    r = b_m - sigma_v2
     # the public `negative_llf` scores the warm start and each backtrack:
     # perfbench/tracing.py counts ML's LLF evaluations through it
     weights = _slot_weights(_slot_powers(c, Pi, sigma_v2))
@@ -373,7 +364,7 @@ def ml_fixed_point(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        c_new = np.maximum(_weighted_solve(Pi, weights, residual)[:, 0], 0.0)
+        c_new = np.maximum(_solve_normal(*_normal_equations(Pi, weights, r)), 0.0)
         # the iterate's powers are checked before its LLF takes their log
         powers = _slot_powers(c_new, Pi, sigma_v2)
         weights_new = _slot_weights(powers)
@@ -435,14 +426,15 @@ def shared_scaling_fixed_point(
     sigma_v2: float,
     tol: float = 1e-8,
     max_iter: int = 200,
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Batch variant with one scaling matrix shared by all antenna rows.
 
-    Returns (C_hat (M x K), converged).  The shared slot weights are rebuilt
-    from the antenna-averaged variance estimate, trading some accuracy for
-    a single K x K solve per sweep.  Each step is `shared_scaling_estimate`
-    at the weights of the antenna mean.  Stopping at max_iter is flagged,
-    not an error.
+    Returns (C_hat (M x K), converged (M,) bool), the rows' flags all equal:
+    the rows stop together.  The shared slot weights are rebuilt from the
+    antenna-averaged variance estimate, trading some accuracy for a single
+    K x K solve per sweep.  Each step is `shared_scaling_estimate` at the
+    weights of the antenna mean.  Stopping at max_iter is flagged, not an
+    error.
     """
     Pi = np.asarray(Pi, dtype=float)
     C = shared_scaling_estimate(B, Pi, None, sigma_v2)
@@ -450,9 +442,9 @@ def shared_scaling_fixed_point(
         d = _slot_weights(_slot_powers(C.mean(axis=0), Pi, sigma_v2))
         C_new = shared_scaling_estimate(B, Pi, d, sigma_v2)
         if _small_step(C_new, C, tol):
-            return C_new, True
+            return C_new, np.ones(len(C_new), dtype=bool)
         C = C_new
-    return C, False
+    return C, np.zeros(len(C), dtype=bool)
 
 
 def adaptive_update(
@@ -482,12 +474,11 @@ def adaptive_update(
             f"need one squared observation per pilot ({A.shape[1]}) for each "
             f"row of the state {rows}, got shape {r.shape}"
         )
-    # the matrix-vector products (A @ v[..., None])[..., 0] round as in a
-    # single-row update, so a stack gives each row's result bit for bit
+    G, rhs = _normal_equations(A, d, r)
     Xi *= lam
-    Xi += (A * d[..., None, :]) @ A.T
+    Xi += G
     psi *= lam
-    psi += (A @ (d * r)[..., None])[..., 0]
+    psi += rhs
     return np.maximum(_solve_normal(Xi, psi), 0.0)
 
 

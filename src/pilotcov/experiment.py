@@ -250,8 +250,7 @@ def _estimate_covariances(
               else estimate_all_rows_ml)
         C_hat, converged = ml(c_obs, schedule.compound, sigma_v2,
                               tol=cfg.tol, max_iter=cfg.max_iter)
-        # shared scaling's one flag stands for every row
-        stopped = np.count_nonzero(~np.broadcast_to(converged, len(C_hat)))
+        stopped = np.count_nonzero(~converged)
         if stopped:
             logger.warning("%s ML stopped at max_iter=%d on %d of %d antenna rows "
                            "at %s=%d, trial %d", cfg.ml_scaling, cfg.max_iter,
@@ -555,7 +554,7 @@ def load_experiment_config(path: str, seed_base: int | None = None) -> Experimen
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh, source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc

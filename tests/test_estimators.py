@@ -24,7 +24,8 @@ from pilotcov import (
     two_step_reconstruct,
 )
 from pilotcov import estimators
-from pilotcov.estimators import _halvings, _slot_powers, _slot_weights, _solve_normal
+from pilotcov.estimators import (_halvings, _normal_equations, _slot_powers, _slot_weights,
+                                 _solve_normal)
 
 from training import simulate_training
 
@@ -161,15 +162,15 @@ def test_one_column_per_slot_required(estimate):
 @st.composite
 def spd_systems(draw):
     """A Gram matrix G = X diag(d) X^T (K x K, K = 2..70) with one
-    right-hand side (K,) or several (K, M).  scipy divides a 1 x 1
+    right-hand side (K,) or several as rows (M, K).  scipy divides a 1 x 1
     system, which `_solve_normal` factors: `spd_stacks` checks the 1 x 1
     bits against scipy's stacked solve."""
     K = draw(st.integers(2, 70))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.standard_normal((K, K + draw(st.integers(0, K))))
     G = (X * rng.uniform(0.1, 10.0, X.shape[1])) @ X.T
-    ncols = draw(st.none() | st.integers(1, 8))
-    rhs = rng.standard_normal(K if ncols is None else (K, ncols))
+    nrhs = draw(st.none() | st.integers(1, 8))
+    rhs = rng.standard_normal(K if nrhs is None else (nrhs, K))
     return G, rhs
 
 
@@ -202,13 +203,52 @@ def spd_stacks(draw):
     return Xi, psi
 
 
+@st.composite
+def weighted_rows(draw):
+    """A random schedule with M = 1..8 antenna rows of positive slot weights
+    d (M, N*Ttr), spread over six decades, and signed residuals r (M,
+    N*Ttr), one per slot of its compound allocation."""
+    K, Ttr, N, cells = draw(st.sampled_from([(6, 3, 4, 3), (12, 5, 5, 3),
+                                             (70, 11, 7, 7)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    schedule = make_random_schedule(K, Ttr, N, cells, rng)
+    M = draw(st.integers(1, 8))
+    d = 10.0 ** rng.uniform(-3.0, 3.0, (M, N * Ttr))
+    return schedule, d, rng.exponential(size=(M, N * Ttr)) - 0.5
+
+
+class TestNormalEquations:
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(weighted_rows())
+    def test_stack_of_rows_rounds_as_each_row_alone(self, problem):
+        # on a one-hot allocation every entry is a single product
+        schedule, d, r = problem
+        for n, A in enumerate(schedule.allocations):
+            slots = slice(n * schedule.Ttr, (n + 1) * schedule.Ttr)
+            G, rhs = _normal_equations(A, d[:, slots], r[:, slots])
+            for m in range(len(d)):
+                G_m, rhs_m = _normal_equations(A, d[m, slots], r[m, slots])
+                assert np.array_equal(G[m], G_m) and np.array_equal(rhs[m], rhs_m)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(weighted_rows())
+    def test_compound_matches_dense_oracle(self, problem):
+        schedule, d, r = problem
+        Pi = schedule.compound
+        G, rhs = _normal_equations(Pi, d[0], r)
+        D = np.diag(d[0])
+        np.testing.assert_allclose(G, Pi @ D @ Pi.T, rtol=1e-12, atol=0)
+        # signed residuals can cancel, so rtol is taken of the sum of magnitudes
+        assert (np.abs(rhs - r @ D @ Pi.T) <= 1e-12 * (np.abs(r) @ D @ Pi.T)).all()
+
+
 class TestSolveNormal:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(spd_systems())
     def test_bits_equal_scipy_positive_definite_solve(self, system):
         G, rhs = system
         assert np.array_equal(_solve_normal(G, rhs),
-                              scipy.linalg.solve(G, rhs, assume_a="pos"))
+                              scipy.linalg.solve(G, rhs.T, assume_a="pos").T)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(spd_stacks())
@@ -646,7 +686,7 @@ class TestSharedScalingFixedPoint:
         exact = np.tile(C @ sched.compound + 0.2, (1, 5))
         Pi = np.tile(sched.compound, (1, 5))
         est, converged = shared_scaling_fixed_point(exact, Pi, 0.2)
-        assert converged is True
+        assert converged.shape == (4,) and converged.all()
         assert np.max(np.abs(est - C)) < 1e-8
 
     def test_close_to_per_row_on_noisy_data(self):
@@ -674,7 +714,8 @@ class TestSharedScalingFixedPoint:
         with caplog.at_level(logging.DEBUG, logger="pilotcov.estimators"):
             C_hat, converged = shared_scaling_fixed_point(B, Pi, 0.3, max_iter=1)
             _, flags = estimate_all_rows_ml(B, Pi, 0.3, max_iter=1)
-        assert converged is False and C_hat.shape == (4, 4)
+        assert converged.shape == (4,) and not converged.any()
+        assert C_hat.shape == (4, 4)
         assert not flags.all()
         assert [r for r in caplog.records if r.name == "pilotcov.estimators"] == []
 

@@ -411,6 +411,13 @@ class TestCLI:
         ["schedule", "inspect", "{missing}"],
         ["schedule", "inspect", "{malformed}"],
         ["schedule", "inspect", "{single_user}"],
+        ["run", "{cfg}", "--out", ""],
+        ["schedule", "generate", "--users", "12", "--pilots", "5", "--cells", "3",
+         "--out", ""],
+        ["schedule", "generate", "--users", "12", "--pilots", "5", "--cells", "3",
+         "--out", "{missing}/x.txt"],
+        ["schedule", "generate", "--users", "12", "--pilots", "5", "--cells", "3",
+         "--out", "{dir}"],
     ])
     def test_bad_input_exits_1(self, argv, desk_config, tmp_path, capsys):
         malformed = tmp_path / "malformed.txt"
@@ -418,7 +425,8 @@ class TestCLI:
         single_user = tmp_path / "single_user.txt"
         single_user.write_text("0\n1\n")
         paths = {"cfg": desk_config, "missing": str(tmp_path / "missing.txt"),
-                 "malformed": str(malformed), "single_user": str(single_user)}
+                 "malformed": str(malformed), "single_user": str(single_user),
+                 "dir": str(tmp_path)}
         argv = [a.format(**paths) for a in argv]
         try:
             rc = cli_main(argv)
@@ -524,10 +532,13 @@ class TestCLI:
     @pytest.mark.parametrize("text, named", [
         (None, "cannot read config file"),
         ("M = 8\n", "config parse error"),
-    ], ids=["missing-file", "no-section-header"])
+        (b"[scenario]\nM = 8\xff\n", "cannot read config file"),
+    ], ids=["missing-file", "no-section-header", "not-utf-8"])
     def test_unreadable_config_refused_at_validate(self, text, named, tmp_path, capsys):
         path = tmp_path / "unreadable.cfg"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         assert cli_main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
