@@ -126,9 +126,9 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         raise ConfigError(f"schedule file {args.file}: {exc}") from exc
     except IdentifiabilityError:
         min_length = None  # no schedule length helps a single pilot
-    full = "yes" if schedule.rank == schedule.K else "NO"
     print(f"K={schedule.K} Ttr={schedule.Ttr} N={schedule.N}")
-    print(f"rank={schedule.rank} condition={schedule.cond:.6g} identifiable={full}")
+    print(f"rank={schedule.rank} condition={schedule.cond:.6g} "
+          f"identifiable={'yes' if schedule.identifiable else 'NO'}")
     if min_length is not None:
         print(f"minimum schedule length={min_length}")
     return 0

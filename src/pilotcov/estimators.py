@@ -185,7 +185,7 @@ def two_step_reconstruct(
     Requires the compound allocation matrix to have full row rank K;
     otherwise the channel variances are not uniquely reconstructible.
     """
-    if schedule.rank < schedule.K:
+    if not schedule.identifiable:
         raise IdentifiabilityError(
             f"compound allocation has rank {schedule.rank} < K={schedule.K}; channel "
             f"variances cannot be uniquely reconstructed"

@@ -60,14 +60,13 @@ __all__ = [
     "load_experiment_config",
     "run_experiment",
     "emit_csv",
-    "load_result_csv",
 ]
 
 logger = logging.getLogger(__name__)
 
 ESTIMATOR_NAMES = ("genie", "ml", "two_step", "adaptive", "ls")
 UNIDENTIFIABLE = "unidentifiable"
-# estimators that invert the compound allocation: a schedule of rank < K
+# estimators that invert the compound allocation: an unidentifiable schedule
 # gives them a marker instead of numbers
 INVERTS_COMPOUND = ("ml", "two_step")
 # estimators that read no training window: on a T sweep a trial's rates
@@ -364,10 +363,9 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
     schedule, B, Phi_eval = longest or _draw_point(point, truth, H_eval,
                                                    _streams(cfg, trial))
     B = B[:, :T * scn.Ttr]  # the first T intervals
-    identifiable = schedule.rank == scn.K
 
     c_obs = None
-    if identifiable and set(cfg.estimators) & set(INVERTS_COMPOUND):
+    if schedule.identifiable and set(cfg.estimators) & set(INVERTS_COMPOUND):
         c_obs = estimate_obs_covariances(B, schedule)
 
     served = np.arange(scn.users_per_cell)
@@ -376,7 +374,7 @@ def _run_unit(cfg: ExperimentConfig, axis_value: int, trial: int,
 
     records = []
     for name in cfg.estimators:
-        if name in INVERTS_COMPOUND and not identifiable:
+        if name in INVERTS_COMPOUND and not schedule.identifiable:
             records.append(Record(axis_value, name, trial, None, None, 0.0))
             continue
         start = time.perf_counter()
@@ -444,24 +442,6 @@ def emit_csv(records: tuple[Record, ...], path: str) -> None:
         )
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _parse_cell(token: str) -> float | None:
-    return None if token in (UNIDENTIFIABLE, "") else float(token)
-
-
-def load_result_csv(path: str) -> tuple[Record, ...]:
-    """Parse a CSV produced by `emit_csv` back into records."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header in {path}")
-    records = []
-    for ln in lines[1:]:
-        axis, name, seed, rate_tok, rmse_tok, rt = ln.split(",")
-        records.append(Record(int(axis), name, int(seed), _parse_cell(rate_tok),
-                              _parse_cell(rmse_tok), float(rt)))
-    return tuple(records)
 
 
 def _list_of(parse):

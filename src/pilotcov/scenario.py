@@ -27,6 +27,10 @@ __all__ = [
     "genie_covariances",
 ]
 
+# every slot power is at least sigma_v2, so sigma_v2**-2 bounds every slot
+# weight: below this it overflows (compared, since 1e-300 ** -2 raises)
+_MIN_SIGMA_V2 = float(np.sqrt(np.finfo(float).tiny))
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -35,7 +39,8 @@ class ScenarioConfig:
     M:              base-station antennas
     K:              total users, own cell plus neighbouring cells
     Ttr:            orthonormal pilot sequences per training phase
-    sigma_v2:       noise variance (linear scale, finite and > 0), assumed known
+    sigma_v2:       noise variance (linear scale, finite and at least
+                    sqrt of the smallest normal float), assumed known
     num_cells:      number of cells contributing users
     users_per_cell: users per cell; num_cells * users_per_cell == K
     seed:           base RNG seed for everything derived from this scenario
@@ -59,8 +64,10 @@ class ScenarioConfig:
             raise ValueError(f"K must be >= 2, got {self.K}")
         if not 1 <= self.Ttr <= self.K:
             raise ValueError(f"Ttr must be in [1, K={self.K}], got {self.Ttr}")
-        if not 0 < self.sigma_v2 < np.inf:
-            raise ValueError(f"sigma_v2 must be finite and > 0, got {self.sigma_v2}")
+        if not _MIN_SIGMA_V2 <= self.sigma_v2 < np.inf:
+            raise ValueError(f"sigma_v2 must be finite and > 0, at least "
+                             f"{_MIN_SIGMA_V2:.6g} for 1/sigma_v2**2 to be finite, "
+                             f"got {self.sigma_v2}")
         if self.num_cells < 1:
             raise ValueError(f"num_cells must be >= 1, got {self.num_cells}")
         if self.users_per_cell is None:
@@ -186,7 +193,8 @@ def generate_covariance_set(
     else:
         raise InvalidProfileError(f"unknown profile kind: {profile!r}")
 
-    norm = np.linalg.norm(C)  # estimation errors are relative to it
+    with np.errstate(over="ignore"):  # an infinite norm is refused below
+        norm = np.linalg.norm(C)  # estimation errors are relative to it
     if not 0 < norm < np.inf:
         raise InvalidProfileError(f"{profile!r} draws a ground truth of norm {norm}: "
                                   f"its powers underflow or overflow")

@@ -38,9 +38,11 @@ class Schedule:
     """The (N, K) pilot indices of a schedule over Ttr pilots.
 
     Derived once, at construction: the one-hot `allocations` (N, K, Ttr),
-    their horizontal concatenation `compound` (K, N * Ttr) and its
-    `rank_and_condition`; identifiable if rank == K.  Schedules compare and
-    hash by identity: a field-wise `==` on arrays has no truth value.
+    their horizontal concatenation `compound` (K, N * Ttr), its
+    `rank_and_condition` and `identifiable`, the one test of rank == K:
+    only then are the per-user variances uniquely reconstructible.
+    Schedules compare and hash by identity: a field-wise `==` on arrays has
+    no truth value.
     """
 
     pilots: np.ndarray  # (N, K) integers in [0, Ttr)
@@ -49,6 +51,7 @@ class Schedule:
     compound: np.ndarray = field(init=False, repr=False)
     rank: int = field(init=False)
     cond: float = field(init=False)
+    identifiable: bool = field(init=False)
 
     def __post_init__(self) -> None:
         pilots = np.array(self.pilots)
@@ -67,6 +70,7 @@ class Schedule:
         rank, cond = rank_and_condition(self)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "cond", cond)
+        object.__setattr__(self, "identifiable", rank == self.K)
 
     @property
     def K(self) -> int:
@@ -157,7 +161,7 @@ def make_random_schedule(
         cells = [rng.permutation(Ttr)[: K // num_cells]
                  for _ in range(N) for _ in range(num_cells)]
         schedule = Schedule(np.reshape(cells, (N, K)), Ttr)
-        if not require_full_rank or schedule.rank == K:
+        if not require_full_rank or schedule.identifiable:
             return schedule
     # e.g. at the minimum length with one user per cell and Ttr = K, a draw
     # is full rank with probability K!/K^K

@@ -161,6 +161,10 @@ class TestSquaredRows:
         np.testing.assert_allclose(out, expected, rtol=1e-12)
         assert out.shape == (4, 6)
 
+    def test_single_block_without_stack_axis_rejected(self):
+        with pytest.raises(ValueError, match="stack of equal blocks"):
+            squared_rows(np.zeros((2, 3), dtype=complex))
+
     def test_mixed_antenna_counts_rejected(self):
         blocks = [
             np.zeros((2, 1), dtype=complex),

@@ -339,6 +339,16 @@ class TestSharedScalingEstimate:
         est = shared_scaling_estimate(np.full((2, 6), 0.5), sched.compound, None, 0.5)
         np.testing.assert_allclose(est, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("D, named", [
+        (np.ones(5), "length-6 weight vector"),
+        (np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0]), "strictly positive"),
+        (np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]), "strictly positive"),
+    ], ids=["wrong-length", "zero-weight", "negative-weight"])
+    def test_bad_weights_rejected(self, D, named):
+        sched = make_example_schedule_442()
+        with pytest.raises(ValueError, match=named):
+            shared_scaling_estimate(np.ones((2, 6)), sched.compound, D, 0.1)
+
     def test_singular_system_rejected(self):
         Pi = np.ones((3, 4))  # rank-one Gram matrix
         with pytest.raises((SingularSystemError, ValueError)):

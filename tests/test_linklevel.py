@@ -169,6 +169,11 @@ class TestUplinkSumRate:
             assert type(single) is float
             np.testing.assert_allclose(rates[e], single, rtol=1e-12)
 
+    def test_served_of_wrong_length_rejected(self):
+        W = np.ones((4, 2), dtype=complex)
+        with pytest.raises(ValueError, match="one served-user index per filter column"):
+            uplink_sum_rate(W, np.ones((4, 5), dtype=complex), 0.3, served=[0, 1, 2])
+
     def test_zero_channels_zero_rate(self):
         W = np.ones((4, 2), dtype=complex)
         assert uplink_sum_rate(W, np.zeros((4, 5), dtype=complex), 0.3) == 0.0

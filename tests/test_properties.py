@@ -99,6 +99,7 @@ def test_rank_respects_structural_bound(cells, per_cell, Ttr, N, seed):
     rank, _ = rank_and_condition(sched)
     assert 1 <= rank <= min(K, Ttr + (N - 1) * (Ttr - 1))
     assert (sched.rank, sched.cond) == rank_and_condition(sched)
+    assert sched.identifiable == (sched.rank == K)
 
 
 @st.composite

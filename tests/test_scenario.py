@@ -36,6 +36,8 @@ class TestScenarioConfig:
             dict(sigma_v2=np.inf),
             dict(num_cells=3),           # 4 users not divisible by 3 cells
             dict(users_per_cell=3),      # 2 * 3 != 4
+            dict(num_cells=0),
+            dict(sigma_v2=1e-300),       # its weights 1/sigma_v2**2 overflow
         ],
     )
     def test_invalid_configs_rejected(self, kw):
@@ -53,6 +55,13 @@ class TestUniformProfile:
         # an all-zero truth leaves the relative cov_rmse undefined
         with pytest.raises(InvalidProfileError, match="power must be finite and > 0"):
             Uniform(0.0)
+
+    def test_overflowing_norm_rejected(self):
+        # each power is finite, but the norm of the truth overflows; numpy's
+        # overflow warning would be an error in this suite
+        with pytest.raises(InvalidProfileError, match="norm inf"):
+            generate_covariance_set(_config(), Uniform(power=1e300),
+                                    np.random.default_rng(0))
 
 
 class TestBandLimitedProfile:

@@ -58,6 +58,10 @@ class TestMinScheduleLength:
         with pytest.raises(IdentifiabilityError):
             min_schedule_length(4, 1)
 
+    def test_no_pilots_rejected(self):
+        with pytest.raises(ValueError, match="Ttr must be >= 1"):
+            min_schedule_length(4, 0)
+
 
 class TestExampleSchedule442:
     def test_exact_allocations(self):
