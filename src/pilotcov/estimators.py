@@ -18,7 +18,9 @@ own diagonal slot weighting D:
 antenna row, and `_solve_normal` solves it, taking the right-hand sides
 as rows (..., K) for a single system and for a stack alike; it imports
 scipy at the first solve, so a process that never solves (`pilotcov
-validate`, `pilotcov schedule`) never loads it.  The weights of ML,
+validate`, `pilotcov schedule`) never loads it.  Variances are
+nonnegative, and `_solve_nonneg`, the solve every estimator calls, is
+the one place that imposes c >= 0.  The weights of ML,
 shared scaling and the adaptive estimator are d_i = 1 / p_i^2 at the
 slot powers p = Pi^T c + sigma_v2 of the current estimate:
 `_slot_powers` forms p and refuses a power that is not positive, NaN
@@ -165,22 +167,29 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not rcond >= _EPS:
         import scipy.linalg
 
+        # one text for every rcond, so the default filter shows it once per
+        # estimator line that reaches it through `_solve_nonneg`
         warnings.warn(
-            f"ill-conditioned normal equations (rcond={rcond:.6g}): the "
-            "solution may not be accurate", scipy.linalg.LinAlgWarning, stacklevel=2,
+            "ill-conditioned normal equations: the solution may not be accurate",
+            scipy.linalg.LinAlgWarning, stacklevel=3,
         )
     return x.T
+
+
+def _solve_nonneg(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """`_solve_normal`'s solution clamped to the nonnegative orthant, entry
+    by entry: the one place the estimators impose c >= 0."""
+    return np.maximum(_solve_normal(G, rhs), 0.0)
 
 
 def two_step_reconstruct(
     c_obs: np.ndarray,
     schedule: Schedule,
     sigma_v2: float,
-    *,
-    clamp: bool = True,
 ) -> np.ndarray:
     """Right-invert the compound allocation (D = I) on the slot means
-    c_obs (M x N*Ttr): C = (c_obs - sigma_v2) Pi^T (Pi Pi^T)^{-1}, (M x K).
+    c_obs (M x N*Ttr), clamped to c >= 0:
+    C = max((c_obs - sigma_v2) Pi^T (Pi Pi^T)^{-1}, 0), (M x K).
 
     Requires the compound allocation matrix to have full row rank K;
     otherwise the channel variances are not uniquely reconstructible.
@@ -190,9 +199,7 @@ def two_step_reconstruct(
             f"compound allocation has rank {schedule.rank} < K={schedule.K}; channel "
             f"variances cannot be uniquely reconstructed"
         )
-    return shared_scaling_estimate(
-        c_obs, schedule.compound, None, sigma_v2, clamp=clamp
-    )
+    return shared_scaling_estimate(c_obs, schedule.compound, None, sigma_v2)
 
 
 def shared_scaling_estimate(
@@ -200,14 +207,12 @@ def shared_scaling_estimate(
     Pi_tilde: np.ndarray,
     D: np.ndarray | None,
     sigma_v2: float,
-    *,
-    clamp: bool = True,
 ) -> np.ndarray:
-    """Weighted right inverse shared by all antenna rows.
+    """Weighted right inverse shared by all antenna rows, clamped to c >= 0.
 
-    C = (B_mean - sigma_v2) D Pi^T (Pi D Pi^T)^{-1}, (M x K), for a positive
-    diagonal D (given as a vector of slot weights; None means identity).
-    With D = identity this reduces exactly to the two-step reconstruction.
+    C = max((B_mean - sigma_v2) D Pi^T (Pi D Pi^T)^{-1}, 0), (M x K), for a
+    positive diagonal D (given as a vector of slot weights; None means
+    identity).  With D = identity this is the two-step reconstruction.
     """
     Pi = np.asarray(Pi_tilde, dtype=float)
     B_mean = np.asarray(B_mean)
@@ -220,8 +225,7 @@ def shared_scaling_estimate(
         raise ValueError(f"D must be a length-{Pi.shape[1]} weight vector")
     if np.any(d <= 0) or not np.all(np.isfinite(d)):
         raise ValueError("D must be strictly positive and finite")
-    C = _solve_normal(*_normal_equations(Pi, d, B_mean - sigma_v2))
-    return np.maximum(C, 0.0) if clamp else C
+    return _solve_nonneg(*_normal_equations(Pi, d, B_mean - sigma_v2))
 
 
 def _slot_powers(c: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
@@ -315,21 +319,16 @@ def ml_fixed_point(
     the caller's nonnegative (K,) warm start `init` (the two-step solution
     in `estimate_all_rows_ml`).
 
-    Each step solves the weighted normal equations with slot weights
-    d_i = 1 / slot_power_i^2 frozen at the previous iterate, then clamps
-    the result to the nonnegative orthant.  An iterate's slot powers are
-    computed once and give both its LLF and the next weights, which are
-    carried to the next iteration.  Both rules run before the LLF takes a
-    log: `_slot_powers` raises ValueError for a power that is not positive,
-    NaN included, and `_slot_weights` SingularSystemError for an infinite
-    one.  If the LLF
-    increases, the step is halved toward the previous iterate up to 10
-    times and the first halving that does not increase it is taken; the
-    ten halvings are one running sum (`_halvings`) and one stacked
-    `negative_llf` call scores them.  So a row calls `negative_llf` once
-    at the warm start and once per backtrack.  The cost is neither convex
-    nor quasi-convex, so this only safeguards against divergence without
-    moving the fixed points.
+    Each step is `_solve_nonneg` on the weighted normal equations with
+    slot weights d_i = 1 / slot_power_i^2 frozen at the previous iterate.
+    An iterate's slot powers are computed and checked once, before the LLF
+    takes their log, and give both its LLF and the next weights.  If the
+    LLF increases, the step is halved toward the previous iterate up to 10
+    times and the first halving that does not increase it is taken; one
+    stacked `negative_llf` call scores the ten halvings of `_halvings`, so
+    a row calls `negative_llf` once at the warm start and once per
+    backtrack.  The cost is neither convex nor quasi-convex, so this only
+    safeguards against divergence without moving the fixed points.
 
     Convergence requires the step rule of `_small_step`, ||c_new -
     c_old||_inf <= tol * (1 + ||c_old||_inf), and, at interior iterates, a
@@ -364,7 +363,7 @@ def ml_fixed_point(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        c_new = np.maximum(_solve_normal(*_normal_equations(Pi, weights, r)), 0.0)
+        c_new = _solve_nonneg(*_normal_equations(Pi, weights, r))
         # the iterate's powers are checked before its LLF takes their log
         powers = _slot_powers(c_new, Pi, sigma_v2)
         weights_new = _slot_weights(powers)
@@ -463,8 +462,7 @@ def adaptive_update(
     (K, Ttr) one-hot allocation A = `schedule.allocations[n]`, slot weights
     d and residuals r = b - sigma_v2 of each row's squared observations b
     (..., Ttr).  The leading shape of r must be the state's.  Returns the
-    new estimate, the solution of Xi c = psi clamped to the nonnegative
-    orthant, (..., K).
+    new estimate, `_solve_nonneg(Xi, psi)`, (..., K).
     """
     rows = psi.shape[:-1]
     if A.shape[0] != psi.shape[-1]:
@@ -479,7 +477,7 @@ def adaptive_update(
     Xi += G
     psi *= lam
     psi += rhs
-    return np.maximum(_solve_normal(Xi, psi), 0.0)
+    return _solve_nonneg(Xi, psi)
 
 
 def adaptive_estimate(

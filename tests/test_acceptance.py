@@ -34,7 +34,7 @@ from pilotcov import (
     two_step_reconstruct,
 )
 
-from training import simulate_training
+from training import simulate_training, unclamped_right_inverse
 
 
 def _criterion(name: str, ok: bool, elapsed: float, limit: float, detail: str = ""):
@@ -89,12 +89,11 @@ def test_right_inverse_and_weighted_reduction():
         est_d = shared_scaling_estimate(exact, sched.compound, d, sigma_v2)
         worst_d = max(worst_d, float(np.max(np.abs(est_d - C))))
         noisy = exact * rng.uniform(0.5, 1.5, size=exact.shape)
-        est_eye = shared_scaling_estimate(noisy, sched.compound, None, sigma_v2,
-                                          clamp=False)
-        est_two = two_step_reconstruct(noisy, sched, sigma_v2,
-                                       clamp=False)
-        worst_eye = max(worst_eye,
-                        float(np.max(np.abs(est_eye - est_two))))
+        # both against the clamped dense reference, not one against the other
+        ref = np.maximum(unclamped_right_inverse(noisy, sched.compound, sigma_v2), 0)
+        for est in (shared_scaling_estimate(noisy, sched.compound, None, sigma_v2),
+                    two_step_reconstruct(noisy, sched, sigma_v2)):
+            worst_eye = max(worst_eye, float(np.max(np.abs(est - ref))))
     _criterion(
         "weighted right inverse recovers exactly; identity weights = two-step",
         worst_d < 1e-10 and worst_eye < 1e-10,
@@ -218,9 +217,8 @@ def test_adaptive_matches_batch_reconstruction():
     C = rng.random((M, K)) + 0.2
     sigma_v2 = 0.3
     B = simulate_training(C, sched, sigma_v2, S, rng)
-    batch = two_step_reconstruct(
-        estimate_obs_covariances(B, sched), sched, sigma_v2, clamp=False
-    )
+    batch = unclamped_right_inverse(estimate_obs_covariances(B, sched),
+                                    sched.compound, sigma_v2)
     worst = 0.0
     for m in range(M):
         Xi, psi = np.eye(K), np.zeros(K)

@@ -8,10 +8,9 @@ from pilotcov import (
     adaptive_update,
     estimate_obs_covariances,
     make_random_schedule,
-    two_step_reconstruct,
 )
 
-from training import simulate_training
+from training import simulate_training, unclamped_right_inverse
 
 # K=2, Ttr=2, identity allocation, unit noise, lam=0.9: from the prior
 # Xi = I, psi = 0, c = 1 the slot powers are 1+1=2, so the weights are 1/4
@@ -90,9 +89,8 @@ class TestBatchEquivalence:
         C = rng.random((3, K)) + 0.2
         sigma_v2 = 0.3
         B = simulate_training(C, sched, sigma_v2, S, rng)
-        batch = two_step_reconstruct(
-            estimate_obs_covariances(B, sched), sched, sigma_v2, clamp=False
-        )
+        batch = unclamped_right_inverse(estimate_obs_covariances(B, sched),
+                                        sched.compound, sigma_v2)
         for m in range(3):
             Xi, psi = np.eye(K), np.zeros(K)
             for t in range(S * N):

@@ -32,10 +32,10 @@ from pilotcov import (
     make_random_schedule,
     min_schedule_length,
     observe,
-    shared_scaling_estimate,
     squared_rows,
-    two_step_reconstruct,
 )
+
+from training import unclamped_right_inverse
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -59,8 +59,7 @@ def designs(draw):
 def _error_covariance(Pi, sigma_v2, d, p, S):
     """Covariance of the unclamped weighted solve: its linear map A (L x K)
     is the estimate from b = sigma_v2 + I, propagated from diag(p^2 / S)."""
-    A = shared_scaling_estimate(sigma_v2 + np.eye(Pi.shape[1]), Pi, d, sigma_v2,
-                                clamp=False)
+    A = unclamped_right_inverse(sigma_v2 + np.eye(Pi.shape[1]), Pi, sigma_v2, d)
     return A.T @ ((p**2 / S)[:, None] * A)
 
 
@@ -95,7 +94,7 @@ def test_two_step_mse_matches_its_closed_form():
     blocks = [observe(draw_channels(cov, rng), sched.allocations[t % N], sigma_v2, rng)
               for t in range(S * N)]
     b = estimate_obs_covariances(squared_rows(blocks), sched)
-    sq_err = (two_step_reconstruct(b, sched, sigma_v2, clamp=False) - c) ** 2
+    sq_err = (unclamped_right_inverse(b, sched.compound, sigma_v2) - c) ** 2
 
     Pi = sched.compound
     p = Pi.T @ c + sigma_v2
@@ -130,5 +129,5 @@ def test_interior_ml_rows_attain_the_crb():
         sq_err.mean(axis=0) / crb, std_err / crb)
     assert abs(sq_err.mean(axis=0).sum() / crb.sum() - 1) <= 0.05
     # the same draws put two-step well above the bound
-    two_step = two_step_reconstruct(b, sched, sigma_v2, clamp=False)
+    two_step = unclamped_right_inverse(b, sched.compound, sigma_v2)
     assert ((two_step - c) ** 2).mean(axis=0).sum() / crb.sum() >= 1.1

@@ -1,6 +1,9 @@
 import configparser
 import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +147,9 @@ class TestConfigLoading:
     @pytest.mark.parametrize("path", CHECKED_IN_CONFIGS,
                              ids=[str(p.relative_to(ROOT)) for p in CHECKED_IN_CONFIGS])
     def test_checked_in_config_survives_configparser_rewrite(self, path, tmp_path):
+        # every checked-in config, the presets README tells users to run
+        # included, passes `pilotcov validate` as written
+        assert cli_main(["validate", str(path)]) == 0
         # a configparser read and write lower-cases the keys and drops the
         # comments, as the benchmark does for its check and unit sweeps
         cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -613,6 +619,36 @@ class TestCLI:
                                          "estimators = ml"))
         assert cli_main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_tiny_noise_power_exits_2_with_one_warning_per_line(self, tmp_path):
+        # a noise power about 1e-10 of the signal's gives band-limited rows
+        # at c = 0 slot weights near 1/sigma_v2**2, and the weighted Gram
+        # matrix of ML is then too ill-conditioned to factor (the config
+        # passes the sqrt(tiny) bound on sigma_v2).  Run in a fresh process:
+        # the suite's filter would raise the LinAlgWarning instead.
+        text = (ROOT / "configs" / "desk.cfg").read_text()
+        for old, new in [("sigma_v2 = 0.1", "sigma_v2 = 1e-10"),
+                         ("values = 30, 60, 120, 240", "values = 30"),
+                         ("trials = 20", "trials = 1")]:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "tiny_noise.cfg"
+        path.write_text(text)
+        src = str(ROOT / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pilotcov.cli", "run", str(path),
+             "--out", str(tmp_path / "o.csv")],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "singular or indefinite" in proc.stderr.splitlines()[-1]
+        # the warning text does not vary, so each line that warns shows once
+        warned = [line.split(": LinAlgWarning")[0]
+                  for line in proc.stderr.splitlines() if "LinAlgWarning" in line]
+        assert 1 <= len(warned) == len(set(warned)), proc.stderr
+        assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("axis", ["T", "Ttr"])

@@ -1,7 +1,8 @@
 """Invariances of the shared normal-equation solve, property-tested.
 
 For random full-rank schedules, two-step reconstruction and the weighted
-shared-scaling estimate must be
+shared-scaling estimate, both clamped to c >= 0 as the sweep runs them,
+must be
   * scale equivariant: (C, sigma_v2, b) -> (a C, a sigma_v2, a b) gives
     C_hat -> a C_hat;
   * permutation equivariant: relabelling users (rows of every allocation)
@@ -63,8 +64,8 @@ def problems(draw):
 
 
 def _estimates(sched, b, sigma_v2, d):
-    two = two_step_reconstruct(b, sched, sigma_v2, clamp=False)
-    shared = shared_scaling_estimate(b, sched.compound, d, sigma_v2, clamp=False)
+    two = two_step_reconstruct(b, sched, sigma_v2)
+    shared = shared_scaling_estimate(b, sched.compound, d, sigma_v2)
     return two, shared
 
 
