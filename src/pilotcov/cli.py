@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, IdentifiabilityError, PilotCovError
+from .errors import ConfigError, IdentifiabilityError, PilotCovError, _as_config_error
 from .experiment import emit_csv, load_experiment_config, run_experiment
 from .schedule import (
     default_schedule_length,
@@ -105,13 +105,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     if args.schedule_command == "generate":
         K, Ttr = args.users, args.pilots
-        try:
+        with _as_config_error():
             N = args.length if args.length is not None else default_schedule_length(K, Ttr)
             schedule = make_random_schedule(
                 K, Ttr, N, args.cells, np.random.default_rng(args.seed)
             )
-        except (ValueError, IdentifiabilityError) as exc:
-            raise ConfigError(str(exc)) from exc
         print(f"K={K} Ttr={Ttr} N={N} rank={schedule.rank} "
               f"condition={schedule.cond:.6g}")
         if args.out:
@@ -119,13 +117,12 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             print(f"wrote {args.out}")
         return 0
 
-    try:
+    with _as_config_error(f"schedule file {args.file}: "):
         schedule = load_schedule(args.file, Ttr=args.pilots)
-        min_length = min_schedule_length(schedule.K, schedule.Ttr)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"schedule file {args.file}: {exc}") from exc
-    except IdentifiabilityError:
-        min_length = None  # no schedule length helps a single pilot
+        try:
+            min_length = min_schedule_length(schedule.K, schedule.Ttr)
+        except IdentifiabilityError:
+            min_length = None  # no schedule length helps a single pilot
     print(f"K={schedule.K} Ttr={schedule.Ttr} N={schedule.N}")
     print(f"rank={schedule.rank} condition={schedule.cond:.6g} "
           f"identifiable={'yes' if schedule.identifiable else 'NO'}")
@@ -140,16 +137,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {"run": _cmd_run, "schedule": _cmd_schedule, "validate": _cmd_validate}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "schedule":
-            return _cmd_schedule(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule that
+reports bad input as ConfigError."""
+
+import configparser
+from contextlib import contextmanager
 
 __all__ = ["PilotCovError", "InvalidProfileError", "InfeasibleConstraintError",
            "IdentifiabilityError", "SingularSystemError", "ConfigError"]
@@ -29,3 +33,17 @@ class SingularSystemError(PilotCovError, RuntimeError):
 
 class ConfigError(PilotCovError, ValueError):
     """An experiment configuration file or object failed validation."""
+
+
+@contextmanager
+def _as_config_error(context: str = ""):
+    """Report bad input as ConfigError, the one rule for it: inside the
+    block an OSError, ValueError, IdentifiabilityError or configparser.Error
+    is re-raised as ConfigError(context + its text), and a ConfigError
+    passes unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (OSError, ValueError, IdentifiabilityError, configparser.Error) as exc:
+        raise ConfigError(context + str(exc)) from exc

@@ -25,7 +25,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .channel import draw_channels, observe, squared_rows
-from .errors import ConfigError, IdentifiabilityError, InvalidProfileError
+from .errors import ConfigError, _as_config_error
 from .estimators import (
     adaptive_estimate,
     estimate_all_rows_ml,
@@ -145,17 +145,11 @@ def validate_experiment_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[estimation] ml_scaling must be per_row or shared")
     if cfg.eval_intervals < 1:
         raise ConfigError("[link] eval_intervals must be >= 1")
-    if cfg.scenario.seed < 0 or cfg.seed_base < 0:
-        raise ConfigError(
-            f"[scenario] seed and the seed base must be >= 0, got "
-            f"{cfg.scenario.seed} and {cfg.seed_base}"
-        )
-
+    if cfg.seed_base < 0:
+        raise ConfigError(f"the seed base must be >= 0, got {cfg.seed_base}")
     if isinstance(cfg.profile, BandLimited):
-        try:
+        with _as_config_error("[profile] "):
             cfg.profile.check_fits(cfg.scenario.M)
-        except InvalidProfileError as exc:
-            raise ConfigError(f"[profile] {exc}") from exc
 
 
 def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple:
@@ -165,10 +159,8 @@ def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple:
     None in random mode, where each unit draws its own."""
     scn, T = cfg.scenario, value
     if cfg.sweep_axis == "Ttr":
-        try:
+        with _as_config_error(f"[sweep] value {value}: "):
             scn = replace(scn, Ttr=value)
-        except ValueError as exc:
-            raise ConfigError(f"[sweep] value {value}: {exc}") from exc
         T = cfg.T
     K, Ttr = scn.K, scn.Ttr
     if Ttr >= cfg.t_coh:
@@ -177,7 +169,8 @@ def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple:
             f"no channel uses remain for data"
         )
     schedule = None
-    try:
+    source = f"path {cfg.schedule_path}: " if cfg.schedule_path else ""
+    with _as_config_error(f"[schedule] {source}"):
         if cfg.schedule_mode == "random":
             N = (default_schedule_length(K, Ttr) if cfg.schedule_n is None
                  else cfg.schedule_n)
@@ -186,9 +179,6 @@ def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple:
             schedule = (make_example_schedule_442() if cfg.schedule_mode == "example442"
                         else load_schedule(cfg.schedule_path, Ttr=Ttr))
             N = schedule.N
-    except (OSError, ValueError, IdentifiabilityError) as exc:
-        source = f"path {cfg.schedule_path}: " if cfg.schedule_path else ""
-        raise ConfigError(f"[schedule] {source}{exc}") from exc
     if schedule is not None and (schedule.K, schedule.Ttr) != (K, Ttr):
         raise ConfigError(
             f"[schedule] the {cfg.schedule_mode} schedule covers {schedule.K} users "
@@ -244,18 +234,17 @@ def _estimate_covariances(
         return adaptive_estimate(B, schedule, sigma_v2, cfg.lam)
     if name == "two_step":
         return two_step_reconstruct(c_obs, schedule, sigma_v2)
-    if name == "ml":
-        ml = (shared_scaling_fixed_point if cfg.ml_scaling == "shared"
-              else estimate_all_rows_ml)
-        C_hat, converged = ml(c_obs, schedule.compound, sigma_v2,
-                              tol=cfg.tol, max_iter=cfg.max_iter)
-        stopped = np.count_nonzero(~converged)
-        if stopped:
-            logger.warning("%s ML stopped at max_iter=%d on %d of %d antenna rows "
-                           "at %s=%d, trial %d", cfg.ml_scaling, cfg.max_iter,
-                           stopped, len(C_hat), cfg.sweep_axis, *unit)
-        return C_hat
-    raise ConfigError(f"unknown estimator {name!r}")
+    # "ml": ExperimentConfig refuses any name outside ESTIMATOR_NAMES
+    ml = (shared_scaling_fixed_point if cfg.ml_scaling == "shared"
+          else estimate_all_rows_ml)
+    C_hat, converged = ml(c_obs, schedule.compound, sigma_v2,
+                          tol=cfg.tol, max_iter=cfg.max_iter)
+    stopped = np.count_nonzero(~converged)
+    if stopped:
+        logger.warning("%s ML stopped at max_iter=%d on %d of %d antenna rows "
+                       "at %s=%d, trial %d", cfg.ml_scaling, cfg.max_iter,
+                       stopped, len(C_hat), cfg.sweep_axis, *unit)
+    return C_hat
 
 
 def _evaluate_rates(
@@ -494,27 +483,21 @@ def _read_section(sec: configparser.SectionProxy, keys: dict) -> dict:
     for name in sec:
         key = documented[name]
         field, parse = keys[key]
-        try:
+        with _as_config_error(f"[{sec.name}] {key}: "):
             values[field] = parse(sec[name])
-        except ValueError as exc:
-            raise ConfigError(f"[{sec.name}] {key}: {exc}") from exc
     return values
 
 
-def _build(cls, values: dict, section: str | None = None):
+def _build(cls, values: dict, context: str = ""):
     """cls from the values read for its fields: a field the file leaves out
     takes its default, and a field without a default is required (fields
     derived at construction are not read).  A ValueError of cls is
-    reported under `section`; ExperimentConfig raises ConfigError itself."""
+    reported after `context`; ExperimentConfig raises ConfigError itself."""
     for f in fields(cls):
         if f.init and f.default is MISSING and f.name not in values:
             raise ConfigError(f"{_KEY_OF[f.name]} is required")
-    try:
+    with _as_config_error(context):
         return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def load_experiment_config(path: str, seed_base: int | None = None) -> ExperimentConfig:
@@ -528,16 +511,16 @@ def load_experiment_config(path: str, seed_base: int | None = None) -> Experimen
     the file leaves out is not passed, so it takes the dataclass default;
     the keys of fields without a default ([scenario] M, K, Ttr, sigma_v2,
     [sweep] values and the width or support_fraction of a profile) and the
-    [profile] section are required.
+    [profile] section are required.  Values are read literally: a `%` is
+    text, not interpolation.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
+    with _as_config_error(f"cannot read config file {path}: "):
         with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh, source=path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
+            text = fh.read()
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
+    with _as_config_error("config parse error: "):
+        cp.read_string(text, source=path)
     for section in cp.sections():
         if section not in _SECTIONS and section != "profile":
             raise ConfigError(f"unknown section [{section}]")
@@ -546,7 +529,7 @@ def load_experiment_config(path: str, seed_base: int | None = None) -> Experimen
     for section, keys in _SECTIONS.items():
         if cp.has_section(section):
             values.update(_read_section(cp[section], keys))
-    scenario = _build(ScenarioConfig, values, "scenario")
+    scenario = _build(ScenarioConfig, values, "[scenario] ")
 
     if not cp.has_section("profile"):
         raise ConfigError(f"missing [profile] section in {path}")
@@ -557,7 +540,8 @@ def load_experiment_config(path: str, seed_base: int | None = None) -> Experimen
                           f"got {kind!r}")
     cls, keys = _PROFILES[kind]
     # `kind` names no field of the profile, so _build passes it over
-    profile = _build(cls, _read_section(sec, {"kind": ("kind", str), **keys}), "profile")
+    profile = _build(cls, _read_section(sec, {"kind": ("kind", str), **keys}),
+                     "[profile] ")
     if seed_base is not None:
         values["seed_base"] = seed_base
     return _build(ExperimentConfig, {**values, "scenario": scenario, "profile": profile})

@@ -43,7 +43,7 @@ class ScenarioConfig:
                     sqrt of the smallest normal float), assumed known
     num_cells:      number of cells contributing users
     users_per_cell: users per cell; num_cells * users_per_cell == K
-    seed:           base RNG seed for everything derived from this scenario
+    seed:           base RNG seed (>= 0) of everything drawn for the scenario
 
     Cells are contiguous blocks of users: user k is in cell
     k // users_per_cell, and cell 0 is the served cell.
@@ -77,6 +77,8 @@ class ScenarioConfig:
                 f"K={self.K} users do not split into {self.num_cells} cells "
                 f"of {self.users_per_cell}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _check_power(name: str, value: float) -> None:

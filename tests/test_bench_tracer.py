@@ -1,5 +1,7 @@
 """A traced sweep still calls every library function the benchmark tracer
-(perfbench/tracing.py) hooks, so each per-layer metric is reported."""
+(perfbench/tracing.py) hooks, so each per-layer metric is reported, and
+calls the work unit as the pace check (perfbench/check_pace.py) rebinds
+it."""
 
 import importlib.util
 import json
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pilotcov import load_experiment_config, run_experiment
+from pilotcov import experiment, load_experiment_config, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,11 +29,14 @@ def _load_tracing():
 tracing = _load_tracing()
 
 
+def _one_unit_config(**changes):
+    cfg = load_experiment_config(str(ROOT / "tests" / "data" / "golden_per_row.cfg"))
+    return replace(cfg, sweep_values=cfg.sweep_values[:1], trials=1, **changes)
+
+
 @pytest.mark.parametrize("ml_scaling", ["per_row", "shared"])
 def test_traced_sweep_reports_every_layer(ml_scaling):
-    cfg = load_experiment_config(str(ROOT / "tests" / "data" / "golden_per_row.cfg"))
-    cfg = replace(cfg, sweep_values=cfg.sweep_values[:1], trials=1,
-                  ml_scaling=ml_scaling)
+    cfg = _one_unit_config(ml_scaling=ml_scaling)
     tracer = tracing.Tracer()
     tracer.start_sweep(0)
     tracer.install()
@@ -51,3 +56,20 @@ def test_traced_sweep_reports_every_layer(ml_scaling):
         ml_units = sum(r.estimator == "ml" and r.status == "ok" for r in records)
         assert ml_units == 1
         assert metrics["estimators.ml.rows"] == ml_units * cfg.scenario.M
+
+
+def test_sweep_calls_the_unit_as_the_pace_check_rebinds_it(monkeypatch):
+    # check_pace.py replaces experiment._run_unit with a wrapper of exactly
+    # these four parameters, which it forwards positionally
+    cfg = _one_unit_config()
+    plain_run_unit = experiment._run_unit
+    calls = []
+
+    def wrapper(cfg, axis_value, trial, measure_runtime):
+        calls.append((axis_value, trial, measure_runtime))
+        return plain_run_unit(cfg, axis_value, trial, measure_runtime)
+
+    expected = run_experiment(cfg)
+    monkeypatch.setattr(experiment, "_run_unit", wrapper)
+    assert run_experiment(cfg) == expected
+    assert calls == [(cfg.sweep_values[0], 0, False)]

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pilotcov import (
     BandLimited,
@@ -506,6 +508,10 @@ class TestCLI:
         ("T_coh = 100", "T_coh = 4", "T_coh=4 must exceed Ttr=4"),
         ("sigma_v2 = 0.2", "sigma_v2 = 0", "[scenario] sigma_v2 must be finite and > 0"),
         ("sigma_v2 = 0.2", "sigma_v2 = 1e-300", "[scenario] sigma_v2"),
+        ("mode = random\nN = 5", "mode = imported\npath = sched%1.txt", "[schedule] path"),
+        ("power = 1.0", "power = 1.0%", "[profile] power"),
+        ("mode = random\nN = 5", "mode = imported\npath = %(mode)s.txt",
+         "[schedule] path %(mode)s.txt"),
     ], ids=["width-0", "width-above-M", "center-at-M", "center-negative",
             "bandlimited-power-negative",
             "uniform-power-negative", "uniform-power-zero", "dynamic-range-inf",
@@ -518,7 +524,8 @@ class TestCLI:
             "swept-Ttr-above-K", "ttr-sweep-window-0", "ttr-sweep-window-negative",
             "sweep-axis-unknown", "sweep-value-0", "trials-0", "imported-without-path",
             "schedule-mode-unknown", "ml-scaling-unknown", "eval-intervals-0",
-            "t-coh-not-above-ttr", "sigma-v2-0", "sigma-v2-weights-overflow"])
+            "t-coh-not-above-ttr", "sigma-v2-0", "sigma-v2-weights-overflow",
+            "percent-in-path", "percent-in-number", "interpolation-syntax-in-path"])
     def test_config_refused_at_validate(self, old, new, named, tmp_path, capsys):
         sched = tmp_path / "four_users.txt"
         sched.write_text("0 1 2 3\n1 2 3 0\n")
@@ -649,6 +656,28 @@ class TestCLI:
                   for line in proc.stderr.splitlines() if "LinAlgWarning" in line]
         assert 1 <= len(warned) == len(set(warned)), proc.stderr
         assert not (tmp_path / "o.csv").exists()
+
+
+# values a config may not hold, or may hold only in some keys
+BAD_TOKENS = ["", "%", "%(x)s", "nan", "inf", "-1", "1e400", "abc", "é", "1" + "0" * 29,
+              "ml, ml"]
+DESK_FILE_LINES = (ROOT / "configs" / "desk.cfg").read_text().splitlines()
+VALUE_LINES = [i for i, line in enumerate(DESK_FILE_LINES) if re.match(r"\w+ = ", line)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(VALUE_LINES), st.sampled_from(BAD_TOKENS)),
+                min_size=1, max_size=3, unique_by=lambda edit: edit[0]))
+def test_bad_values_never_escape_validate(tmp_path, edits):
+    # whatever replaces 1-3 values of configs/desk.cfg, validate accepts it
+    # (exit 0) or refuses it as bad input (exit 1): no exception escapes
+    lines = list(DESK_FILE_LINES)
+    for i, token in edits:
+        lines[i] = f"{lines[i].split(' = ')[0]} = {token}"
+    path = tmp_path / "mutated.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli_main(["validate", str(path)]) in (0, 1)
 
 
 @pytest.mark.parametrize("axis", ["T", "Ttr"])

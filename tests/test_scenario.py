@@ -38,6 +38,7 @@ class TestScenarioConfig:
             dict(users_per_cell=3),      # 2 * 3 != 4
             dict(num_cells=0),
             dict(sigma_v2=1e-300),       # its weights 1/sigma_v2**2 overflow
+            dict(seed=-3),               # refused in code as in a config file
         ],
     )
     def test_invalid_configs_rejected(self, kw):
