@@ -42,6 +42,7 @@ unit that stopped at max_iter.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from typing import NamedTuple
 
@@ -95,6 +96,7 @@ def estimate_obs_covariances(B: np.ndarray, schedule: Schedule) -> np.ndarray:
 
 
 _EPS = np.finfo(np.float64).eps
+_SQRT_EPS = np.sqrt(_EPS)
 
 
 @functools.cache
@@ -122,7 +124,7 @@ def _normal_equations(Pi: np.ndarray, d: np.ndarray, r: np.ndarray) -> tuple:
     return (Pi * d[..., None, :]) @ Pi.T, (d * r) @ Pi.T
 
 
-def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_normal(G: np.ndarray, rhs: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Solve the normal equations of `_normal_equations`, G c = rhs, with
     the right-hand sides as rows.
 
@@ -130,59 +132,80 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     right-hand side (K,) or one per row (M, K); a stack G (..., K, K)
     takes one per slice, (..., K).  The solution has the shape of rhs.
 
-    Non-finite input, single or stacked, raises ValueError before either
-    solve.  A single G is solved by LAPACK directly: one upper Cholesky
-    factor and solve (posv), then the factor's reciprocal condition number
-    (pocon).  For K >= 2 that gives the bits of `scipy.linalg.solve(G,
-    rhs.T, assume_a="pos").T`, which makes the same factor and triangular
-    solves in two calls (potrf, potrs), without its per-call overhead, and
-    with its other checks: an indefinite G raises SingularSystemError and
-    an ill-conditioned one warns `scipy.linalg.LinAlgWarning`.  `_lapack`
-    binds the handles, and so imports scipy, at the process's first single
-    system; later solves reuse them.  A stack goes to scipy's batched
-    solve, which factors every slice the same way, so each slice gets the
-    bits of its own single solve at every K.  Only a system of one entry,
-    alone or as a one-slice stack, scipy divides instead.
+    Non-finite input, single or stacked, raises ValueError before any
+    solve.  Each system, alone or a slice of a stack, is solved by LAPACK
+    directly: one upper Cholesky factor and solve (posv), then the factor's
+    reciprocal condition number (pocon).  That gives the bits of scipy's
+    positive definite `solve(G, rhs.T, assume_a="pos").T` for K >= 2, and
+    of its batched solve of a stack at every K, which make the same factor
+    and triangular solves (potrf, potrs), without their per-call overhead,
+    and with their other checks: an indefinite system raises
+    SingularSystemError, naming the slice of a stack, and an
+    ill-conditioned one warns `scipy.linalg.LinAlgWarning`, once per call.
+    `_lapack` binds the handles, and so imports scipy, at the process's
+    first solve; later solves reuse them.
+
+    `floor` is a lower bound on the smallest eigenvalue of every system
+    (0, the default, proves nothing).  When `_certified` finds floor >=
+    sqrt(eps) sqrt(K) max ||G||_1, no system can warn, and pocon and its
+    1-norm (lange) are skipped.  For symmetric positive definite G,
+    ||G^-1||_1 <= sqrt(K) ||G^-1||_2 <= sqrt(K) / floor, so the reciprocal
+    condition number ||G||_1^-1 ||G^-1||_1^-1 is at least floor / (sqrt(K)
+    ||G||_1) >= sqrt(eps).  pocon's estimate of ||G^-1||_1 is a lower
+    bound, so its rcond is at least the true one, far above the eps at
+    which it warns; the sqrt(eps) margin absorbs the rounding in G that
+    makes its smallest eigenvalue miss the floor by a few units of
+    roundoff times ||G||_1.
     """
     if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
         raise ValueError("normal equations must not contain infs or NaNs")
-    if G.ndim > 2:
-        import scipy.linalg
-
-        try:
-            # stacked right-hand sides must be (..., K, NRHS) matrices
-            return scipy.linalg.solve(G, rhs[..., None], assume_a="pos",
-                                      check_finite=False)[..., 0]
-        except np.linalg.LinAlgError as exc:
-            # scipy's message may name the wrong slice
-            raise SingularSystemError(
-                "weighted normal equations are singular or indefinite: at "
-                f"least one of {G[..., 0, 0].size} stacked systems"
-            ) from exc
     posv, pocon, lange = _lapack()
-    U, x, info = posv(G, rhs.T)
-    if info > 0:
-        raise SingularSystemError(
-            "weighted normal equations are singular or indefinite: the "
-            f"leading minor of order {info} is not positive"
-        )
-    rcond, _ = pocon(U, lange("1", G))
-    if not rcond >= _EPS:
+    check = not _certified(G, floor)
+    lead, K = G.shape[:-2], G.shape[-1]
+    # a single system takes its right-hand sides as columns, in one solve
+    systems = zip(G.reshape(-1, K, K), rhs.reshape(-1, K)) if lead else [(G, rhs.T)]
+    solutions, ill = [], False
+    for i, (g, b) in enumerate(systems):
+        U, x, info = posv(g, b)
+        if info > 0:
+            where = (f" of stacked system {', '.join(map(str, np.unravel_index(i, lead)))}"
+                     if lead else "")
+            raise SingularSystemError(
+                "weighted normal equations are singular or indefinite: the "
+                f"leading minor of order {info}{where} is not positive"
+            )
+        if check:
+            rcond, _ = pocon(U, lange("1", g))
+            ill = ill or not rcond >= _EPS
+        solutions.append(x)
+    if ill:
         import scipy.linalg
 
-        # one text for every rcond, so the default filter shows it once per
-        # estimator line that reaches it through `_solve_nonneg`
+        # one text for every rcond and every stack, so the default filter
+        # shows it once per estimator line that reaches it through
+        # `_solve_nonneg`
         warnings.warn(
             "ill-conditioned normal equations: the solution may not be accurate",
             scipy.linalg.LinAlgWarning, stacklevel=3,
         )
-    return x.T
+    return np.reshape(solutions, rhs.shape) if lead else solutions[0].T
 
 
-def _solve_nonneg(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _certified(G: np.ndarray, floor: float) -> bool:
+    """Whether `floor`, a lower bound on the smallest eigenvalue of every
+    system of G (..., K, K), proves each one's reciprocal condition number
+    at least sqrt(eps): floor >= sqrt(eps) sqrt(K) max ||G||_1 (see
+    `_solve_normal`).  A floor of 0 certifies nothing."""
+    K = G.shape[-1]
+    # ||G||_1 is the largest column sum; one product forms every column sum
+    # of a stack several times faster than numpy's sum over an axis
+    return floor > 0 and floor >= _SQRT_EPS * math.sqrt(K) * (np.ones(K) @ np.abs(G)).max()
+
+
+def _solve_nonneg(G: np.ndarray, rhs: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """`_solve_normal`'s solution clamped to the nonnegative orthant, entry
     by entry: the one place the estimators impose c >= 0."""
-    return np.maximum(_solve_normal(G, rhs), 0.0)
+    return np.maximum(_solve_normal(G, rhs, floor), 0.0)
 
 
 def two_step_reconstruct(
@@ -445,6 +468,7 @@ def adaptive_update(
     d: np.ndarray,
     r: np.ndarray,
     lam: float,
+    floor: float = 0.0,
 ) -> np.ndarray:
     """One interval of the adaptive estimator, for every row of the state.
 
@@ -454,7 +478,11 @@ def adaptive_update(
     (K, Ttr) one-hot allocation A = `schedule.allocations[n]`, slot weights
     d and residuals r = b - sigma_v2 of each row's squared observations b
     (..., Ttr).  The leading shape of r must be the state's.  Returns the
-    new estimate, `_solve_nonneg(Xi, psi)`, (..., K).
+    new estimate, `_solve_nonneg(Xi, psi, floor)`, (..., K), where floor
+    is a lower bound on the smallest eigenvalue of every updated Xi: the
+    added A D A^T is positive semidefinite, so a bound f on the old Xi
+    gives lam f on the new one.  A system that is singular or indefinite
+    raises SingularSystemError naming its row of the state.
     """
     rows = psi.shape[:-1]
     if A.shape[0] != psi.shape[-1]:
@@ -469,7 +497,7 @@ def adaptive_update(
     Xi += G
     psi *= lam
     psi += rhs
-    return _solve_nonneg(Xi, psi)
+    return _solve_nonneg(Xi, psi, floor)
 
 
 def adaptive_estimate(
@@ -482,6 +510,12 @@ def adaptive_estimate(
     psi = 0, c = 1; each interval then weights its slots by `_slot_weights`
     at the `_slot_powers` of the previous estimate and makes one
     `adaptive_update` with forgetting factor lam in (0, 1].
+
+    Every added A D A^T is positive semidefinite, so the decayed prior
+    keeps Xi >= lam^(t+1) I after interval t, and update t passes that
+    floor on.  Rounding in the accumulation moves the smallest eigenvalue
+    by at most about 2 (t+1) u ||Xi||_1, for unit roundoff u, far inside
+    the sqrt(eps) margin of `_solve_normal`'s certificate.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
@@ -497,5 +531,6 @@ def adaptive_estimate(
     for t in range(total // Ttr):
         A = schedule.allocations[t % schedule.N]
         d = _slot_weights(_slot_powers(c, A, sigma_v2))
-        c = adaptive_update(Xi, psi, A, d, B[:, t * Ttr : (t + 1) * Ttr] - sigma_v2, lam)
+        c = adaptive_update(Xi, psi, A, d, B[:, t * Ttr : (t + 1) * Ttr] - sigma_v2, lam,
+                            floor=lam ** (t + 1))
     return c

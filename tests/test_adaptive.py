@@ -195,3 +195,23 @@ class TestStackedMatchesPerRow:
         np.testing.assert_array_equal(
             adaptive_estimate(B, sched, sigma_v2, 0.95), C_ref
         )
+
+
+@pytest.mark.parametrize("M, K, Ttr, N, T, cells", [(32, 12, 5, 5, 60, 3),
+                                                    (6, 70, 11, 7, 21, 7)],
+                         ids=["desk", "full-scale"])
+def test_decayed_prior_certifies_every_solve(monkeypatch, M, K, Ttr, N, T, cells):
+    # Xi >= lam^(t+1) I after interval t, and that floor proves every
+    # stacked solve well enough conditioned to skip its condition estimate
+    from pilotcov import estimators
+
+    certified, verdicts = estimators._certified, []
+
+    def spy(G, floor):
+        verdicts.append(certified(G, floor))
+        return verdicts[-1]
+
+    monkeypatch.setattr(estimators, "_certified", spy)
+    B, sched, sigma_v2 = _sparse_problem(np.random.default_rng(14), M, K, Ttr, N, T, cells)
+    adaptive_estimate(B, sched, sigma_v2, 0.99)
+    assert len(verdicts) == T and all(verdicts)

@@ -1,9 +1,10 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotcov import (
@@ -24,8 +25,8 @@ from pilotcov import (
     two_step_reconstruct,
 )
 from pilotcov import estimators
-from pilotcov.estimators import (_halvings, _normal_equations, _slot_powers, _slot_weights,
-                                 _solve_normal)
+from pilotcov.estimators import (_certified, _halvings, _normal_equations, _slot_powers,
+                                 _slot_weights, _solve_normal)
 
 from training import simulate_training
 
@@ -163,8 +164,7 @@ def test_one_column_per_slot_required(estimate):
 def spd_systems(draw):
     """A Gram matrix G = X diag(d) X^T (K x K, K = 2..70) with one
     right-hand side (K,) or several as rows (M, K).  scipy divides a 1 x 1
-    system, which `_solve_normal` factors: `spd_stacks` checks the 1 x 1
-    bits against scipy's stacked solve."""
+    system, which `_solve_normal` factors like any other, so K starts at 2."""
     K = draw(st.integers(2, 70))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.standard_normal((K, K + draw(st.integers(0, K))))
@@ -174,33 +174,60 @@ def spd_systems(draw):
     return G, rhs
 
 
-@st.composite
-def spd_stacks(draw):
-    """A stack G (..., K, K) of positive definite systems with one
-    right-hand side (..., K) per slice: Gram matrices X diag(d) X^T
-    (K = 1..70), or the systems (Xi, psi) the adaptive estimator has
-    accumulated for a stack of antenna rows after a few intervals.
-
-    A stack of a single 1 x 1 system is one number, which scipy divides
-    instead of factoring, so it is left out."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        K = draw(st.integers(1, 70))
-        lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
-        assume(K > 1 or np.prod(lead) > 1)
-        X = rng.standard_normal(lead + (K, K + draw(st.integers(0, K))))
-        d = rng.uniform(0.1, 10.0, lead + (1, X.shape[-1]))
-        return (X * d) @ np.swapaxes(X, -1, -2), rng.standard_normal(lead + (K,))
+def _adaptive_systems(draw, rng):
+    """The systems (Xi, psi) the adaptive estimator has accumulated at
+    lam = 0.99 for a stack of antenna rows after n = 1..2N intervals from
+    the prior Xi = I, and n."""
     K, Ttr, N, cells = draw(st.sampled_from([(6, 3, 4, 3), (12, 5, 5, 3),
                                              (70, 11, 7, 7)]))
     schedule = make_random_schedule(K, Ttr, N, cells, rng)
     M = draw(st.integers(1, 8))
     Xi, psi, c = np.zeros((M, K, K)) + np.eye(K), np.zeros((M, K)), np.ones((M, K))
-    for n in range(draw(st.integers(1, 2 * N))):
+    intervals = draw(st.integers(1, 2 * N))
+    for n in range(intervals):
         A = schedule.allocations[n % N]
         r = rng.exponential(size=(M, Ttr)) - 0.1
         c = adaptive_update(Xi, psi, A, _slot_weights(_slot_powers(c, A, 0.1)), r, 0.99)
-    return Xi, psi
+    return Xi, psi, intervals
+
+
+def _gram_stack(draw, rng, fewest=1.0):
+    """A stack of Gram matrices X diag(d) X^T (..., K, K), K = 1..70, with
+    one right-hand side per slice.  X has fewest * K to 2K columns, so a
+    stack of `fewest` < 1 may be singular."""
+    K = draw(st.integers(1, 70))
+    lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    X = rng.standard_normal(lead + (K, draw(st.integers(int(fewest * K), 2 * K))))
+    d = rng.uniform(0.1, 10.0, lead + (1, X.shape[-1]))
+    return (X * d) @ np.swapaxes(X, -1, -2), rng.standard_normal(lead + (K,))
+
+
+@st.composite
+def spd_stacks(draw):
+    """A stack G (..., K, K) of positive definite systems with one
+    right-hand side (..., K) per slice: Gram matrices X diag(d) X^T
+    (K = 1..70), or the systems (Xi, psi) the adaptive estimator has
+    accumulated for a stack of antenna rows after a few intervals."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return _gram_stack(draw, rng)
+    return _adaptive_systems(draw, rng)[:2]
+
+
+@st.composite
+def floored_stacks(draw):
+    """A stack with a lower bound on every slice's smallest eigenvalue:
+    Gram matrices, singular ones too, plus f I with floor f, f spread over
+    18 decades so that some stacks are too ill-conditioned to factor, or
+    the adaptive systems of `spd_stacks` after n intervals, with floor
+    0.99^n."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        G, rhs = _gram_stack(draw, rng, fewest=0.0)
+        f = 10.0 ** rng.uniform(-16.0, 2.0)
+        return G + f * np.eye(G.shape[-1]), rhs, f
+    Xi, psi, n = _adaptive_systems(draw, rng)
+    return Xi, psi, 0.99**n
 
 
 @st.composite
@@ -258,6 +285,41 @@ class TestSolveNormal:
         stacked = _solve_normal(G, rhs)
         for idx in np.ndindex(G.shape[:-2]):
             assert np.array_equal(stacked[idx], _solve_normal(G[idx], rhs[idx]))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(floored_stacks())
+    def test_certified_floor_skips_only_a_condition_estimate_that_cannot_warn(self, system):
+        G, rhs, floor = system
+        with warnings.catch_warnings():
+            # an uncertified system may warn, or fail to factor
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            try:
+                plain = _solve_normal(G, rhs)
+            except SingularSystemError:
+                assert not _certified(G, floor)
+                return
+            assert np.array_equal(_solve_normal(G, rhs, floor), plain)
+        if _certified(G, floor):
+            potrf, pocon, lange = scipy.linalg.lapack.get_lapack_funcs(
+                ("potrf", "pocon", "lange"), dtype=np.float64)
+            for idx in np.ndindex(G.shape[:-2]):
+                U, info = potrf(G[idx])
+                assert info == 0
+                assert pocon(U, lange("1", G[idx]))[0] >= np.finfo(float).eps
+
+    def test_floor_too_small_to_certify_still_warns(self):
+        G = np.diag([1.0, 1e-17])
+        assert not _certified(G, 1e-17)
+        with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
+            _solve_normal(G, np.ones(2), 1e-17)
+
+    def test_ill_conditioned_stack_warns_once_in_the_single_system_text(self):
+        G = np.zeros((3, 2, 2)) + np.eye(2)
+        G[1:, 1, 1] = 1e-17
+        with pytest.warns(scipy.linalg.LinAlgWarning) as caught:
+            _solve_normal(G, np.ones((3, 2)))
+        assert [str(w.message) for w in caught] == [
+            "ill-conditioned normal equations: the solution may not be accurate"]
 
     @pytest.mark.parametrize("G", [np.diag([1.0, -1.0]), np.ones((3, 3)),
                                    np.array([[-2.0]])],
@@ -365,7 +427,8 @@ class TestSharedScalingEstimate:
             rtol=1e-10,
         )
         G[2] = np.diag([1.0, -1.0, 1.0])
-        with pytest.raises(SingularSystemError, match="indefinite"):
+        with pytest.raises(SingularSystemError,
+                           match="indefinite: the leading minor of order 2 of stacked system 2 "):
             _solve_normal(G, rhs)
 
     def test_right_inverse_identity(self):
@@ -610,9 +673,9 @@ class TestMLDomainCheck:
         # the first solve is LAPACK's, every later one returns `value`
         solve, calls = estimators._solve_normal, []
 
-        def stub(G, rhs):
+        def stub(G, rhs, *floor):
             calls.append(None)
-            x = solve(G, rhs)
+            x = solve(G, rhs, *floor)
             return x if len(calls) == 1 else np.full_like(x, value)
 
         monkeypatch.setattr(estimators, "_solve_normal", stub)

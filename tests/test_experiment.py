@@ -578,21 +578,22 @@ class TestCLI:
                                                       capsys):
         # antenna row 2 enters the first update with an indefinite Gram
         # matrix, so the first stacked solve of the adaptive estimator fails
-        # on that slice alone
+        # on that slice alone, and names it
         from pilotcov import estimators
 
         update = estimators.adaptive_update
 
-        def indefinite(Xi, psi, A, d, r, lam):
+        def indefinite(Xi, psi, A, d, r, lam, floor=0.0):
             Xi[2] = -100.0 * np.eye(Xi.shape[-1])
-            return update(Xi, psi, A, d, r, lam)
+            return update(Xi, psi, A, d, r, lam, floor=floor)
 
         monkeypatch.setattr(estimators, "adaptive_update", indefinite)
         path = tmp_path / "adaptive.cfg"
         path.write_text(DESK_CFG.replace("estimators = genie, ls",
                                          "estimators = adaptive"))
         assert cli_main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
-        assert "indefinite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "indefinite" in err and "of stacked system 2 " in err
 
     @pytest.mark.parametrize("profile, named, norm", [
         ("kind = uniform\npower = 1e-200\n", "Uniform(power=1e-200)", "norm 0.0"),
