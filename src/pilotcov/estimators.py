@@ -25,7 +25,9 @@ shared scaling and the adaptive estimator are d_i = 1 / p_i^2 at the
 slot powers p = Pi^T c + sigma_v2 of the current estimate:
 `_slot_powers` forms p and refuses a power that is not positive, NaN
 included, with ValueError, and `_slot_weights` refuses an infinite power
-with SingularSystemError and returns p^-2.
+with SingularSystemError and returns p^-2 and its spread d_max / d_min.
+Per-row ML compares that spread with kappa(Pi) of `_gram_kappa` to
+certify each of its solves well conditioned before it forms it.
 
 The batch estimators take per-slot statistics: the slot means b over the
 S passes of a window (`estimate_obs_covariances`) with the compound
@@ -79,8 +81,9 @@ def estimate_obs_covariances(B: np.ndarray, schedule: Schedule) -> np.ndarray:
     """Slot means (M x N*Ttr) of the squared observations over the passes
     of the schedule.
 
-    B (M x S*N*Ttr) holds S >= 1 whole passes of nonnegative squared
-    magnitudes.  The sample mean of |phi|^2 is exactly the ML estimate of
+    B (M x S*N*Ttr) holds S >= 1 whole passes of finite, nonnegative
+    squared magnitudes; any other entry, NaN and inf included, raises
+    ValueError.  The sample mean of |phi|^2 is exactly the ML estimate of
     each slot's observation variance.
     """
     block = schedule.N * schedule.Ttr
@@ -90,13 +93,16 @@ def estimate_obs_covariances(B: np.ndarray, schedule: Schedule) -> np.ndarray:
             f"{total} observation slots do not make whole passes of "
             f"{block} (N={schedule.N}, Ttr={schedule.Ttr})"
         )
-    if np.any(B < 0):
-        raise ValueError("squared observations must be nonnegative")
+    if not ((B >= 0) & (B < np.inf)).all():
+        raise ValueError("squared observations must be finite and nonnegative")
     return B.reshape(M, total // block, block).mean(axis=1)
 
 
 _EPS = np.finfo(np.float64).eps
 _SQRT_EPS = np.sqrt(_EPS)
+_HUGE = np.finfo(np.float64).max / 4
+# the largest slot power whose weight 1 / p^2 is a normal float
+_NORMAL_POWER = 1.0 / math.sqrt(np.finfo(np.float64).tiny)
 
 
 @functools.cache
@@ -124,7 +130,7 @@ def _normal_equations(Pi: np.ndarray, d: np.ndarray, r: np.ndarray) -> tuple:
     return (Pi * d[..., None, :]) @ Pi.T, (d * r) @ Pi.T
 
 
-def _solve_normal(G: np.ndarray, rhs: np.ndarray, floor: float = 0.0) -> np.ndarray:
+def _solve_normal(G: np.ndarray, rhs: np.ndarray, cert: float | bool = 0.0) -> np.ndarray:
     """Solve the normal equations of `_normal_equations`, G c = rhs, with
     the right-hand sides as rows.
 
@@ -145,22 +151,34 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray, floor: float = 0.0) -> np.ndar
     `_lapack` binds the handles, and so imports scipy, at the process's
     first solve; later solves reuse them.
 
-    `floor` is a lower bound on the smallest eigenvalue of every system
-    (0, the default, proves nothing).  When `_certified` finds floor >=
-    sqrt(eps) sqrt(K) max ||G||_1, no system can warn, and pocon and its
-    1-norm (lange) are skipped.  For symmetric positive definite G,
-    ||G^-1||_1 <= sqrt(K) ||G^-1||_2 <= sqrt(K) / floor, so the reciprocal
-    condition number ||G||_1^-1 ||G^-1||_1^-1 is at least floor / (sqrt(K)
-    ||G||_1) >= sqrt(eps).  pocon's estimate of ||G^-1||_1 is a lower
-    bound, so its rcond is at least the true one, far above the eps at
-    which it warns; the sqrt(eps) margin absorbs the rounding in G that
-    makes its smallest eigenvalue miss the floor by a few units of
-    roundoff times ||G||_1.
+    `cert` certifies the systems' condition, in one of two forms.  A
+    number is a floor, a lower bound on the smallest eigenvalue of every
+    system (0, the default, proves nothing; the adaptive estimator passes
+    its decayed prior's).  When `_certified` finds floor >= sqrt(eps)
+    sqrt(K) max ||G||_1, no system can warn, and pocon and its 1-norm
+    (lange) are skipped.  For symmetric positive definite G, ||G^-1||_1 <=
+    sqrt(K) ||G^-1||_2 <= sqrt(K) / floor, so the reciprocal condition
+    number ||G||_1^-1 ||G^-1||_1^-1 is at least floor / (sqrt(K) ||G||_1)
+    >= sqrt(eps).  pocon's estimate of ||G^-1||_1 is a lower bound, so its
+    rcond is at least the true one, far above the eps at which it warns;
+    the sqrt(eps) margin absorbs the rounding in G that makes its smallest
+    eigenvalue miss the floor by a few units of roundoff times ||G||_1.
+    `True` is per-row ML's certificate for one system G (K, K) and one
+    right-hand side (K,) (see `_gram_kappa`): its caller has proved that
+    both are finite and that the floor test holds, so the system skips the
+    finiteness scan as well and goes straight to posv, whose singular or
+    indefinite verdict still raises; NumPy's True is the same
+    certificate, not a floor of 1.  `False`, like 0, proves nothing.
     """
+    if cert is True or cert is np.True_:
+        U, x, info = _lapack()[0](G, rhs)
+        if info > 0:
+            raise _not_definite(info)
+        return x
     if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
         raise ValueError("normal equations must not contain infs or NaNs")
     posv, pocon, lange = _lapack()
-    check = not _certified(G, floor)
+    check = not _certified(G, cert)
     lead, K = G.shape[:-2], G.shape[-1]
     # a single system takes its right-hand sides as columns, in one solve
     systems = zip(G.reshape(-1, K, K), rhs.reshape(-1, K)) if lead else [(G, rhs.T)]
@@ -170,10 +188,7 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray, floor: float = 0.0) -> np.ndar
         if info > 0:
             where = (f" of stacked system {', '.join(map(str, np.unravel_index(i, lead)))}"
                      if lead else "")
-            raise SingularSystemError(
-                "weighted normal equations are singular or indefinite: the "
-                f"leading minor of order {info}{where} is not positive"
-            )
+            raise _not_definite(info, where)
         if check:
             rcond, _ = pocon(U, lange("1", g))
             ill = ill or not rcond >= _EPS
@@ -191,21 +206,32 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray, floor: float = 0.0) -> np.ndar
     return np.reshape(solutions, rhs.shape) if lead else solutions[0].T
 
 
+def _not_definite(info: int, where: str = "") -> SingularSystemError:
+    # posv's verdict on a system whose leading minor of order info > 0 is
+    # not positive
+    return SingularSystemError(
+        "weighted normal equations are singular or indefinite: the "
+        f"leading minor of order {info}{where} is not positive"
+    )
+
+
 def _certified(G: np.ndarray, floor: float) -> bool:
     """Whether `floor`, a lower bound on the smallest eigenvalue of every
     system of G (..., K, K), proves each one's reciprocal condition number
     at least sqrt(eps): floor >= sqrt(eps) sqrt(K) max ||G||_1 (see
-    `_solve_normal`).  A floor of 0 certifies nothing."""
+    `_solve_normal`).  A floor of 0 certifies nothing.  Per-row ML proves
+    the same test before it forms a system, from `_gram_kappa`, and passes
+    True instead of a floor."""
     K = G.shape[-1]
     # ||G||_1 is the largest column sum; one product forms every column sum
     # of a stack several times faster than numpy's sum over an axis
     return floor > 0 and floor >= _SQRT_EPS * math.sqrt(K) * (np.ones(K) @ np.abs(G)).max()
 
 
-def _solve_nonneg(G: np.ndarray, rhs: np.ndarray, floor: float = 0.0) -> np.ndarray:
+def _solve_nonneg(G: np.ndarray, rhs: np.ndarray, cert: float | bool = 0.0) -> np.ndarray:
     """`_solve_normal`'s solution clamped to the nonnegative orthant, entry
     by entry: the one place the estimators impose c >= 0."""
-    return np.maximum(_solve_normal(G, rhs, floor), 0.0)
+    return np.maximum(_solve_normal(G, rhs, cert), 0.0)
 
 
 def two_step_reconstruct(
@@ -254,26 +280,95 @@ def shared_scaling_estimate(
     return _solve_nonneg(*_normal_equations(Pi, d, B_mean - sigma_v2))
 
 
-def _slot_powers(c: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> np.ndarray:
+def _slot_powers(c: np.ndarray, Pi: np.ndarray, sigma_v2: float) -> tuple[np.ndarray, float]:
     """Slot powers p = Pi^T c + sigma_v2, one per slot of each variance
-    vector c (..., K).  A power that is not positive, NaN included, raises
-    ValueError; a problem with no slots passes."""
+    vector c (..., K), and their minimum.  A power that is not positive,
+    NaN included, raises ValueError; a problem with no slots passes, with
+    minimum inf."""
     # written as a stack of matrix-vector products, so every row of a stack
     # (..., K) rounds as Pi^T @ c does for that row alone
     powers = (Pi.T @ np.asarray(c, float)[..., None])[..., 0] + sigma_v2
-    if not powers.min(initial=np.inf) > 0:
+    low = float(powers.min(initial=np.inf))
+    if not low > 0:
         raise ValueError("all slot powers must be strictly positive")
-    return powers
+    return powers, low
 
 
-def _slot_weights(powers: np.ndarray) -> np.ndarray:
+def _slot_weights(powers: np.ndarray, low: float) -> tuple[np.ndarray, float]:
     """Slot weights d = 1 / p^2 at the checked slot powers p of
-    `_slot_powers`; an infinite power raises SingularSystemError."""
-    if not powers.max(initial=0.0) < np.inf:
+    `_slot_powers` and their minimum, and the weights' spread d_max / d_min
+    = (max p / min p)^2, which per-row ML tests against `_gram_kappa`: the
+    two checks reduce the extremes it needs.  A weight below the smallest
+    normal float has lost bits, so its spread is inf.  An infinite power
+    raises SingularSystemError."""
+    high = float(powers.max(initial=0.0))
+    if not high < math.inf:
         raise SingularSystemError(
             "slot powers are infinite; weights 1/power^2 are undefined"
         )
-    return powers**-2
+    ratio = high / low if high <= _NORMAL_POWER else math.inf
+    return powers**-2, ratio * ratio
+
+
+def _gram_kappa(Pi: np.ndarray) -> tuple[float, float]:
+    """kappa(Pi), the largest spread d_max / d_min of slot weights that
+    certifies the weighted normal equations Pi D Pi^T of the allocation Pi
+    (K, S), and a scale that bounds their entries, (kappa, scale).
+
+    For weights d in [d_min, d_max], G = Pi D Pi^T has lambda_min(G) >=
+    d_min lambda_min(Pi Pi^T), since Pi (D - d_min I) Pi^T is positive
+    semidefinite, and, for a nonnegative Pi, ||G||_1 <= d_max ||Pi Pi^T||_1.
+    So `_solve_normal`'s floor test, lambda_min(G) >= sqrt(eps) sqrt(K)
+    ||G||_1, holds whenever d_max / d_min <= kappa = lambda / (2 sqrt(eps)
+    sqrt(K) ||Pi Pi^T||_1), for any lower bound lambda on lambda_min(Pi
+    Pi^T).  Here lambda = 1 / ||(Pi Pi^T)^-1||_F, within 1.6 times the
+    eigenvalue on random schedules, from an inverse that posv, whose LAPACK
+    code the solves load anyway, computes (numpy's eigvalsh would map about
+    0.8 MB more of LAPACK into the process).  The factor 2 covers the
+    rounding of the computed inverse, a few units of roundoff times the
+    condition number of Pi Pi^T: kappa >= 1, the least spread there is,
+    needs that condition number below 1 / (2 sqrt(eps) sqrt(K)), so the
+    error stays below about sqrt(eps K).  The rounding of d and G stays far
+    inside the floor test's sqrt(eps) margin.  kappa is 0, certifying
+    nothing, when Pi has a negative or non-finite entry or Pi Pi^T is
+    singular.
+
+    scale = max(1, ||Pi Pi^T||_1, largest row sum of Pi): times d_max and
+    max(1, max |r|), it bounds every entry of G and of Pi D r, and of the
+    products that form them.
+
+    The pair depends on Pi's values alone, so the last Pi's is cached: the
+    rows of a unit share Pi, and its inverse costs more than the
+    certificate saves an ML iteration.
+    """
+    return _gram_kappa_of(Pi.shape, np.asarray(Pi, np.float64).tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _gram_kappa_of(shape: tuple, data: bytes) -> tuple[float, float]:
+    Pi = np.frombuffer(data).reshape(shape)
+    if Pi.size == 0 or not (np.isfinite(Pi).all() and Pi.min() >= 0):
+        return 0.0, math.inf
+    gram = Pi @ Pi.T
+    norm1 = gram.sum(axis=0).max()  # the Gram of a nonnegative Pi is too
+    _, inverse, info = _lapack()[0](gram, np.eye(shape[0]))
+    with np.errstate(over="ignore"):  # an inverse too large to square certifies nothing
+        bound = 2 * _SQRT_EPS * math.sqrt(shape[0]) * norm1 * np.sqrt((inverse**2).sum())
+    kappa = 1.0 / bound if info == 0 and 0 < bound < math.inf else 0.0
+    return float(kappa), float(max(1.0, norm1, Pi.sum(axis=1).max()))
+
+
+def _ml_kappa(Pi: np.ndarray, r: np.ndarray, sigma_v2: float) -> float:
+    """`_gram_kappa`'s kappa for one ML row with residuals r = b_m -
+    sigma_v2, or 0 when the row cannot prove its systems finite.  Every
+    iterate is nonnegative, so on a nonnegative Pi its slot powers are at
+    least sigma_v2 and its weights at most sigma_v2^-2; scale max(1,
+    max |r|) / sigma_v2^2 below a quarter of the largest float then bounds
+    every G and rhs the row forms, rounding included.  A non-finite r fails
+    that test, so its solves keep the finiteness scan that refuses it."""
+    kappa, scale = _gram_kappa(Pi)
+    bound = float(np.abs(r).max(initial=1.0)) * scale
+    return kappa if bound < _HUGE * float(sigma_v2) * float(sigma_v2) else 0.0
 
 
 def _llf_at(powers: np.ndarray, b_m: np.ndarray) -> np.ndarray:
@@ -292,7 +387,8 @@ def negative_llf(
     its own call.  A slot power anywhere that is not positive, NaN
     included, raises ValueError.
     """
-    values = _llf_at(_slot_powers(c_m, np.asarray(Pi, float), sigma_v2), b_m)
+    powers, _ = _slot_powers(c_m, np.asarray(Pi, float), sigma_v2)
+    values = _llf_at(powers, b_m)
     return float(values) if values.ndim == 0 else values
 
 
@@ -301,7 +397,7 @@ def llf_gradient(
 ) -> np.ndarray:
     """Gradient of `negative_llf` with respect to the variance vector."""
     Pi = np.asarray(Pi, dtype=float)
-    powers = _slot_powers(c_m, Pi, sigma_v2)
+    powers, _ = _slot_powers(c_m, Pi, sigma_v2)
     return Pi @ ((powers - b_m) / powers**2)
 
 
@@ -337,14 +433,17 @@ def ml_fixed_point(
     Each step is `_solve_nonneg` on the weighted normal equations with
     slot weights d_i = 1 / slot_power_i^2 frozen at the previous iterate.
     An iterate's slot powers are computed and checked once, before the LLF
-    takes their log, and give both its LLF and the next weights.  If the
-    LLF increases, the step backtracks to the first of the halvings c +
-    2^-j (c_new - c) toward the previous iterate c, j = 1..10, that does
-    not increase it.  One stacked `negative_llf` call scores the ten
-    halvings of `_halvings`, so a row calls `negative_llf` once at the warm
-    start and once per backtrack.  The cost is neither convex nor
-    quasi-convex, so this only safeguards against divergence without
-    moving the fixed points.
+    takes their log, and give its LLF, the next weights and their spread
+    d_max / d_min.  A step whose spread is below `_ml_kappa`'s kappa, which
+    the schedule's Gram Pi Pi^T fixes once per row, is certified: its solve
+    skips the condition estimate and the finiteness scan.  If the LLF
+    increases, the step backtracks to the first of the halvings c + 2^-j
+    (c_new - c) toward the previous iterate c, j = 1..10, that does not
+    increase it.  One stacked `negative_llf` call scores the ten halvings
+    of `_halvings`, so a row calls `negative_llf` once at the warm start
+    and once per backtrack.  The cost is neither convex nor quasi-convex,
+    so this only safeguards against divergence without moving the fixed
+    points.
 
     Convergence requires the step rule of `_small_step`, ||c_new -
     c_old||_inf <= tol * (1 + ||c_old||_inf), and, at interior iterates, a
@@ -372,17 +471,18 @@ def ml_fixed_point(
         raise ValueError("init must be a nonnegative length-K vector")
 
     r = b_m - sigma_v2
+    kappa = _ml_kappa(Pi, r, sigma_v2)
     # the public `negative_llf` scores the warm start and each backtrack:
     # perfbench/tracing.py counts ML's LLF evaluations through it
-    weights = _slot_weights(_slot_powers(c, Pi, sigma_v2))
+    weights, spread = _slot_weights(*_slot_powers(c, Pi, sigma_v2))
     obj = negative_llf(c, b_m, Pi, sigma_v2)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        c_new = _solve_nonneg(*_normal_equations(Pi, weights, r))
+        c_new = _solve_nonneg(*_normal_equations(Pi, weights, r), spread < kappa)
         # the iterate's powers are checked before its LLF takes their log
-        powers = _slot_powers(c_new, Pi, sigma_v2)
-        weights_new = _slot_weights(powers)
+        powers, low = _slot_powers(c_new, Pi, sigma_v2)
+        weights_new, spread_new = _slot_weights(powers, low)
         obj_new = float(_llf_at(powers, b_m))
         if obj_new > obj:
             # backtrack toward the previous iterate while it helps; when no
@@ -397,13 +497,13 @@ def ml_fixed_point(
             first = (values <= obj).argmax()
             if values[first] <= obj:
                 c_new, obj_new = halvings[first], float(values[first])
-                weights_new = _slot_weights(_slot_powers(c_new, Pi, sigma_v2))
+                weights_new, spread_new = _slot_weights(*_slot_powers(c_new, Pi, sigma_v2))
 
         # an interior iterate must also certify stationarity
         converged = bool(_small_step(c_new, c, tol) and (
             not (c_new > 0).all()
             or np.abs(llf_gradient(c_new, b_m, Pi, sigma_v2)).max() <= 10 * tol))
-        c, obj, weights = c_new, obj_new, weights_new
+        c, obj, weights, spread = c_new, obj_new, weights_new, spread_new
         if converged:
             break
 
@@ -453,7 +553,7 @@ def shared_scaling_fixed_point(
     Pi = np.asarray(Pi, dtype=float)
     C = shared_scaling_estimate(B, Pi, None, sigma_v2)
     for _ in range(max_iter):
-        d = _slot_weights(_slot_powers(C.mean(axis=0), Pi, sigma_v2))
+        d, _ = _slot_weights(*_slot_powers(C.mean(axis=0), Pi, sigma_v2))
         C_new = shared_scaling_estimate(B, Pi, d, sigma_v2)
         if _small_step(C_new, C, tol):
             return C_new, np.ones(len(C_new), dtype=bool)
@@ -530,7 +630,7 @@ def adaptive_estimate(
     c = np.ones((M, K))
     for t in range(total // Ttr):
         A = schedule.allocations[t % schedule.N]
-        d = _slot_weights(_slot_powers(c, A, sigma_v2))
+        d, _ = _slot_weights(*_slot_powers(c, A, sigma_v2))
         c = adaptive_update(Xi, psi, A, d, B[:, t * Ttr : (t + 1) * Ttr] - sigma_v2, lam,
                             floor=lam ** (t + 1))
     return c

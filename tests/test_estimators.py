@@ -1,20 +1,24 @@
 import logging
+import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pilotcov import (
+    BandLimited,
     IdentifiabilityError,
     Schedule,
+    ScenarioConfig,
     SingularSystemError,
     adaptive_estimate,
     adaptive_update,
     estimate_all_rows_ml,
     estimate_obs_covariances,
+    generate_covariance_set,
     llf_gradient,
     make_example_schedule_442,
     make_random_schedule,
@@ -25,8 +29,9 @@ from pilotcov import (
     two_step_reconstruct,
 )
 from pilotcov import estimators
-from pilotcov.estimators import (_certified, _halvings, _normal_equations, _slot_powers,
-                                 _slot_weights, _solve_normal)
+from pilotcov.estimators import (_certified, _gram_kappa, _halvings, _ml_kappa,
+                                 _normal_equations, _slot_powers, _slot_weights,
+                                 _solve_normal)
 
 from training import simulate_training
 
@@ -143,6 +148,14 @@ class TestEstimateObsCovariances:
         with pytest.raises(ValueError, match="nonnegative"):
             estimate_obs_covariances(B, make_example_schedule_442())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_squared_observations_rejected_at_entry(self, bad):
+        # refused before any arithmetic on them can warn
+        B = np.ones((2, 12))
+        B[1, 7] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            estimate_obs_covariances(B, make_example_schedule_442())
+
 
 # every estimator needs one observation column per slot of the compound
 # allocation (6 for the example schedule); broadcasting must not stretch one
@@ -187,7 +200,8 @@ def _adaptive_systems(draw, rng):
     for n in range(intervals):
         A = schedule.allocations[n % N]
         r = rng.exponential(size=(M, Ttr)) - 0.1
-        c = adaptive_update(Xi, psi, A, _slot_weights(_slot_powers(c, A, 0.1)), r, 0.99)
+        d, _ = _slot_weights(*_slot_powers(c, A, 0.1))
+        c = adaptive_update(Xi, psi, A, d, r, 0.99)
     return Xi, psi, intervals
 
 
@@ -660,6 +674,116 @@ def test_halvings_stay_on_the_segment_toward_c(pair):
     assert (h >= np.minimum(c, c_new)).all() and (h <= np.maximum(c, c_new)).all()
     assert (np.abs(h[1:] - c) <= np.abs(h[:-1] - c)).all()
     assert (h[:, c_new == c] == c[c_new == c]).all()
+
+
+@st.composite
+def kappa_weighted_rows(draw):
+    """A random schedule's one-hot compound allocation Pi (K = 6, 12 or 70),
+    slot weights d whose spread d_max / d_min is below kappa(Pi), and signed
+    residuals r.  Half the draws spread d log-uniformly; the other half
+    starve one user, its slots at d_min and every other slot at d_max,
+    which brings lambda_min(G) / ||G||_1 near 1 / spread."""
+    K, Ttr, N, cells = draw(st.sampled_from([(6, 3, 4, 3), (12, 5, 5, 3),
+                                             (70, 11, 7, 7)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Pi = make_random_schedule(K, Ttr, N, cells, rng).compound
+    kappa = _gram_kappa(Pi)[0]
+    # a schedule too ill-conditioned for any spread certifies nothing
+    assume(kappa > 1)
+    spread = 0.999 * kappa ** rng.uniform(0.5, 1.0)
+    low = 10.0 ** rng.uniform(-3.0, 3.0)
+    if draw(st.booleans()):
+        d = low * spread ** rng.uniform(0.0, 1.0, Pi.shape[1])
+    else:
+        d = np.where(Pi[rng.integers(K)] > 0, low, low * spread)
+    return Pi, d, rng.standard_normal(Pi.shape[1])
+
+
+def _desk_unit(seed, M=32, K=12, Ttr=5, N=5, cells=3, width=8, passes=12):
+    """The slot means (M, N*Ttr) of one unit on a band-limited truth, desk
+    geometry by default, and its compound allocation."""
+    rng = np.random.default_rng(seed)
+    sched = make_random_schedule(K, Ttr, N, cells, rng)
+    scenario = ScenarioConfig(M=M, K=K, Ttr=Ttr, sigma_v2=0.1, num_cells=cells,
+                              users_per_cell=K // cells)
+    C = generate_covariance_set(scenario, BandLimited(width=width), rng)
+    B = simulate_training(C, sched, 0.1, passes, rng)
+    return estimate_obs_covariances(B, sched), sched.compound
+
+
+class TestScheduleCertificate:
+    """A weighted system Pi D Pi^T whose spread d_max / d_min is below
+    kappa(Pi) passes `_solve_normal`'s floor test, so per-row ML solves it
+    without a condition estimate or a finiteness scan, to the same bits."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(kappa_weighted_rows())
+    def test_spread_below_kappa_certifies_the_solve(self, problem):
+        Pi, d, r = problem
+        G, rhs = _normal_equations(Pi, d, r)
+        # the floor test holds at G's own smallest eigenvalue
+        assert _certified(G, np.linalg.eigvalsh(G)[0])
+        potrf, pocon, lange = scipy.linalg.lapack.get_lapack_funcs(
+            ("potrf", "pocon", "lange"), dtype=np.float64)
+        U, info = potrf(G)
+        assert info == 0 and pocon(U, lange("1", G))[0] >= np.finfo(float).eps
+        assert np.array_equal(_solve_normal(G, rhs, True), _solve_normal(G, rhs))
+
+    def test_numpy_true_is_the_certificate_not_a_floor_of_one(self, monkeypatch):
+        # a floor of 1 would pass `_certified` for this G and skip pocon
+        # without a proof; NumPy's True must take the certified path
+        monkeypatch.setattr(estimators, "_certified", None)
+        G = np.diag([1e-9, 2e-9])
+        x = _solve_normal(G, np.ones(2), np.True_)
+        assert np.array_equal(x, _solve_normal(G, np.ones(2), True))
+
+    @pytest.mark.parametrize("Pi", [
+        make_example_schedule_442().compound * np.array([1.0, -1.0, 1.0, 1.0])[:, None],
+        np.ones((3, 4)),
+        np.zeros((2, 0)),
+    ], ids=["negative-entry", "singular-gram", "no-slots"])
+    def test_kappa_is_zero_when_nothing_can_be_certified(self, Pi):
+        assert _gram_kappa(Pi)[0] == 0.0
+
+    @pytest.mark.parametrize("r, sigma_v2", [
+        (np.r_[np.ones(5), np.nan], 0.1),
+        (np.r_[np.ones(5), np.inf], 0.1),
+        (np.ones(6), 1e-160),
+    ], ids=["nan-residual", "inf-residual", "weights-may-overflow"])
+    def test_row_that_cannot_bound_its_systems_certifies_nothing(self, r, sigma_v2):
+        Pi = make_example_schedule_442().compound
+        assert _gram_kappa(Pi)[0] > 1 and _ml_kappa(Pi, r, sigma_v2) == 0.0
+
+    def test_subnormal_weights_have_no_finite_spread(self):
+        # 1 / p^2 below the smallest normal float keeps too few bits to
+        # certify anything; just above, the spread is exact
+        edge = 1.0 / math.sqrt(np.finfo(float).tiny)
+        assert _slot_weights(np.array([edge / 2, edge]), edge / 2)[1] == 4.0
+        assert _slot_weights(np.array([edge / 2, 2 * edge]), edge / 2)[1] == math.inf
+
+    @pytest.mark.parametrize("geometry, every", [
+        (dict(), True),
+        (dict(M=12, K=70, Ttr=11, N=7, cells=7, width=6, passes=10), False),
+    ], ids=["desk", "full-scale"])
+    def test_certified_ml_gives_the_bits_of_the_checked_solve(self, monkeypatch,
+                                                              geometry, every):
+        b, Pi = _desk_unit(3, **geometry)
+        solve, certs = estimators._solve_normal, []
+
+        def spy(G, rhs, *cert):
+            if rhs.ndim == 1:  # a row's solve, not the shared warm start
+                certs.append(cert == (True,))
+            return solve(G, rhs, *cert)
+
+        monkeypatch.setattr(estimators, "_solve_normal", spy)
+        C_hat, flags = estimate_all_rows_ml(b, Pi, 0.1)
+        certified = sum(certs)
+        assert certified == len(certs) > 0 if every else 0 < certified < len(certs)
+        certs.clear()
+        monkeypatch.setattr(estimators, "_gram_kappa", lambda Pi: (0.0, math.inf))
+        C_off, flags_off = estimate_all_rows_ml(b, Pi, 0.1)
+        assert certs and not any(certs)
+        assert np.array_equal(C_off, C_hat) and np.array_equal(flags_off, flags)
 
 
 class TestMLDomainCheck:
