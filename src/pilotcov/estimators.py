@@ -26,8 +26,10 @@ slot powers p = Pi^T c + sigma_v2 of the current estimate:
 `_slot_powers` forms p and refuses a power that is not positive, NaN
 included, with ValueError, and `_slot_weights` refuses an infinite power
 with SingularSystemError and returns p^-2 and its spread d_max / d_min.
-Per-row ML compares that spread with kappa(Pi) of `_gram_kappa` to
-certify each of its solves well conditioned before it forms it.
+A caller that proves a system well conditioned before it forms it
+passes `_solve_normal` that proof as one flag: the adaptive estimator
+from its decayed prior (`_certified`), per-row ML by comparing that
+spread with kappa(Pi) of `_gram_kappa`.
 
 The batch estimators take per-slot statistics: the slot means b over the
 S passes of a window (`estimate_obs_covariances`) with the compound
@@ -130,7 +132,7 @@ def _normal_equations(Pi: np.ndarray, d: np.ndarray, r: np.ndarray) -> tuple:
     return (Pi * d[..., None, :]) @ Pi.T, (d * r) @ Pi.T
 
 
-def _solve_normal(G: np.ndarray, rhs: np.ndarray, cert: float | bool = 0.0) -> np.ndarray:
+def _solve_normal(G: np.ndarray, rhs: np.ndarray, certified: bool = False) -> np.ndarray:
     """Solve the normal equations of `_normal_equations`, G c = rhs, with
     the right-hand sides as rows.
 
@@ -138,47 +140,26 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray, cert: float | bool = 0.0) -> n
     right-hand side (K,) or one per row (M, K); a stack G (..., K, K)
     takes one per slice, (..., K).  The solution has the shape of rhs.
 
-    Non-finite input, single or stacked, raises ValueError before any
-    solve.  Each system, alone or a slice of a stack, is solved by LAPACK
-    directly: one upper Cholesky factor and solve (posv), then the factor's
-    reciprocal condition number (pocon).  That gives the bits of scipy's
-    positive definite `solve(G, rhs.T, assume_a="pos").T` for K >= 2, and
-    of its batched solve of a stack at every K, which make the same factor
-    and triangular solves (potrf, potrs), without their per-call overhead,
-    and with their other checks: an indefinite system raises
-    SingularSystemError, naming the slice of a stack, and an
-    ill-conditioned one warns `scipy.linalg.LinAlgWarning`, once per call.
-    `_lapack` binds the handles, and so imports scipy, at the process's
-    first solve; later solves reuse them.
+    Each system, alone or a slice of a stack, is solved by LAPACK
+    directly: one upper Cholesky factor and solve (posv).  That gives the
+    bits of scipy's positive definite `solve(G, rhs.T, assume_a="pos").T`
+    for K >= 2, and of its batched solve of a stack at every K, which make
+    the same factor and triangular solves (potrf, potrs), without their
+    per-call overhead.  An indefinite system raises SingularSystemError,
+    naming the slice of a stack.  `_lapack` binds the handles, and so
+    imports scipy, at the process's first solve.
 
-    `cert` certifies the systems' condition, in one of two forms.  A
-    number is a floor, a lower bound on the smallest eigenvalue of every
-    system (0, the default, proves nothing; the adaptive estimator passes
-    its decayed prior's).  When `_certified` finds floor >= sqrt(eps)
-    sqrt(K) max ||G||_1, no system can warn, and pocon and its 1-norm
-    (lange) are skipped.  For symmetric positive definite G, ||G^-1||_1 <=
-    sqrt(K) ||G^-1||_2 <= sqrt(K) / floor, so the reciprocal condition
-    number ||G||_1^-1 ||G^-1||_1^-1 is at least floor / (sqrt(K) ||G||_1)
-    >= sqrt(eps).  pocon's estimate of ||G^-1||_1 is a lower bound, so its
-    rcond is at least the true one, far above the eps at which it warns;
-    the sqrt(eps) margin absorbs the rounding in G that makes its smallest
-    eigenvalue miss the floor by a few units of roundoff times ||G||_1.
-    `True` is per-row ML's certificate for one system G (K, K) and one
-    right-hand side (K,) (see `_gram_kappa`): its caller has proved that
-    both are finite and that the floor test holds, so the system skips the
-    finiteness scan as well and goes straight to posv, whose singular or
-    indefinite verdict still raises; NumPy's True is the same
-    certificate, not a floor of 1.  `False`, like 0, proves nothing.
+    `certified` is the caller's proof that G and rhs are finite and that
+    every system's reciprocal condition number is at least sqrt(eps)
+    (`_certified`, `_gram_kappa`); a certified solve trusts it.  Without
+    it, non-finite input raises ValueError before any solve, and pocon
+    estimates each factor's reciprocal condition number: an
+    ill-conditioned system warns `scipy.linalg.LinAlgWarning`, once per
+    call, as scipy's solve does.
     """
-    if cert is True or cert is np.True_:
-        U, x, info = _lapack()[0](G, rhs)
-        if info > 0:
-            raise _not_definite(info)
-        return x
-    if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
+    if not (certified or np.isfinite(G).all() and np.isfinite(rhs).all()):
         raise ValueError("normal equations must not contain infs or NaNs")
     posv, pocon, lange = _lapack()
-    check = not _certified(G, cert)
     lead, K = G.shape[:-2], G.shape[-1]
     # a single system takes its right-hand sides as columns, in one solve
     systems = zip(G.reshape(-1, K, K), rhs.reshape(-1, K)) if lead else [(G, rhs.T)]
@@ -188,8 +169,11 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray, cert: float | bool = 0.0) -> n
         if info > 0:
             where = (f" of stacked system {', '.join(map(str, np.unravel_index(i, lead)))}"
                      if lead else "")
-            raise _not_definite(info, where)
-        if check:
+            raise SingularSystemError(
+                "weighted normal equations are singular or indefinite: the "
+                f"leading minor of order {info}{where} is not positive"
+            )
+        if not certified:
             rcond, _ = pocon(U, lange("1", g))
             ill = ill or not rcond >= _EPS
         solutions.append(x)
@@ -206,32 +190,27 @@ def _solve_normal(G: np.ndarray, rhs: np.ndarray, cert: float | bool = 0.0) -> n
     return np.reshape(solutions, rhs.shape) if lead else solutions[0].T
 
 
-def _not_definite(info: int, where: str = "") -> SingularSystemError:
-    # posv's verdict on a system whose leading minor of order info > 0 is
-    # not positive
-    return SingularSystemError(
-        "weighted normal equations are singular or indefinite: the "
-        f"leading minor of order {info}{where} is not positive"
-    )
-
-
 def _certified(G: np.ndarray, floor: float) -> bool:
     """Whether `floor`, a lower bound on the smallest eigenvalue of every
-    system of G (..., K, K), proves each one's reciprocal condition number
-    at least sqrt(eps): floor >= sqrt(eps) sqrt(K) max ||G||_1 (see
-    `_solve_normal`).  A floor of 0 certifies nothing.  Per-row ML proves
-    the same test before it forms a system, from `_gram_kappa`, and passes
-    True instead of a floor."""
+    system of G (..., K, K), certifies them for `_solve_normal`: floor >=
+    sqrt(eps) sqrt(K) max ||G||_1.  For symmetric positive definite G,
+    ||G^-1||_1 <= sqrt(K) ||G^-1||_2 <= sqrt(K) / floor, so the reciprocal
+    condition number ||G||_1^-1 ||G^-1||_1^-1 is at least sqrt(eps), far
+    above the eps at which pocon's estimate, never below it, would warn;
+    the margin absorbs the rounding in G.  A non-finite entry of G fails
+    the test, so a pass also proves G finite; a floor that is not
+    positive and finite certifies nothing."""
     K = G.shape[-1]
     # ||G||_1 is the largest column sum; one product forms every column sum
     # of a stack several times faster than numpy's sum over an axis
-    return floor > 0 and floor >= _SQRT_EPS * math.sqrt(K) * (np.ones(K) @ np.abs(G)).max()
+    return 0 < floor < math.inf and (
+        floor >= _SQRT_EPS * math.sqrt(K) * (np.ones(K) @ np.abs(G)).max())
 
 
-def _solve_nonneg(G: np.ndarray, rhs: np.ndarray, cert: float | bool = 0.0) -> np.ndarray:
+def _solve_nonneg(G: np.ndarray, rhs: np.ndarray, certified: bool = False) -> np.ndarray:
     """`_solve_normal`'s solution clamped to the nonnegative orthant, entry
     by entry: the one place the estimators impose c >= 0."""
-    return np.maximum(_solve_normal(G, rhs, cert), 0.0)
+    return np.maximum(_solve_normal(G, rhs, certified), 0.0)
 
 
 def two_step_reconstruct(
@@ -318,7 +297,7 @@ def _gram_kappa(Pi: np.ndarray) -> tuple[float, float]:
     For weights d in [d_min, d_max], G = Pi D Pi^T has lambda_min(G) >=
     d_min lambda_min(Pi Pi^T), since Pi (D - d_min I) Pi^T is positive
     semidefinite, and, for a nonnegative Pi, ||G||_1 <= d_max ||Pi Pi^T||_1.
-    So `_solve_normal`'s floor test, lambda_min(G) >= sqrt(eps) sqrt(K)
+    So `_certified`'s floor test, lambda_min(G) >= sqrt(eps) sqrt(K)
     ||G||_1, holds whenever d_max / d_min <= kappa = lambda / (2 sqrt(eps)
     sqrt(K) ||Pi Pi^T||_1), for any lower bound lambda on lambda_min(Pi
     Pi^T).  Here lambda = 1 / ||(Pi Pi^T)^-1||_F, within 1.6 times the
@@ -336,24 +315,15 @@ def _gram_kappa(Pi: np.ndarray) -> tuple[float, float]:
     scale = max(1, ||Pi Pi^T||_1, largest row sum of Pi): times d_max and
     max(1, max |r|), it bounds every entry of G and of Pi D r, and of the
     products that form them.
-
-    The pair depends on Pi's values alone, so the last Pi's is cached: the
-    rows of a unit share Pi, and its inverse costs more than the
-    certificate saves an ML iteration.
     """
-    return _gram_kappa_of(Pi.shape, np.asarray(Pi, np.float64).tobytes())
-
-
-@functools.lru_cache(maxsize=1)
-def _gram_kappa_of(shape: tuple, data: bytes) -> tuple[float, float]:
-    Pi = np.frombuffer(data).reshape(shape)
     if Pi.size == 0 or not (np.isfinite(Pi).all() and Pi.min() >= 0):
         return 0.0, math.inf
+    K = len(Pi)
     gram = Pi @ Pi.T
     norm1 = gram.sum(axis=0).max()  # the Gram of a nonnegative Pi is too
-    _, inverse, info = _lapack()[0](gram, np.eye(shape[0]))
+    _, inverse, info = _lapack()[0](gram, np.eye(K))
     with np.errstate(over="ignore"):  # an inverse too large to square certifies nothing
-        bound = 2 * _SQRT_EPS * math.sqrt(shape[0]) * norm1 * np.sqrt((inverse**2).sum())
+        bound = 2 * _SQRT_EPS * math.sqrt(K) * norm1 * np.sqrt((inverse**2).sum())
     kappa = 1.0 / bound if info == 0 and 0 < bound < math.inf else 0.0
     return float(kappa), float(max(1.0, norm1, Pi.sum(axis=1).max()))
 
@@ -578,11 +548,12 @@ def adaptive_update(
     (K, Ttr) one-hot allocation A = `schedule.allocations[n]`, slot weights
     d and residuals r = b - sigma_v2 of each row's squared observations b
     (..., Ttr).  The leading shape of r must be the state's.  Returns the
-    new estimate, `_solve_nonneg(Xi, psi, floor)`, (..., K), where floor
-    is a lower bound on the smallest eigenvalue of every updated Xi: the
-    added A D A^T is positive semidefinite, so a bound f on the old Xi
-    gives lam f on the new one.  A system that is singular or indefinite
-    raises SingularSystemError naming its row of the state.
+    new estimate, `_solve_nonneg(Xi, psi)`, (..., K).  floor is a lower
+    bound on the smallest eigenvalue of every updated Xi: the added A D A^T
+    is positive semidefinite, so a bound f on the old Xi gives lam f on the
+    new one.  When it passes `_certified`, which also proves Xi finite, and
+    psi is finite, the solve is certified.  A system that is singular or
+    indefinite raises SingularSystemError naming its row of the state.
     """
     rows = psi.shape[:-1]
     if A.shape[0] != psi.shape[-1]:
@@ -597,7 +568,8 @@ def adaptive_update(
     Xi += G
     psi *= lam
     psi += rhs
-    return _solve_nonneg(Xi, psi, floor)
+    certified = _certified(Xi, floor) and np.isfinite(psi).all()
+    return _solve_nonneg(Xi, psi, certified)
 
 
 def adaptive_estimate(
@@ -615,7 +587,7 @@ def adaptive_estimate(
     keeps Xi >= lam^(t+1) I after interval t, and update t passes that
     floor on.  Rounding in the accumulation moves the smallest eigenvalue
     by at most about 2 (t+1) u ||Xi||_1, for unit roundoff u, far inside
-    the sqrt(eps) margin of `_solve_normal`'s certificate.
+    the sqrt(eps) margin of `_certified`'s floor test.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")

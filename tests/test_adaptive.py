@@ -77,6 +77,13 @@ class TestSingleUpdate:
             with pytest.raises(ValueError, match="for each row of the state"):
                 adaptive_update(Xi, psi, np.eye(2), d, r, 0.9)
 
+    def test_nan_residual_of_a_certified_update_rejected(self):
+        # the floor certifies Xi, but a NaN in psi keeps the finiteness scan
+        Xi, psi = np.zeros((2, 2, 2)) + np.eye(2), np.zeros((2, 2))
+        r = np.array([[1.0, 1.0], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            adaptive_update(Xi, psi, np.eye(2), np.ones(2), r, 0.9, floor=0.9)
+
 
 class TestBatchEquivalence:
     def test_unit_scaling_matches_two_step(self):

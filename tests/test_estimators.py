@@ -312,7 +312,7 @@ class TestSolveNormal:
             except SingularSystemError:
                 assert not _certified(G, floor)
                 return
-            assert np.array_equal(_solve_normal(G, rhs, floor), plain)
+            assert np.array_equal(_solve_normal(G, rhs, _certified(G, floor)), plain)
         if _certified(G, floor):
             potrf, pocon, lange = scipy.linalg.lapack.get_lapack_funcs(
                 ("potrf", "pocon", "lange"), dtype=np.float64)
@@ -325,7 +325,13 @@ class TestSolveNormal:
         G = np.diag([1.0, 1e-17])
         assert not _certified(G, 1e-17)
         with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
-            _solve_normal(G, np.ones(2), 1e-17)
+            _solve_normal(G, np.ones(2), _certified(G, 1e-17))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_system_is_never_certified(self, bad):
+        # a pass proves G finite, so a certified solve may skip the scan
+        G = np.diag([1.0, bad])
+        assert not _certified(G, 1.0) and not _certified(G, math.inf)
 
     def test_ill_conditioned_stack_warns_once_in_the_single_system_text(self):
         G = np.zeros((3, 2, 2)) + np.eye(2)
@@ -338,9 +344,11 @@ class TestSolveNormal:
     @pytest.mark.parametrize("G", [np.diag([1.0, -1.0]), np.ones((3, 3)),
                                    np.array([[-2.0]])],
                              ids=["indefinite", "rank-one", "negative-1x1"])
-    def test_singular_or_indefinite_rejected(self, G):
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_singular_or_indefinite_rejected(self, G, certified):
+        # posv's verdict raises whatever the caller claims
         with pytest.raises(SingularSystemError, match="singular or indefinite"):
-            _solve_normal(G, np.ones(G.shape[0]))
+            _solve_normal(G, np.ones(G.shape[0]), certified)
 
     def test_ill_conditioned_system_warns(self):
         with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
@@ -430,20 +438,21 @@ class TestSharedScalingEstimate:
         with pytest.raises((SingularSystemError, ValueError)):
             shared_scaling_estimate(np.ones((2, 4)), Pi, None, 0.0)
 
-    def test_indefinite_slice_of_a_stack_rejected(self):
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_indefinite_slice_of_a_stack_rejected(self, certified):
         rng = np.random.default_rng(5)
         X = rng.random((5, 3, 3))
         G = X @ X.transpose(0, 2, 1) + np.eye(3)
         rhs = rng.random((5, 3))
         np.testing.assert_allclose(
-            _solve_normal(G, rhs),
+            _solve_normal(G, rhs, certified),
             np.stack([np.linalg.solve(G[m], rhs[m]) for m in range(5)]),
             rtol=1e-10,
         )
         G[2] = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(SingularSystemError,
                            match="indefinite: the leading minor of order 2 of stacked system 2 "):
-            _solve_normal(G, rhs)
+            _solve_normal(G, rhs, certified)
 
     def test_right_inverse_identity(self):
         # algebraic core: Pi^T D (Pi D Pi^T)^{-1} right-inverts Pi for any
@@ -728,14 +737,6 @@ class TestScheduleCertificate:
         U, info = potrf(G)
         assert info == 0 and pocon(U, lange("1", G))[0] >= np.finfo(float).eps
         assert np.array_equal(_solve_normal(G, rhs, True), _solve_normal(G, rhs))
-
-    def test_numpy_true_is_the_certificate_not_a_floor_of_one(self, monkeypatch):
-        # a floor of 1 would pass `_certified` for this G and skip pocon
-        # without a proof; NumPy's True must take the certified path
-        monkeypatch.setattr(estimators, "_certified", None)
-        G = np.diag([1e-9, 2e-9])
-        x = _solve_normal(G, np.ones(2), np.True_)
-        assert np.array_equal(x, _solve_normal(G, np.ones(2), True))
 
     @pytest.mark.parametrize("Pi", [
         make_example_schedule_442().compound * np.array([1.0, -1.0, 1.0, 1.0])[:, None],
