@@ -40,7 +40,15 @@ times those of the means.
 Inputs and results are plain arrays: the slot means are (M, N*Ttr) and
 every estimate is (M, K).  Both ML modes return (C_hat, converged) with
 one flag per antenna row; they log nothing, and the sweep warns of a
-unit that stopped at max_iter.
+unit that stopped at max_iter.  Three rules raise ValueError at entry:
+  * window, `_whole_blocks`: whole, non-empty blocks of finite, nonnegative
+    squared observations, passes of N*Ttr (`estimate_obs_covariances`) or
+    intervals of Ttr (`adaptive_estimate`);
+  * slot count, `_one_per_slot`: one observation per slot for each row of
+    the state (`shared_scaling_estimate`, `ml_fixed_point`, `adaptive_update`);
+  * noise, `_positive_noise`: sigma_v2 > 0 before any solve of either ML
+    mode or the adaptive estimator, so every iterate c >= 0 has slot powers
+    of at least sigma_v2 and a finite LLF.
 """
 
 from __future__ import annotations
@@ -79,25 +87,33 @@ class MLFixedPointResult(NamedTuple):
     converged: bool
 
 
-def estimate_obs_covariances(B: np.ndarray, schedule: Schedule) -> np.ndarray:
-    """Slot means (M x N*Ttr) of the squared observations over the passes
-    of the schedule.
-
-    B (M x S*N*Ttr) holds S >= 1 whole passes of finite, nonnegative
-    squared magnitudes; any other entry, NaN and inf included, raises
-    ValueError.  The sample mean of |phi|^2 is exactly the ML estimate of
-    each slot's observation variance.
-    """
-    block = schedule.N * schedule.Ttr
+def _whole_blocks(B: np.ndarray, width: int, blocks: str) -> np.ndarray:
+    # B (M, total) as its whole blocks (M, total // width, width)
     M, total = B.shape
-    if total == 0 or total % block != 0:
-        raise ValueError(
-            f"{total} observation slots do not make whole passes of "
-            f"{block} (N={schedule.N}, Ttr={schedule.Ttr})"
-        )
+    if total == 0 or total % width != 0:
+        raise ValueError(f"{total} observation slots do not make whole {blocks}={width}")
     if not ((B >= 0) & (B < np.inf)).all():
         raise ValueError("squared observations must be finite and nonnegative")
-    return B.reshape(M, total // block, block).mean(axis=1)
+    return B.reshape(M, total // width, width)
+
+
+def _one_per_slot(name: str, shape: tuple, rows: tuple, slots: int) -> None:
+    # whole shapes are compared, so broadcasting cannot stretch a column
+    if shape != rows + (slots,):
+        raise ValueError(f"{name} must hold one observation per slot ({slots}) for "
+                         f"each row of the state {rows}, got shape {shape}")
+
+
+def _positive_noise(sigma_v2: float) -> None:
+    if not sigma_v2 > 0:
+        raise ValueError(f"sigma_v2 must be > 0, got {sigma_v2}")
+
+
+def estimate_obs_covariances(B: np.ndarray, schedule: Schedule) -> np.ndarray:
+    """Slot means (M x N*Ttr) of the squared observations B (M x S*N*Ttr)
+    over its S >= 1 passes: the sample mean of |phi|^2 is exactly the ML
+    estimate of each slot's observation variance."""
+    return _whole_blocks(B, schedule.N * schedule.Ttr, "passes of N*Ttr").mean(axis=1)
 
 
 _EPS = np.finfo(np.float64).eps
@@ -247,10 +263,7 @@ def shared_scaling_estimate(
     """
     Pi = np.asarray(Pi_tilde, dtype=float)
     B_mean = np.asarray(B_mean)
-    if B_mean.shape[-1] != Pi.shape[1]:
-        raise ValueError(
-            f"need one observation per slot ({Pi.shape[1]}), got shape {B_mean.shape}"
-        )
+    _one_per_slot("B_mean", B_mean.shape, B_mean.shape[:-1], Pi.shape[1])
     d = np.ones(Pi.shape[1]) if D is None else np.asarray(D, dtype=float)
     if d.shape != (Pi.shape[1],):
         raise ValueError(f"D must be a length-{Pi.shape[1]} weight vector")
@@ -422,22 +435,14 @@ def ml_fixed_point(
     b_m is normally one row of slot means with Pi the compound allocation;
     the gradient certificate is then per pass of the schedule and does not
     depend on the window length.  Raw squared observations with Pi tiled S
-    times have the same minimisers but an S times larger gradient.  The
-    noise power sigma_v2 must be > 0, so every iterate (c >= 0) has slot
-    powers of at least sigma_v2 and a finite LLF.
+    times have the same minimisers but an S times larger gradient.
     """
     Pi = np.asarray(Pi, dtype=float)
     b_m = np.asarray(b_m, dtype=float)
-    K = Pi.shape[0]
-    if b_m.shape != (Pi.shape[1],):
-        raise ValueError(
-            f"b_m must hold one observation per slot ({Pi.shape[1]}), "
-            f"got shape {b_m.shape}"
-        )
-    if not sigma_v2 > 0:
-        raise ValueError(f"sigma_v2 must be > 0, got {sigma_v2}")
+    _one_per_slot("b_m", b_m.shape, (), Pi.shape[1])
+    _positive_noise(sigma_v2)
     c = np.array(init, dtype=float)
-    if c.shape != (K,) or not (c >= 0).all():
+    if c.shape != (len(Pi),) or not (c >= 0).all():
         raise ValueError("init must be a nonnegative length-K vector")
 
     r = b_m - sigma_v2
@@ -493,6 +498,7 @@ def estimate_all_rows_ml(
     problems; results do not depend on the order in which they are solved.
     A row that stops at max_iter is flagged, not an error.
     """
+    _positive_noise(sigma_v2)
     Bm = np.asarray(B, dtype=float)
     Pi = np.asarray(Pi, dtype=float)
     # shared warm start: unweighted right inverse for all rows at once
@@ -520,6 +526,7 @@ def shared_scaling_fixed_point(
     weights of the antenna mean.  Stopping at max_iter is flagged, not an
     error.
     """
+    _positive_noise(sigma_v2)
     Pi = np.asarray(Pi, dtype=float)
     C = shared_scaling_estimate(B, Pi, None, sigma_v2)
     for _ in range(max_iter):
@@ -555,14 +562,9 @@ def adaptive_update(
     psi is finite, the solve is certified.  A system that is singular or
     indefinite raises SingularSystemError naming its row of the state.
     """
-    rows = psi.shape[:-1]
     if A.shape[0] != psi.shape[-1]:
         raise ValueError(f"allocation has K={A.shape[0]}, state has K={psi.shape[-1]}")
-    if r.shape != rows + (A.shape[1],):
-        raise ValueError(
-            f"need one squared observation per pilot ({A.shape[1]}) for each "
-            f"row of the state {rows}, got shape {r.shape}"
-        )
+    _one_per_slot("r", r.shape, psi.shape[:-1], A.shape[1])
     G, rhs = _normal_equations(A, d, r)
     Xi *= lam
     Xi += G
@@ -591,18 +593,16 @@ def adaptive_estimate(
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
+    _positive_noise(sigma_v2)
     Ttr, K = schedule.Ttr, schedule.K
-    M, total = B.shape
-    if total % Ttr != 0:
-        raise ValueError(
-            f"{total} observation slots do not make whole intervals of Ttr={Ttr}"
-        )
+    windows = _whole_blocks(B, Ttr, "intervals of Ttr")
+    M, T, _ = windows.shape
     Xi = np.zeros((M, K, K)) + np.eye(K)
     psi = np.zeros((M, K))
     c = np.ones((M, K))
-    for t in range(total // Ttr):
+    for t in range(T):
         A = schedule.allocations[t % schedule.N]
         d, _ = _slot_weights(*_slot_powers(c, A, sigma_v2))
-        c = adaptive_update(Xi, psi, A, d, B[:, t * Ttr : (t + 1) * Ttr] - sigma_v2, lam,
+        c = adaptive_update(Xi, psi, A, d, windows[:, t] - sigma_v2, lam,
                             floor=lam ** (t + 1))
     return c

@@ -36,12 +36,28 @@ class TestInitialization:
         with pytest.raises(ValueError, match="forgetting factor"):
             adaptive_estimate(np.ones((1, 2)), IDENTITY, 1.0, lam)
 
-    @pytest.mark.parametrize("columns", [1, 3, 5])
+    @pytest.mark.parametrize("columns", [0, 1, 3, 5])
     def test_partial_interval_rejected(self, columns):
         # as estimate_obs_covariances refuses partial passes, the adaptive
-        # estimator refuses a window that ends inside an interval
+        # estimator refuses a window that ends inside an interval, or an
+        # empty one, which would return the prior as its estimate
         with pytest.raises(ValueError, match="whole intervals of Ttr=2"):
             adaptive_estimate(np.ones((3, columns)), IDENTITY, 1.0, 0.9)
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_bad_squared_observation_refused_at_entry(self, monkeypatch, bad):
+        # the window rule of estimate_obs_covariances, checked before the
+        # first update: the bad entry sits in the last interval
+        from pilotcov import estimators
+
+        updates = []
+        monkeypatch.setattr(estimators, "adaptive_update",
+                            lambda *args, **kw: updates.append(args))
+        B = np.ones((3, 6))
+        B[1, -1] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            adaptive_estimate(B, IDENTITY, 1.0, 0.9)
+        assert updates == []
 
 
 class TestSingleUpdate:

@@ -65,6 +65,12 @@ class TestUniformProfile:
                                     np.random.default_rng(0))
 
 
+def test_unknown_profile_rejected():
+    # a profile is one of the three kinds; anything else names itself
+    with pytest.raises(InvalidProfileError, match="unknown profile kind: 'flat'"):
+        generate_covariance_set(_config(), "flat", np.random.default_rng(0))
+
+
 class TestBandLimitedProfile:
     def test_full_width_covers_all_antennas(self):
         cfg = _config(M=8, K=4)
