@@ -41,9 +41,9 @@ Inputs and results are plain arrays: the slot means are (M, N*Ttr) and
 every estimate is (M, K).  Both ML modes return (C_hat, converged) with
 one flag per antenna row; they log nothing, and the sweep warns of a
 unit that stopped at max_iter.  Three rules raise ValueError at entry:
-  * window, `_whole_blocks`: whole, non-empty blocks of finite, nonnegative
-    squared observations, passes of N*Ttr (`estimate_obs_covariances`) or
-    intervals of Ttr (`adaptive_estimate`);
+  * window, `_whole_blocks`: a 2-D (M, slots) array of whole, non-empty
+    blocks of finite, nonnegative squared observations, passes of N*Ttr
+    (`estimate_obs_covariances`) or intervals of Ttr (`adaptive_estimate`);
   * slot count, `_one_per_slot`: one observation per slot for each row of
     the state (`shared_scaling_estimate`, `ml_fixed_point`, `adaptive_update`);
   * noise, `_positive_noise`: sigma_v2 > 0 before any solve of either ML
@@ -89,6 +89,10 @@ class MLFixedPointResult(NamedTuple):
 
 def _whole_blocks(B: np.ndarray, width: int, blocks: str) -> np.ndarray:
     # B (M, total) as its whole blocks (M, total // width, width)
+    B = np.asarray(B)
+    if B.ndim != 2:
+        raise ValueError("squared observations must be a 2-D (M, slots) array, "
+                         f"got shape {B.shape}")
     M, total = B.shape
     if total == 0 or total % width != 0:
         raise ValueError(f"{total} observation slots do not make whole {blocks}={width}")

@@ -48,7 +48,6 @@ from .schedule import (
     check_random_schedule,
     default_schedule_length,
     load_schedule,
-    make_example_schedule_442,
     make_random_schedule,
 )
 
@@ -83,7 +82,7 @@ class ExperimentConfig:
     scenario: ScenarioConfig
     profile: ProfileKind
     sweep_values: tuple[int, ...]
-    schedule_mode: str = "random"          # random | example442 | imported
+    schedule_mode: str = "random"          # random | imported
     schedule_n: int | None = None          # random mode; None -> default_schedule_length
     schedule_path: str | None = None       # imported mode
     estimators: tuple[str, ...] = ("genie", "ls")
@@ -109,9 +108,9 @@ class ExperimentConfig:
             raise ConfigError("[sweep] values must be positive integers")
         if self.trials < 1:
             raise ConfigError("[sweep] trials must be >= 1")
-        if self.schedule_mode not in ("random", "example442", "imported"):
+        if self.schedule_mode not in ("random", "imported"):
             raise ConfigError(
-                f"[schedule] mode must be random, example442 or imported, "
+                f"[schedule] mode must be random or imported, "
                 f"got {self.schedule_mode!r}"
             )
         if self.schedule_mode == "imported" and not self.schedule_path:
@@ -152,8 +151,8 @@ class ExperimentConfig:
 def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple:
     """(scenario, T, N, schedule) of one sweep value, built with the
     constructors its units use so that their own checks refuse what no
-    unit could run.  schedule is the example442 or imported schedule, or
-    None in random mode, where each unit draws its own."""
+    unit could run.  schedule is the imported schedule, or None in random
+    mode, where each unit draws its own."""
     scn, T = cfg.scenario, value
     if cfg.sweep_axis == "Ttr":
         with _as_config_error(f"[sweep] value {value}: "):
@@ -173,14 +172,11 @@ def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple:
                  else cfg.schedule_n)
             check_random_schedule(K, Ttr, N, scn.num_cells)
         else:
-            schedule = (make_example_schedule_442() if cfg.schedule_mode == "example442"
-                        else load_schedule(cfg.schedule_path, Ttr=Ttr))
+            schedule = load_schedule(cfg.schedule_path, Ttr=Ttr)
             N = schedule.N
-    if schedule is not None and (schedule.K, schedule.Ttr) != (K, Ttr):
-        raise ConfigError(
-            f"[schedule] the {cfg.schedule_mode} schedule covers {schedule.K} users "
-            f"on {schedule.Ttr} pilots, not K={K} on Ttr={Ttr}"
-        )
+            if schedule.K != K:
+                raise ConfigError(f"[schedule] the imported schedule covers "
+                                  f"{schedule.K} users, not K={K}")
     if T < 1 or T % N != 0:
         raise ConfigError(
             f"training window T={T} must be a positive multiple of the schedule "

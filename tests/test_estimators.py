@@ -174,6 +174,23 @@ def test_one_column_per_slot_required(estimate):
             estimate(B, make_example_schedule_442())
 
 
+# the two estimators that read a window of squared observations (M, slots)
+@pytest.mark.parametrize("estimate", [
+    estimate_obs_covariances,
+    lambda B, s: adaptive_estimate(B, s, 0.1, 0.99),
+], ids=["estimate_obs_covariances", "adaptive_estimate"])
+def test_window_must_be_a_2d_array(estimate):
+    sched = make_example_schedule_442()
+    for B in (np.ones(6), np.ones((2, 6, 1))):
+        with pytest.raises(ValueError) as refused:
+            estimate(B, sched)
+        assert str(refused.value) == ("squared observations must be a 2-D (M, slots) "
+                                      f"array, got shape {B.shape}")
+    # a nested list is read as the array it spells
+    B = np.random.default_rng(0).uniform(0.5, 2.0, (2, 12))
+    np.testing.assert_array_equal(estimate(B.tolist(), sched), estimate(B, sched))
+
+
 
 @st.composite
 def spd_systems(draw):

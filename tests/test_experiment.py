@@ -21,7 +21,9 @@ from pilotcov import (
     Uniform,
     emit_csv,
     load_experiment_config,
+    load_schedule,
     ls_channel_estimate,
+    make_example_schedule_442,
     make_random_schedule,
     mmse_channel_estimate,
     run_experiment,
@@ -67,17 +69,19 @@ T_coh = 100
 eval_intervals = 4
 """
 
+ROOT = Path(__file__).resolve().parent.parent
+# the canonical 4-user, 2-pilot schedule, shipped for imported mode
+EXAMPLE442_SCHEDULE = ROOT / "configs" / "example442_schedule.txt"
+EXAMPLE442_SECTION = f"mode = imported\npath = {EXAMPLE442_SCHEDULE}"
 # DESK_CFG at the geometry of the example442 schedule, windows of whole passes
 EXAMPLE442_CFG = (DESK_CFG.replace("K = 6\nTtr = 4", "K = 4\nTtr = 2")
                   .replace("users_per_cell = 3", "users_per_cell = 2")
-                  .replace("mode = random\nN = 5", "mode = example442")
+                  .replace("mode = random\nN = 5", EXAMPLE442_SECTION)
                   .replace("values = 10, 20", "values = 9, 18"))
 # DESK_CFG sweeping Ttr, with `[scenario] T = {T}` to be filled in
 TTR_SWEEP_CFG = (DESK_CFG.replace("seed = 7", "seed = 7\nT = {T}")
                  .replace("axis = T\nvalues = 10, 20", "axis = Ttr\nvalues = 4"))
 
-
-ROOT = Path(__file__).resolve().parent.parent
 CHECKED_IN_CONFIGS = sorted(
     path for folder in ("configs", "perfbench/workloads", "tests/data")
     for path in (ROOT / folder).glob("*.cfg")
@@ -89,6 +93,21 @@ def desk_config(tmp_path):
     path = tmp_path / "desk.cfg"
     path.write_text(DESK_CFG)
     return str(path)
+
+
+def _example442_config(**overrides) -> ExperimentConfig:
+    # one cell of 4 users running the shipped canonical schedule
+    defaults = dict(
+        scenario=ScenarioConfig(M=6, K=4, Ttr=2, sigma_v2=0.2, num_cells=1, seed=3),
+        profile=Uniform(power=1.0),
+        schedule_mode="imported",
+        schedule_path=str(EXAMPLE442_SCHEDULE),
+        sweep_values=(9,),
+        trials=2,
+        eval_intervals=3,
+    )
+    defaults.update(overrides)
+    return ExperimentConfig(**defaults)
 
 
 def _tiny_config(**overrides) -> ExperimentConfig:
@@ -148,9 +167,12 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("path", CHECKED_IN_CONFIGS,
                              ids=[str(p.relative_to(ROOT)) for p in CHECKED_IN_CONFIGS])
-    def test_checked_in_config_survives_configparser_rewrite(self, path, tmp_path):
+    def test_checked_in_config_survives_configparser_rewrite(self, path, tmp_path,
+                                                             monkeypatch):
         # every checked-in config, the presets README tells users to run
-        # included, passes `pilotcov validate` as written
+        # included, passes `pilotcov validate` as written, from the
+        # repository root where their schedule paths resolve
+        monkeypatch.chdir(ROOT)
         assert cli_main(["validate", str(path)]) == 0
         # a configparser read and write lower-cases the keys and drops the
         # comments, as the benchmark does for its check and unit sweeps
@@ -279,19 +301,21 @@ class TestRunExperiment:
         assert {r.axis_value for r in res} == {4, 6}
 
     def test_example442_mode(self):
-        cfg = ExperimentConfig(
-            scenario=ScenarioConfig(
-                M=6, K=4, Ttr=2, sigma_v2=0.2, num_cells=1, seed=3
-            ),
-            profile=Uniform(power=1.0),
-            schedule_mode="example442",
-            estimators=("genie", "two_step"),
-            sweep_values=(9,),
-            trials=2,
-            eval_intervals=3,
-        )
+        cfg = _example442_config(estimators=("genie", "two_step"))
         res = run_experiment(cfg)
         assert all(r.status == "ok" for r in res)
+
+    def test_example442_mode_is_gone(self, tmp_path, capsys):
+        # the canonical schedule runs from its shipped file; the mode that
+        # built it in code is refused, from a file and in code alike
+        path = tmp_path / "example442.cfg"
+        path.write_text(EXAMPLE442_CFG)
+        assert cli_main(["validate", str(path)]) == 0
+        path.write_text(EXAMPLE442_CFG.replace(EXAMPLE442_SECTION, "mode = example442"))
+        assert cli_main(["validate", str(path)]) == 1
+        assert "mode must be random or imported" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="mode must be random or imported"):
+            _example442_config(schedule_mode="example442", schedule_path=None)
 
 
 class TestCSV:
@@ -382,6 +406,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Ttr=1" in out and "rank=1 " in out and "identifiable=NO" in out
         assert "minimum schedule length" not in out
+
+    def test_shipped_example442_file_is_the_canonical_schedule(self, capsys):
+        shipped = load_schedule(str(EXAMPLE442_SCHEDULE), Ttr=2)
+        np.testing.assert_array_equal(shipped.pilots, make_example_schedule_442().pilots)
+        assert cli_main(["schedule", "inspect", str(EXAMPLE442_SCHEDULE)]) == 0
+        assert "rank=4 condition=1.73205 identifiable=yes" in capsys.readouterr().out
 
     def test_default_schedule_length_shared_by_cli_and_sweep(self, tmp_path, capsys):
         # `schedule generate` without --length, a config without N
@@ -491,13 +521,12 @@ class TestCLI:
         ("mode = random\nN = 5", "mode = imported\npath = {sched}", "covers 4 users"),
         ("mode = random\nN = 5", "mode = imported\npath = {six_users}\nN = 9",
          "[schedule] N"),
-        (DESK_CFG, EXAMPLE442_CFG.replace("mode = example442",
-                                          "mode = example442\nN = 5\npath = nowhere.txt"),
-         "[schedule] path"),
+        ("mode = random\nN = 5", "mode = random\nN = 5\npath = nowhere.txt",
+         "[schedule] path is read only in imported mode"),
         ("values = 10, 20", "values = 10, 10", "values repeat 10"),
         ("estimators = genie, ls", "estimators = genie, genie, ls",
          "estimators repeat 'genie'"),
-        ("mode = random\nN = 5", "mode = example442", "example442 schedule covers"),
+        ("mode = random\nN = 5", EXAMPLE442_SECTION, "imported schedule covers 4 users"),
         ("axis = T\nvalues = 10, 20", "axis = Ttr\nvalues = 7", "Ttr must be in"),
         (DESK_CFG, TTR_SWEEP_CFG.replace("{T}", "0"), "T=0"),
         (DESK_CFG, TTR_SWEEP_CFG.replace("{T}", "-5"), "T=-5"),
@@ -522,7 +551,7 @@ class TestCLI:
             "support-fraction-above-1", "width-missing",
             "support-fraction-missing", "misspelt-key", "unknown-section",
             "key-of-other-kind", "cells-saturate-pilots", "imported-K-mismatch",
-            "N-outside-random-mode", "N-and-path-outside-their-modes",
+            "N-outside-random-mode", "path-outside-imported-mode",
             "repeated-sweep-value", "repeated-estimator", "example442-at-desk-geometry",
             "swept-Ttr-above-K", "ttr-sweep-window-0", "ttr-sweep-window-negative",
             "sweep-axis-unknown", "sweep-value-0", "trials-0", "imported-without-path",
@@ -847,11 +876,7 @@ ALL_ESTIMATORS = ("genie", "ml", "two_step", "adaptive", "ls")
 
 def _shared_sweep_config(mode, tmp_path) -> ExperimentConfig:
     if mode == "example442":
-        return ExperimentConfig(
-            scenario=ScenarioConfig(M=6, K=4, Ttr=2, sigma_v2=0.2, num_cells=1, seed=3),
-            profile=Uniform(power=1.0), schedule_mode="example442",
-            estimators=ALL_ESTIMATORS, sweep_values=(18, 9), trials=2, eval_intervals=3,
-        )
+        return _example442_config(estimators=ALL_ESTIMATORS, sweep_values=(18, 9))
     if mode == "ttr":
         return _tiny_config(sweep_axis="Ttr", sweep_values=(5, 4), T=10,
                             estimators=ALL_ESTIMATORS, trials=2)

@@ -1,16 +1,17 @@
 """Golden records: rerun five small sweeps and compare with the CSVs they
 wrote when committed (seed base 0).  Two desk sweeps over T use random
-schedules (per-row and shared-scaling ML), one the example442 schedule,
-one golden_shared.cfg run on the checked-in golden_imported_schedule.txt,
-and one sweeps Ttr with a partial last evaluation pass (42 intervals of a
-5-allocation schedule).
+schedules (per-row and shared-scaling ML), one imports the canonical 4x2
+schedule from configs/example442_schedule.txt, one runs golden_shared.cfg
+on the checked-in golden_imported_schedule.txt, and one sweeps Ttr with a
+partial last evaluation pass (42 intervals of a 5-allocation schedule).
 
 The CSV keeps 6 significant digits, so rtol=2e-5 allows two units in the
 last digit; refactors that only move rounding stay well inside it.
 
 A change that moves the numbers on purpose (a new RNG stream, say)
 regenerates each CSV with the command this test runs, from the repository
-root, and lists every changed value, old -> new, with the change:
+root, where the schedule path of golden_example442.cfg resolves, and lists
+every changed value, old -> new, with the change:
 
     pilotcov run tests/data/golden_<name>.cfg \
         --out tests/data/golden_<name>.csv --seed-base 0
@@ -32,7 +33,8 @@ import pytest
 from pilotcov import UNIDENTIFIABLE
 from pilotcov.cli import main as cli_main
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 def _rows_by_key(path):
@@ -58,7 +60,9 @@ def _config(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["per_row", "shared", "example442", "imported", "ttr"])
-def test_records_match_golden_csv(name, tmp_path):
+def test_records_match_golden_csv(name, tmp_path, monkeypatch):
+    # golden_example442.cfg names its schedule relative to the repository root
+    monkeypatch.chdir(ROOT)
     out = tmp_path / "run.csv"
     cfg = _config(name, tmp_path)
     assert cli_main(["run", str(cfg), "--out", str(out), "--seed-base", "0"]) == 0
