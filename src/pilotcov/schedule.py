@@ -26,7 +26,6 @@ __all__ = [
     "default_schedule_length",
     "check_random_schedule",
     "make_random_schedule",
-    "make_example_schedule_442",
     "rank_and_condition",
     "save_schedule",
     "load_schedule",
@@ -171,14 +170,6 @@ def make_random_schedule(
         f"full rank; use a longer schedule, such as the default length "
         f"N={default_schedule_length(K, Ttr)}"
     )
-
-
-def make_example_schedule_442() -> Schedule:
-    """The canonical 4-user, 2-pilot schedule of three distinct allocations.
-
-    Its compound matrix has rank 4 and condition number sqrt(3).
-    """
-    return Schedule(np.array([[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]), 2)
 
 
 def rank_and_condition(schedule: Schedule) -> tuple[int, float]:

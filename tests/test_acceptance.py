@@ -22,7 +22,6 @@ from pilotcov import (
     generate_covariance_set,
     llf_gradient,
     ls_channel_estimate,
-    make_example_schedule_442,
     make_random_schedule,
     ml_fixed_point,
     mmse_channel_estimate,
@@ -34,7 +33,7 @@ from pilotcov import (
     two_step_reconstruct,
 )
 
-from training import simulate_training, unclamped_right_inverse
+from training import example442, simulate_training, unclamped_right_inverse
 
 
 def _criterion(name: str, ok: bool, elapsed: float, limit: float, detail: str = ""):
@@ -47,7 +46,7 @@ def _criterion(name: str, ok: bool, elapsed: float, limit: float, detail: str = 
 
 def test_example_schedule_exactness():
     start = time.perf_counter()
-    rank, cond = rank_and_condition(make_example_schedule_442())
+    rank, cond = rank_and_condition(example442())
     err = abs(cond - 1.7320508075688772)
     _criterion(
         "canonical 4x2 schedule rank/condition",
@@ -60,7 +59,7 @@ def test_example_schedule_exactness():
 def test_exact_reconstruction_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(20)
-    sched = make_example_schedule_442()
+    sched = example442()
     sigma_v2 = 0.3
     worst = 0.0
     for _ in range(100):
@@ -79,7 +78,7 @@ def test_exact_reconstruction_oracle():
 def test_right_inverse_and_weighted_reduction():
     start = time.perf_counter()
     rng = np.random.default_rng(21)
-    sched = make_example_schedule_442()
+    sched = example442()
     sigma_v2 = 0.25
     worst_d, worst_eye = 0.0, 0.0
     for _ in range(100):

@@ -5,10 +5,11 @@ import pytest
 
 from pilotcov import (
     draw_channels,
-    make_example_schedule_442,
     observe,
     squared_rows,
 )
+
+from training import example442
 
 
 def _draw_channels_one_shot(C, rng):
@@ -97,7 +98,7 @@ class TestObserve:
         rng = np.random.default_rng(4)
         cov = np.ones((3, 4))
         chan = draw_channels(cov, rng)
-        alloc = make_example_schedule_442().allocations[0]
+        alloc = example442().allocations[0]
         block = observe(chan, alloc, 0.0, rng)
         np.testing.assert_allclose(block[:, 0], chan[:, 0] + chan[:, 1])
         np.testing.assert_allclose(block[:, 1], chan[:, 2] + chan[:, 3])
@@ -227,7 +228,7 @@ class TestSlotLaw:
     def test_stacked_interval_variances(self):
         # the (T, M, Ttr) slot variances of a cycled schedule, as a sweep
         # draws its training window
-        sched = make_example_schedule_442()
+        sched = example442()
         slot_var = self.C @ sched.allocations + self.SIGMA_V2
         assert slot_var.shape == (sched.N, 2, sched.Ttr)
         T = self.N_DRAWS

@@ -20,7 +20,6 @@ from pilotcov import (
     estimate_obs_covariances,
     generate_covariance_set,
     llf_gradient,
-    make_example_schedule_442,
     make_random_schedule,
     ml_fixed_point,
     negative_llf,
@@ -33,7 +32,7 @@ from pilotcov.estimators import (_certified, _gram_kappa, _halvings, _ml_kappa,
                                  _normal_equations, _slot_powers, _slot_weights,
                                  _solve_normal)
 
-from training import simulate_training
+from training import example442, simulate_training
 
 
 def _random_instance(rng, K=6, Ttr=3, N=4, repeats=10, sigma_v2=0.5):
@@ -112,20 +111,20 @@ def _desk_row(seed, truth, S, sigma_v2=0.1):
 
 class TestEstimateObsCovariances:
     def test_single_repeat_is_identity(self):
-        sched = make_example_schedule_442()
+        sched = example442()
         B = np.arange(12.0).reshape(2, 6)
         out = estimate_obs_covariances(B, sched)
         np.testing.assert_array_equal(out, B)
 
     def test_constant_input(self):
-        sched = make_example_schedule_442()
+        sched = example442()
         B = np.full((3, 18), 5.0)
         out = estimate_obs_covariances(B, sched)
         np.testing.assert_array_equal(out, np.full((3, 6), 5.0))
 
     def test_monte_carlo_consistency(self):
         rng = np.random.default_rng(0)
-        sched = make_example_schedule_442()
+        sched = example442()
         C = np.array([[1.0, 0.5, 2.0, 0.8], [0.3, 1.2, 0.7, 1.5]])
         sigma_v2 = 0.2
         S = 10_000
@@ -135,7 +134,7 @@ class TestEstimateObsCovariances:
         np.testing.assert_allclose(out, expected, rtol=0.05)
 
     def test_mismatched_columns_rejected(self):
-        sched = make_example_schedule_442()
+        sched = example442()
         with pytest.raises(ValueError):
             estimate_obs_covariances(np.zeros((2, 7)), sched)
         with pytest.raises(ValueError):
@@ -146,7 +145,7 @@ class TestEstimateObsCovariances:
         B = np.ones((2, 12))
         B[1, 7] = -1e-3
         with pytest.raises(ValueError, match="nonnegative"):
-            estimate_obs_covariances(B, make_example_schedule_442())
+            estimate_obs_covariances(B, example442())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_squared_observations_rejected_at_entry(self, bad):
@@ -154,7 +153,7 @@ class TestEstimateObsCovariances:
         B = np.ones((2, 12))
         B[1, 7] = bad
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            estimate_obs_covariances(B, make_example_schedule_442())
+            estimate_obs_covariances(B, example442())
 
 
 # every estimator needs one observation column per slot of the compound
@@ -171,7 +170,7 @@ class TestEstimateObsCovariances:
 def test_one_column_per_slot_required(estimate):
     for B in (np.ones((3, 1)), np.array(1.0)):
         with pytest.raises(ValueError, match="per slot"):
-            estimate(B, make_example_schedule_442())
+            estimate(B, example442())
 
 
 # the two estimators that read a window of squared observations (M, slots)
@@ -180,7 +179,7 @@ def test_one_column_per_slot_required(estimate):
     lambda B, s: adaptive_estimate(B, s, 0.1, 0.99),
 ], ids=["estimate_obs_covariances", "adaptive_estimate"])
 def test_window_must_be_a_2d_array(estimate):
-    sched = make_example_schedule_442()
+    sched = example442()
     for B in (np.ones(6), np.ones((2, 6, 1))):
         with pytest.raises(ValueError) as refused:
             estimate(B, sched)
@@ -393,7 +392,7 @@ class TestSolveNormal:
 class TestTwoStepReconstruct:
     def test_exact_forward_model_recovery(self):
         rng = np.random.default_rng(1)
-        sched = make_example_schedule_442()
+        sched = example442()
         sigma_v2 = 0.3
         for _ in range(20):
             C = rng.random((8, 4))
@@ -402,17 +401,17 @@ class TestTwoStepReconstruct:
             assert np.max(np.abs(est - C)) < 1e-10
 
     def test_noise_only_observations_give_zero(self):
-        sched = make_example_schedule_442()
+        sched = example442()
         est = two_step_reconstruct(np.full((3, 6), 0.7), sched, 0.7)
         np.testing.assert_allclose(est, 0.0, atol=1e-12)
 
     def test_all_zero_case(self):
-        sched = make_example_schedule_442()
+        sched = example442()
         est = two_step_reconstruct(np.zeros((2, 6)), sched, 0.0)
         np.testing.assert_array_equal(est, np.zeros((2, 4)))
 
     def test_rank_deficient_schedule_rejected(self):
-        sched = Schedule(make_example_schedule_442().pilots[[0, 0]], 2)
+        sched = Schedule(example442().pilots[[0, 0]], 2)
         with pytest.raises(IdentifiabilityError, match="rank 2"):
             two_step_reconstruct(np.ones((2, 4)), sched, 0.1)
 
@@ -420,7 +419,7 @@ class TestTwoStepReconstruct:
 class TestSharedScalingEstimate:
     def test_identity_weights_match_two_step(self):
         rng = np.random.default_rng(2)
-        sched = make_example_schedule_442()
+        sched = example442()
         sigma_v2 = 0.4
         B_mean = rng.random((5, 6)) + sigma_v2
         est_d = shared_scaling_estimate(B_mean, sched.compound, None, sigma_v2)
@@ -429,7 +428,7 @@ class TestSharedScalingEstimate:
 
     def test_any_positive_weights_recover_exact_inputs(self):
         rng = np.random.default_rng(3)
-        sched = make_example_schedule_442()
+        sched = example442()
         for _ in range(10):
             C = rng.random((4, 4))
             d = rng.uniform(0.1, 5.0, size=6)
@@ -438,7 +437,7 @@ class TestSharedScalingEstimate:
             assert np.max(np.abs(est - C)) < 1e-10
 
     def test_noise_floor_gives_zero(self):
-        sched = make_example_schedule_442()
+        sched = example442()
         est = shared_scaling_estimate(np.full((2, 6), 0.5), sched.compound, None, 0.5)
         np.testing.assert_allclose(est, 0.0, atol=1e-12)
 
@@ -448,7 +447,7 @@ class TestSharedScalingEstimate:
         (np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]), "strictly positive"),
     ], ids=["wrong-length", "zero-weight", "negative-weight"])
     def test_bad_weights_rejected(self, D, named):
-        sched = make_example_schedule_442()
+        sched = example442()
         with pytest.raises(ValueError, match=named):
             shared_scaling_estimate(np.ones((2, 6)), sched.compound, D, 0.1)
 
@@ -548,7 +547,7 @@ class TestLLFGradient:
                          ids=["nan-variance", "nan-noise"])
 def test_nan_slot_power_rejected(function, c, sigma_v2):
     # NaN is no positive slot power: the domain check refuses it
-    Pi = make_example_schedule_442().compound[:2]
+    Pi = example442().compound[:2]
     with pytest.raises(ValueError, match="strictly positive"):
         function(np.array(c), np.ones(Pi.shape[1]), Pi, sigma_v2)
 
@@ -563,7 +562,7 @@ class TestMLFixedPoint:
     def test_consistency_with_many_repeats(self):
         rng = np.random.default_rng(9)
         K, Ttr, N = 4, 2, 3
-        sched = make_example_schedule_442()
+        sched = example442()
         c_true = np.array([1.0, 0.4, 1.6, 0.7])
         S = 1000
         Pi = np.tile(sched.compound, (1, S))
@@ -724,7 +723,7 @@ class TestScheduleCertificate:
         assert np.array_equal(_solve_normal(G, rhs, True), _solve_normal(G, rhs))
 
     @pytest.mark.parametrize("Pi", [
-        make_example_schedule_442().compound * np.array([1.0, -1.0, 1.0, 1.0])[:, None],
+        example442().compound * np.array([1.0, -1.0, 1.0, 1.0])[:, None],
         np.ones((3, 4)),
         np.zeros((2, 0)),
     ], ids=["negative-entry", "singular-gram", "no-slots"])
@@ -737,7 +736,7 @@ class TestScheduleCertificate:
         (np.ones(6), 1e-160),
     ], ids=["nan-residual", "inf-residual", "weights-may-overflow"])
     def test_row_that_cannot_bound_its_systems_certifies_nothing(self, r, sigma_v2):
-        Pi = make_example_schedule_442().compound
+        Pi = example442().compound
         assert _gram_kappa(Pi)[0] > 1 and _ml_kappa(Pi, r, sigma_v2) == 0.0
 
     def test_subnormal_weights_have_no_finite_spread(self):
@@ -829,7 +828,7 @@ class TestEstimateAllRowsML:
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(12)
-        sched = make_example_schedule_442()
+        sched = example442()
         C = rng.random((5, 4)) + 0.2
         B = simulate_training(C, sched, 0.3, 40, rng)
         perm = np.array([3, 0, 4, 1, 2])
@@ -841,7 +840,7 @@ class TestEstimateAllRowsML:
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(13)
-        sched = make_example_schedule_442()
+        sched = example442()
         C = rng.random((3, 4))
         B = simulate_training(C, sched, 0.2, 30, rng)
         Pi = np.tile(sched.compound, (1, 30))
@@ -852,7 +851,7 @@ class TestEstimateAllRowsML:
 
     def test_convergence_flags_returned(self):
         rng = np.random.default_rng(14)
-        sched = make_example_schedule_442()
+        sched = example442()
         C = rng.random((3, 4)) + 0.5
         B = simulate_training(C, sched, 0.2, 50, rng)
         Pi = np.tile(sched.compound, (1, 50))
@@ -864,7 +863,7 @@ class TestEstimateAllRowsML:
 class TestSharedScalingFixedPoint:
     def test_exact_inputs_recovered(self):
         rng = np.random.default_rng(15)
-        sched = make_example_schedule_442()
+        sched = example442()
         C = rng.random((4, 4))
         exact = np.tile(C @ sched.compound + 0.2, (1, 5))
         Pi = np.tile(sched.compound, (1, 5))
@@ -874,7 +873,7 @@ class TestSharedScalingFixedPoint:
 
     def test_close_to_per_row_on_noisy_data(self):
         rng = np.random.default_rng(16)
-        sched = make_example_schedule_442()
+        sched = example442()
         C = rng.random((4, 4)) + 0.3
         B = simulate_training(C, sched, 0.3, 60, rng)
         Pi = np.tile(sched.compound, (1, 60))
@@ -891,7 +890,7 @@ class TestSharedScalingFixedPoint:
         # the estimators only flag a stop at max_iter; the sweep logs it,
         # naming the unit (tests/test_experiment.py)
         rng = np.random.default_rng(16)
-        sched = make_example_schedule_442()
+        sched = example442()
         B = simulate_training(rng.random((4, 4)) + 0.3, sched, 0.3, 60, rng)
         Pi = np.tile(sched.compound, (1, 60))
         with caplog.at_level(logging.DEBUG, logger="pilotcov.estimators"):
@@ -934,7 +933,7 @@ class TestVanishedSlotPowers:
     1 / power^2: each weighted estimator refuses zero noise at entry, by
     the noise rule, before any iterate could reach them."""
 
-    Pi = make_example_schedule_442().compound
+    Pi = example442().compound
 
     def test_ml(self):
         with pytest.raises(ValueError, match="sigma_v2"):
@@ -948,7 +947,7 @@ class TestVanishedSlotPowers:
         # the first interval's zero observations would solve to c = 0, at
         # which the second interval's slot powers vanish
         with pytest.raises(ValueError, match="sigma_v2"):
-            adaptive_estimate(np.zeros((3, 4)), make_example_schedule_442(), 0.0, 0.99)
+            adaptive_estimate(np.zeros((3, 4)), example442(), 0.0, 0.99)
 
 
 @pytest.mark.parametrize("sigma_v2", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
@@ -967,14 +966,14 @@ def test_noise_rule_refuses_before_any_solve(monkeypatch, estimate, sigma_v2):
                         lambda *args: solves.append(args) or solve(*args))
     B = np.random.default_rng(3).exponential(2.0, (3, 6)) + 1.0
     with pytest.raises(ValueError, match="sigma_v2 must be > 0"):
-        estimate(B, make_example_schedule_442(), sigma_v2)
+        estimate(B, example442(), sigma_v2)
     assert solves == []
 
 
 class TestConsistencyInT:
     def test_rmse_shrinks_with_tenfold_data(self):
         rng = np.random.default_rng(17)
-        sched = make_example_schedule_442()
+        sched = example442()
         C = np.array([[1.0, 0.5, 1.5, 0.8], [0.6, 1.1, 0.4, 1.3]])
         errs = {10: [], 100: []}
         for seed in range(20):

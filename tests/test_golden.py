@@ -10,20 +10,15 @@ last digit; refactors that only move rounding stay well inside it.
 
 A change that moves the numbers on purpose (a new RNG stream, say)
 regenerates each CSV with the command this test runs, from the repository
-root, where the schedule path of golden_example442.cfg resolves, and lists
+root, where the schedule paths of the imported configs resolve, and lists
 every changed value, old -> new, with the change:
 
-    pilotcov run tests/data/golden_<name>.cfg \
-        --out tests/data/golden_<name>.csv --seed-base 0
-
-for <name> in per_row, shared, example442 and ttr; for imported, first write
-golden_shared.cfg with its [schedule] section replaced by
-`mode = imported` and `path = <absolute path of
-tests/data/golden_imported_schedule.txt>`, as `_config` below does, and
-run that config with `--out tests/data/golden_imported.csv`.
+    for name in per_row shared example442 imported ttr; do
+        pilotcov run tests/data/golden_$name.cfg \
+            --out tests/data/golden_$name.csv --seed-base 0
+    done
 """
 
-import configparser
 import csv
 from pathlib import Path
 
@@ -43,28 +38,12 @@ def _rows_by_key(path):
                 for row in csv.DictReader(fh)}
 
 
-def _config(name, tmp_path):
-    # [schedule] path is read relative to the working directory, so the
-    # imported sweep's config is written here with the file's absolute path
-    # rather than checked in
-    if name != "imported":
-        return DATA / f"golden_{name}.cfg"
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cp.read(DATA / "golden_shared.cfg", encoding="utf-8")
-    cp["schedule"] = {"mode": "imported",
-                      "path": str(DATA / "golden_imported_schedule.txt")}
-    path = tmp_path / "golden_imported.cfg"
-    with open(path, "w", encoding="utf-8") as fh:
-        cp.write(fh)
-    return path
-
-
 @pytest.mark.parametrize("name", ["per_row", "shared", "example442", "imported", "ttr"])
 def test_records_match_golden_csv(name, tmp_path, monkeypatch):
-    # golden_example442.cfg names its schedule relative to the repository root
+    # the imported configs name their schedules relative to the repository root
     monkeypatch.chdir(ROOT)
     out = tmp_path / "run.csv"
-    cfg = _config(name, tmp_path)
+    cfg = DATA / f"golden_{name}.cfg"
     assert cli_main(["run", str(cfg), "--out", str(out), "--seed-base", "0"]) == 0
     got = _rows_by_key(out)
     want = _rows_by_key(DATA / f"golden_{name}.csv")

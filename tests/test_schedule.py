@@ -7,12 +7,13 @@ from pilotcov import (
     Schedule,
     SingularSystemError,
     load_schedule,
-    make_example_schedule_442,
     make_random_schedule,
     min_schedule_length,
     rank_and_condition,
     save_schedule,
 )
+
+from training import example442
 
 
 class TestSchedule:
@@ -37,7 +38,7 @@ class TestSchedule:
         np.testing.assert_array_equal(sched.compound, np.hstack(sched.allocations))
 
     def test_equality_and_hash_do_not_raise(self):
-        a, b = make_example_schedule_442(), make_example_schedule_442()
+        a, b = example442(), example442()
         assert a == a
         assert a != b  # identity, not the array fields
         assert len({a, b, a}) == 2
@@ -65,7 +66,7 @@ class TestMinScheduleLength:
 
 class TestExampleSchedule442:
     def test_exact_allocations(self):
-        sched = make_example_schedule_442()
+        sched = example442()
         expected = [
             [[1, 0], [1, 0], [0, 1], [0, 1]],
             [[1, 0], [0, 1], [1, 0], [0, 1]],
@@ -76,7 +77,7 @@ class TestExampleSchedule442:
         assert sched.compound.shape == (4, 6)
 
     def test_rank_and_condition(self):
-        rank, cond = rank_and_condition(make_example_schedule_442())
+        rank, cond = rank_and_condition(example442())
         assert rank == 4
         assert abs(cond - np.sqrt(3.0)) < 1e-12
 
@@ -108,7 +109,7 @@ class TestRankAndCondition:
     def test_rank_above_structural_bound_raises(self, monkeypatch):
         # a broken SVD claiming full rank for K=4, Ttr=2, N=2 (bound 3)
         # must fail loudly, and not through an assert that -O strips
-        sched = Schedule(make_example_schedule_442().pilots[[0, 0]], 2)
+        sched = Schedule(example442().pilots[[0, 0]], 2)
         monkeypatch.setattr(np.linalg, "svd",
                             lambda A, compute_uv: np.ones(min(A.shape)))
         with pytest.raises(SingularSystemError, match="structural bound 3"):
@@ -184,7 +185,7 @@ class TestScheduleIO:
         np.testing.assert_array_equal(loaded.compound, sched.compound)
 
     def test_text_format_one_line_per_interval(self, tmp_path):
-        sched = make_example_schedule_442()
+        sched = example442()
         path = tmp_path / "sched.txt"
         save_schedule(sched, str(path))
         lines = path.read_text().splitlines()

@@ -1,11 +1,23 @@
-"""Training observations and a dense reference solve for the estimator
-tests: observations drawn interval by interval as H A + noise rather than
-from the slot law the sweep uses, and the unclamped weighted right inverse
-solved with numpy rather than with the library's own solve."""
+"""Fixtures shared by the tests: the canonical 4x2 schedule read from its
+shipped file, training observations drawn interval by interval as H A +
+noise rather than from the slot law the sweep uses, and the unclamped
+weighted right inverse solved with numpy rather than with the library's
+own solve."""
+
+from pathlib import Path
 
 import numpy as np
 
-from pilotcov import draw_channels, observe, squared_rows
+from pilotcov import draw_channels, load_schedule, observe, squared_rows
+
+# the canonical 4-user, 2-pilot schedule of three allocations (rank 4,
+# condition sqrt(3)), shipped for `mode = imported`
+EXAMPLE442_SCHEDULE = Path(__file__).resolve().parent.parent / "configs" / "example442_schedule.txt"
+
+
+def example442():
+    """The canonical schedule, read from the file the sweeps import."""
+    return load_schedule(str(EXAMPLE442_SCHEDULE), Ttr=2)
 
 
 def simulate_training(C, schedule, sigma_v2, passes, rng):
