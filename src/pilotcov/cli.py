@@ -126,10 +126,10 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
     with _as_config_error(f"schedule file {args.file}: "):
         schedule = load_schedule(args.file, Ttr=args.pilots)
-        try:
-            min_length = min_schedule_length(schedule.K, schedule.Ttr)
-        except IdentifiabilityError:
-            min_length = None  # no schedule length helps a single pilot
+    try:
+        min_length = min_schedule_length(schedule.K, schedule.Ttr)
+    except (ValueError, IdentifiabilityError):
+        min_length = None  # defined only for K >= 2 users and Ttr >= 2 pilots
     print(f"K={schedule.K} Ttr={schedule.Ttr} N={schedule.N}")
     print(f"rank={schedule.rank} condition={schedule.cond:.6g} "
           f"identifiable={'yes' if schedule.identifiable else 'NO'}")

@@ -4,21 +4,11 @@ reports bad input as ConfigError."""
 import configparser
 from contextlib import contextmanager
 
-__all__ = ["PilotCovError", "InvalidProfileError", "InfeasibleConstraintError",
-           "IdentifiabilityError", "SingularSystemError", "ConfigError"]
+__all__ = ["PilotCovError", "IdentifiabilityError", "SingularSystemError", "ConfigError"]
 
 
 class PilotCovError(Exception):
     """Base class for all package-specific errors."""
-
-
-class InvalidProfileError(PilotCovError, ValueError):
-    """A variance-profile parameter is out of its valid range."""
-
-
-class InfeasibleConstraintError(PilotCovError, ValueError):
-    """A pilot-allocation constraint cannot be satisfied (e.g. more users
-    per cell than available pilots)."""
 
 
 class IdentifiabilityError(PilotCovError, RuntimeError):

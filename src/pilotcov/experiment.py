@@ -37,7 +37,6 @@ from .linklevel import ls_channel_estimate, mmse_channel_estimate, rzf_filter, u
 from .scenario import (
     BandLimited,
     ProfileKind,
-    RandomSparse,
     ScenarioConfig,
     Uniform,
     genie_covariances,
@@ -452,10 +451,7 @@ _SECTIONS = {
 _PROFILES = {
     "uniform": (Uniform, {"power": ("power", float)}),
     "bandlimited": (BandLimited, {"width": ("width", int), "power": ("power", float),
-                                  "center": ("center", int),
                                   "dynamic_range_db": ("dynamic_range_db", float)}),
-    "random_sparse": (RandomSparse, {"support_fraction": ("support_fraction", float),
-                                     "total_power": ("total_power", float)}),
 }
 # field -> key as documented, to name a required key the file leaves out
 _KEY_OF = {
@@ -498,14 +494,14 @@ def load_experiment_config(path: str, seed_base: int | None = None) -> Experimen
     given, replaces the default seed base, so the sweep points are resolved
     once.
 
-    Every key is read through `_SECTIONS` (and `_PROFILES` for the kind
-    of [profile]); numbers are parsed with `float` or `int`, and the
-    dataclasses built from them check their values, as for code.  A key
-    the file leaves out is not passed, so it takes the dataclass default;
-    the keys of fields without a default ([scenario] M, K, Ttr, sigma_v2,
-    [sweep] values and the width or support_fraction of a profile) and the
-    [profile] section are required.  Values are read literally: a `%` is
-    text, not interpolation.
+    Every key is read through `_SECTIONS` (and `_PROFILES`, uniform or
+    bandlimited, for the kind of [profile]); numbers are parsed with
+    `float` or `int`, and the dataclasses built from them check their
+    values, as for code.  A key the file leaves out is not passed, so it
+    takes the dataclass default; the keys of fields without a default
+    ([scenario] M, K, Ttr, sigma_v2, [sweep] values and the width of a
+    bandlimited profile) and the [profile] section are required.  Values
+    are read literally: a `%` is text, not interpolation.
     """
     with _as_config_error(f"cannot read config file {path}: "):
         with open(path, "r", encoding="utf-8") as fh:

@@ -15,13 +15,10 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidProfileError
-
 __all__ = [
     "ScenarioConfig",
     "Uniform",
     "BandLimited",
-    "RandomSparse",
     "ProfileKind",
     "generate_covariance_set",
     "genie_covariances",
@@ -83,7 +80,7 @@ class ScenarioConfig:
 
 def _check_power(name: str, value: float) -> None:
     if not 0 < value < np.inf:
-        raise InvalidProfileError(f"{name} must be finite and > 0, got {value}")
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -101,55 +98,32 @@ class BandLimited:
     """Contiguous (wrapping) support of `width` antennas with a raised-cosine
     taper, mimicking limited angular support in the beamspace domain.
 
-    Per-user support centers are drawn uniformly unless `center` fixes
-    them at one antenna in [0, M).  Per-user total power is drawn
-    log-uniformly over `dynamic_range_db` below `power`, emulating the
-    path-loss disparity between own-cell users and interferers.
+    Per-user support centers are drawn uniformly over the M antennas.
+    Per-user total power is drawn log-uniformly over `dynamic_range_db`
+    below `power`, emulating the path-loss disparity between own-cell
+    users and interferers.
     """
 
     width: int
     power: float = 1.0
-    center: int | None = None
     dynamic_range_db: float = 20.0
 
     def __post_init__(self) -> None:
-        # both index the antennas, so a float would fail only when drawn
+        # it indexes the antennas, so a float would fail only when drawn
         if not isinstance(self.width, (int, np.integer)) or self.width < 1:
-            raise InvalidProfileError(f"width must be an integer >= 1, got {self.width!r}")
+            raise ValueError(f"width must be an integer >= 1, got {self.width!r}")
         _check_power("power", self.power)
-        if self.center is not None and not isinstance(self.center, (int, np.integer)):
-            raise InvalidProfileError(f"center must be an integer, got {self.center!r}")
-        if self.center is not None and self.center < 0:
-            raise InvalidProfileError(f"center must be >= 0, got {self.center}")
         if not 0 <= self.dynamic_range_db < np.inf:
-            raise InvalidProfileError(f"dynamic_range_db must be finite and >= 0, "
-                                      f"got {self.dynamic_range_db}")
+            raise ValueError(f"dynamic_range_db must be finite and >= 0, "
+                             f"got {self.dynamic_range_db}")
 
     def check_fits(self, M: int) -> None:
-        """Refuse a support wider than M antennas or centered outside them."""
+        """Refuse a support wider than M antennas."""
         if self.width > M:
-            raise InvalidProfileError(f"width must be in [1, M={M}], got {self.width}")
-        if self.center is not None and self.center >= M:
-            raise InvalidProfileError(f"center must be in [0, M={M}), got {self.center}")
+            raise ValueError(f"width must be in [1, M={M}], got {self.width}")
 
 
-@dataclass(frozen=True)
-class RandomSparse:
-    """Random antenna support covering a `support_fraction` of the array;
-    each column sums exactly to `total_power`."""
-
-    support_fraction: float
-    total_power: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.support_fraction <= 1.0:
-            raise InvalidProfileError(
-                f"support_fraction must be in (0, 1], got {self.support_fraction}"
-            )
-        _check_power("total_power", self.total_power)
-
-
-ProfileKind = Union[Uniform, BandLimited, RandomSparse]
+ProfileKind = Union[Uniform, BandLimited]
 
 
 def _bandlimited_column(
@@ -168,8 +142,9 @@ def generate_covariance_set(
 ) -> np.ndarray:
     """Draw the ground-truth (M, K) variance matrix for all users.
 
-    Deterministic given (config, profile, rng state).  Column sums of the
-    BandLimited and RandomSparse profiles equal the drawn per-user powers.
+    Deterministic given (config, profile, rng state).  Uniform fills every
+    entry with its power; the column sums of BandLimited equal the drawn
+    per-user powers.
     """
     M, K = config.M, config.K
     if isinstance(profile, Uniform):
@@ -178,28 +153,19 @@ def generate_covariance_set(
         profile.check_fits(M)
         C = np.zeros((M, K))
         for k in range(K):
-            center = (
-                int(rng.integers(0, M)) if profile.center is None else profile.center
-            )
+            center = int(rng.integers(0, M))
             power_k = profile.power * 10.0 ** (
                 -rng.uniform(0.0, profile.dynamic_range_db) / 10.0
             )
             C[:, k] = _bandlimited_column(M, profile.width, center, power_k)
-    elif isinstance(profile, RandomSparse):
-        n_nz = max(1, round(profile.support_fraction * M))
-        C = np.zeros((M, K))
-        for k in range(K):
-            support = rng.choice(M, size=n_nz, replace=False)
-            weights = rng.random(n_nz) + 1e-12
-            C[support, k] = weights / weights.sum() * profile.total_power
     else:
-        raise InvalidProfileError(f"unknown profile kind: {profile!r}")
+        raise ValueError(f"unknown profile kind: {profile!r}")
 
     with np.errstate(over="ignore"):  # an infinite norm is refused below
         norm = np.linalg.norm(C)  # estimation errors are relative to it
     if not 0 < norm < np.inf:
-        raise InvalidProfileError(f"{profile!r} draws a ground truth of norm {norm}: "
-                                  f"its powers underflow or overflow")
+        raise ValueError(f"{profile!r} draws a ground truth of norm {norm}: "
+                         f"its powers underflow or overflow")
     return C
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IdentifiabilityError, InfeasibleConstraintError, SingularSystemError
+from .errors import IdentifiabilityError, SingularSystemError
 
 _MAX_REDRAWS = 100
 
@@ -116,7 +116,7 @@ def check_random_schedule(K: int, Ttr: int, N: int, num_cells: int,
         raise ValueError(f"K={K} users cannot be split into {num_cells} equal cells")
     users_per_cell = K // num_cells
     if users_per_cell > Ttr:
-        raise InfeasibleConstraintError(
+        raise ValueError(
             f"{users_per_cell} users per cell cannot use distinct "
             f"pilots when only Ttr={Ttr} pilots are available"
         )

@@ -405,6 +405,17 @@ class TestCLI:
         assert "Ttr=1" in out and "rank=1 " in out and "identifiable=NO" in out
         assert "minimum schedule length" not in out
 
+    @pytest.mark.parametrize("text, Ttr", [("0\n0\n", 1), ("0\n1\n", 2)],
+                             ids=["one-pilot", "two-pilots"])
+    def test_inspect_single_user_schedule(self, text, Ttr, tmp_path, capsys):
+        # the minimum length is defined for two users or more, so none is
+        # printed; the file itself is a schedule of rank 1
+        sched_file = tmp_path / "one_user.txt"
+        sched_file.write_text(text)
+        assert cli_main(["schedule", "inspect", str(sched_file)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"K=1 Ttr={Ttr} N=2", "rank=1 condition=1 identifiable=yes"]
+
     def test_shipped_example442_file_is_the_canonical_schedule(self, capsys):
         assert cli_main(["schedule", "inspect", str(EXAMPLE442_SCHEDULE)]) == 0
         assert "rank=4 condition=1.73205 identifiable=yes" in capsys.readouterr().out
@@ -437,7 +448,6 @@ class TestCLI:
         ["schedule", "generate", "--users", "12", "--pilots", "5", "--cells", "0"],
         ["schedule", "inspect", "{missing}"],
         ["schedule", "inspect", "{malformed}"],
-        ["schedule", "inspect", "{single_user}"],
         ["run", "{cfg}", "--out", ""],
         ["schedule", "generate", "--users", "12", "--pilots", "5", "--cells", "3",
          "--out", ""],
@@ -452,15 +462,13 @@ class TestCLI:
     def test_bad_input_exits_1(self, argv, desk_config, tmp_path, capsys):
         malformed = tmp_path / "malformed.txt"
         malformed.write_text("0 1 x\n")
-        single_user = tmp_path / "single_user.txt"
-        single_user.write_text("0\n1\n")
         empty = tmp_path / "empty.txt"
         empty.write_text("")
         ragged = tmp_path / "ragged.txt"
         ragged.write_text("0 1 2\n1 0\n")
         paths = {"cfg": desk_config, "missing": str(tmp_path / "missing.txt"),
-                 "malformed": str(malformed), "single_user": str(single_user),
-                 "empty": str(empty), "ragged": str(ragged), "dir": str(tmp_path)}
+                 "malformed": str(malformed), "empty": str(empty),
+                 "ragged": str(ragged), "dir": str(tmp_path)}
         argv = [a.format(**paths) for a in argv]
         try:
             rc = cli_main(argv)
@@ -499,17 +507,15 @@ class TestCLI:
     @pytest.mark.parametrize("old, new, named", [
         ("width = 4", "width = 0", "width"),
         ("width = 4", "width = 9", "width"),
-        ("width = 4", "width = 4\ncenter = 8", "[profile] center"),
-        ("width = 4", "width = 4\ncenter = -1", "[profile] center"),
+        ("width = 4", "width = 4\ncenter = 2", "[profile] unknown key 'center'"),
         ("power = 1.0", "power = -1", "power"),
         (BANDLIMITED, "kind = uniform\npower = -1\n", "power"),
         (BANDLIMITED, "kind = uniform\npower = 0\n", "power must be finite and > 0"),
         ("dynamic_range_db = 10.0", "dynamic_range_db = inf", "dynamic_range_db"),
         ("kind = bandlimited", "kind = gaussian", "kind must be one of"),
-        (BANDLIMITED, "kind = random_sparse\nsupport_fraction = 1.5\n",
-         "support_fraction"),
+        (BANDLIMITED, "kind = random_sparse\nsupport_fraction = 0.5\n",
+         "kind must be one of uniform, bandlimited, got 'random_sparse'"),
         ("width = 4\n", "", "width"),
-        (BANDLIMITED, "kind = random_sparse\ntotal_power = 1.0\n", "support_fraction"),
         ("max_iter = 100", "max_iter = 100\nml_scalling = shared", "ml_scalling"),
         ("[link]", "[output]\nformat = csv\n\n[link]", "[output]"),
         ("width = 4", "width = 4\nsupport_fraction = 0.5", "support_fraction"),
@@ -540,12 +546,12 @@ class TestCLI:
         ("power = 1.0", "power = 1.0%", "[profile] power"),
         ("mode = random\nN = 5", "mode = imported\npath = %(mode)s.txt",
          "[schedule] path %(mode)s.txt"),
-    ], ids=["width-0", "width-above-M", "center-at-M", "center-negative",
+    ], ids=["width-0", "width-above-M", "center-unknown-key",
             "bandlimited-power-negative",
             "uniform-power-negative", "uniform-power-zero", "dynamic-range-inf",
             "profile-kind-unknown",
-            "support-fraction-above-1", "width-missing",
-            "support-fraction-missing", "misspelt-key", "unknown-section",
+            "random-sparse-unknown-kind", "width-missing", "misspelt-key",
+            "unknown-section",
             "key-of-other-kind", "cells-saturate-pilots", "imported-K-mismatch",
             "N-outside-random-mode", "path-outside-imported-mode",
             "repeated-sweep-value", "repeated-estimator", "example442-at-desk-geometry",

@@ -3,7 +3,6 @@ import pytest
 
 from pilotcov import (
     IdentifiabilityError,
-    InfeasibleConstraintError,
     Schedule,
     SingularSystemError,
     load_schedule,
@@ -159,7 +158,7 @@ class TestRandomSchedule:
         assert rank == 70
 
     def test_too_many_users_per_cell_rejected(self):
-        with pytest.raises(InfeasibleConstraintError):
+        with pytest.raises(ValueError, match="4 users per cell cannot use distinct"):
             make_random_schedule(8, 3, 5, 2, np.random.default_rng(0))
 
     def test_users_not_splitting_into_cells_rejected(self):
