@@ -94,13 +94,40 @@ class TestBandLimitedProfile:
         support = np.flatnonzero(_bandlimited_column(8, 4, 0, 1.0))
         assert set(support) == {0, 1, 6, 7}
 
+    @pytest.mark.parametrize("M, width, center", [
+        (8, 4, 7), (8, 3, 0), (8, 1, 3), (16, 5, 8), (16, 6, 2), (5, 5, 4),
+    ], ids=["even-right-edge", "odd-left-edge", "single-antenna", "odd-inside",
+            "even-inside", "full-array"])
+    def test_column_is_a_positive_band_of_width_antennas(self, M, width, center):
+        col = _bandlimited_column(M, width, center, 2.5)
+        band = {(center - width // 2 + j) % M for j in range(width)}
+        assert set(np.flatnonzero(col)) == band
+        assert np.all(col[sorted(band)] > 0)
+        np.testing.assert_allclose(col.sum(), 2.5, rtol=1e-12)
+
+    def test_centers_drawn_over_every_antenna(self):
+        out = generate_covariance_set(_config(M=8, K=64, num_cells=1),
+                                      BandLimited(width=1), np.random.default_rng(5))
+        assert set(np.flatnonzero(out.sum(axis=1))) == set(range(8))
+
+    def test_power_scales_the_draw(self):
+        # power is the top of the dynamic range; the rng draws do not depend on it
+        cfg = _config(M=12, K=6, num_cells=2)
+        low = generate_covariance_set(cfg, BandLimited(width=4, power=1.0),
+                                      np.random.default_rng(6))
+        high = generate_covariance_set(cfg, BandLimited(width=4, power=3.0),
+                                       np.random.default_rng(6))
+        np.testing.assert_allclose(high, 3.0 * low, rtol=1e-12)
+
     def test_width_exceeding_array_rejected(self):
         with pytest.raises(ValueError, match=r"width must be in \[1, M=4\]"):
             generate_covariance_set(
                 _config(M=4, K=2), BandLimited(width=5), np.random.default_rng(0)
             )
 
-    @pytest.mark.parametrize("width", [4.5, 4.0], ids=["width-4.5", "width-4.0"])
+    @pytest.mark.parametrize("width", [4.5, 4.0, np.float64(4), np.nan, "4"],
+                             ids=["width-4.5", "width-4.0", "width-float64", "width-nan",
+                                  "width-str"])
     def test_non_integer_width_refused_when_built(self, width):
         # it indexes the antennas: the draw would die with IndexError
         with pytest.raises(ValueError, match="width must be an integer"):
@@ -123,6 +150,22 @@ def test_non_finite_profile_field_refused_when_built(cls, kw, field, value):
     # range would otherwise overflow rng.uniform at the first unit's draw
     with pytest.raises(ValueError, match=field):
         cls(**{**kw, field: value})
+
+
+@pytest.mark.parametrize("cls, kw, named", [
+    (Uniform, {"power": -1.0}, "power must be finite and > 0"),
+    (BandLimited, {"width": 4, "power": 0.0}, "power must be finite and > 0"),
+    (BandLimited, {"width": 4, "power": -1.0}, "power must be finite and > 0"),
+    (BandLimited, {"width": 4, "dynamic_range_db": -1.0},
+     "dynamic_range_db must be finite and >= 0"),
+    (BandLimited, {"width": 0}, "width must be an integer >= 1"),
+    (BandLimited, {"width": -3}, "width must be an integer >= 1"),
+], ids=["uniform-power-negative", "bandlimited-power-zero", "bandlimited-power-negative",
+        "bandlimited-dynamic_range_db-negative", "bandlimited-width-0",
+        "bandlimited-width-negative"])
+def test_out_of_range_profile_field_refused_when_built(cls, kw, named):
+    with pytest.raises(ValueError, match=named):
+        cls(**kw)
 
 
 def test_generation_deterministic_given_seed():
